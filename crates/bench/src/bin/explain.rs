@@ -429,7 +429,6 @@ fn main() {
         } else {
             IntervalPrecision::default()
         },
-        ..Default::default()
     });
     let dumps = run_dump(
         &suite,

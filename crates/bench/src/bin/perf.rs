@@ -3,10 +3,12 @@
 //! per-stage pipeline timings, per-cell trace counters, and end-to-end
 //! wall clocks.
 //!
-//! Usage: `perf [--out FILE] [--serial] [--compare] [--no-verify]
+//! Usage: `perf --out FILE [--serial] [--compare] [--no-verify]
 //! [--no-counters] [--no-alloc] [--no-throughput] [--throughput-ms MS]
 //! [--spec N] [--trace [DIR]]`
 //!
+//! * `--out FILE` — where to write the trajectory (required, so a bare
+//!   run never overwrites a checked-in `BENCH_*.json` baseline);
 //! * `--serial`   — run on one thread (the JSON records the mode);
 //! * `--compare`  — run serial then parallel, print the speedup, and
 //!   write the parallel trajectory;
@@ -37,6 +39,9 @@ use tossa_core::Experiment;
 use tossa_trace::{chrome_trace, jsonl_record, summary_table, TraceData};
 
 const FOCUS_SUITES: [&str; 3] = ["VALcc1", "VALcc2", "LAI Large"];
+
+const USAGE: &str = "usage: perf --out FILE [--serial] [--compare] [--no-verify] \
+[--no-counters] [--no-alloc] [--no-throughput] [--throughput-ms MS] [--spec N] [--trace [DIR]]";
 
 fn unix_time() -> u64 {
     std::time::SystemTime::now()
@@ -108,7 +113,10 @@ fn main() {
             .and_then(|p| args.get(p + 1))
             .cloned()
     };
-    let out = value("--out").unwrap_or_else(|| "BENCH_pr10.json".into());
+    let Some(out) = value("--out") else {
+        eprintln!("{USAGE}");
+        std::process::exit(2);
+    };
     let verify = !flag("--no-verify");
     let counters = !flag("--no-counters");
     let alloc = !flag("--no-alloc");

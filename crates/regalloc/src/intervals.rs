@@ -36,7 +36,7 @@ pub enum IntervalPrecision {
     /// One `[min, max]` hull per web (the pre-PR9 model): every position
     /// between the first and last live position counts as occupied.
     /// Each interval gets a single range equal to its envelope, so the
-    /// downstream engines need no mode switches.
+    /// downstream code needs no mode switches.
     Hull,
     /// Sorted disjoint `[start, end)` ranges with lifetime holes between
     /// them; interference consults the ranges and the hull is only a

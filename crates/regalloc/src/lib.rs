@@ -11,11 +11,11 @@
 //!
 //! Pipeline:
 //!
-//! 1. [`prepare`] — hull live intervals from the worklist liveness, then
-//!    liveness-driven linear scan ([`Strategy::LinearScan`]) with
-//!    iterative spill-everywhere rewriting; when scan cannot converge,
-//!    an interference-graph greedy-coloring fallback
-//!    ([`Strategy::Graph`]) takes over. Pre-existing register identities
+//! 1. [`prepare`] — live intervals from the worklist liveness, then
+//!    liveness-driven linear scan ([`scan`]), the only assignment
+//!    engine, repeated until it converges: each failing round rewrites
+//!    its victims (rematerialization, live-range splitting or
+//!    spill-everywhere) and rescans. Pre-existing register identities
 //!    (`VarData::reg`, the out-of-SSA pinning results: ABI argument and
 //!    return registers, `SP`, predicate/pointer webs) are preserved
 //!    verbatim as precolored intervals.
@@ -37,7 +37,6 @@
 #![warn(missing_docs)]
 
 pub mod cost;
-pub mod graph;
 pub mod intervals;
 pub mod scan;
 pub mod spill;
@@ -54,19 +53,6 @@ use tossa_trace::Counter;
 pub use intervals::IntervalPrecision;
 pub use verify::verify_allocation;
 
-/// Which assignment engine produced (or should produce) the allocation.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum Strategy {
-    /// Linear scan first; fall back to graph coloring when scan fails to
-    /// converge within [`AllocOptions::max_rounds`].
-    #[default]
-    Auto,
-    /// Linear scan only; error when it cannot converge.
-    LinearScan,
-    /// Interference-graph greedy coloring only.
-    Graph,
-}
-
 /// How eviction victims are chosen and rewritten.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum SpillPolicy {
@@ -82,31 +68,13 @@ pub enum SpillPolicy {
 }
 
 /// Allocator configuration.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct AllocOptions {
-    /// Assignment engine selection.
-    pub strategy: Strategy,
-    /// Spill-and-retry rounds each engine may take before giving up.
-    pub max_rounds: usize,
-    /// Run [`verify_allocation`] before rewriting to physical form.
-    pub verify: bool,
     /// Victim selection and spill-rewrite policy.
     pub spill_policy: SpillPolicy,
     /// Liveness model for interference: per-range intervals with
     /// lifetime holes (default) or the pre-PR9 `[min, max]` hulls.
     pub precision: IntervalPrecision,
-}
-
-impl Default for AllocOptions {
-    fn default() -> Self {
-        AllocOptions {
-            strategy: Strategy::Auto,
-            max_rounds: 8,
-            verify: true,
-            spill_policy: SpillPolicy::default(),
-            precision: IntervalPrecision::default(),
-        }
-    }
 }
 
 /// Per-function allocation statistics (the end-to-end table columns).
@@ -123,7 +91,9 @@ pub struct AllocStats {
     /// `mov`s surviving allocation (self-moves under the assignment
     /// vanish and are not counted).
     pub moves_after: usize,
-    /// Whether the interference-graph fallback produced the assignment.
+    /// Always `false`: scan is the only engine, so no fallback engine
+    /// ever produces the assignment. Kept so readers of the statistics
+    /// (the benchmark's `regalloc.fallbacks` metric) stay unchanged.
     pub fallback: bool,
     /// Spill-and-retry rounds taken.
     pub rounds: usize,
@@ -181,7 +151,8 @@ pub enum AllocError {
         /// Second variable.
         b: Var,
     },
-    /// Neither engine could assign `var` within the round budget.
+    /// No register is free for `var` and it cannot be spilled (a spill
+    /// temporary squeezed out by other unspillable webs).
     OutOfRegisters {
         /// The unassignable variable.
         var: Var,
@@ -259,7 +230,7 @@ impl fmt::Display for AllocError {
                 )
             }
             AllocError::OutOfRegisters { var } => {
-                write!(f, "no register assignable to {var} within the round budget")
+                write!(f, "no register assignable to {var}")
             }
             AllocError::Unassigned { var } => write!(f, "{var} received no register"),
             AllocError::PinClobbered { var, pinned, got } => {
@@ -280,7 +251,7 @@ impl fmt::Display for AllocError {
 
 impl std::error::Error for AllocError {}
 
-/// The register map produced by an assignment engine, indexed by [`Var`].
+/// The register map produced by the scan, indexed by [`Var`].
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Assignment {
     regs: Vec<Option<PhysReg>>,
@@ -330,17 +301,37 @@ impl Assignment {
 pub struct Prepared {
     /// The register map (complete over every variable that appears).
     pub assignment: Assignment,
-    /// Statistics so far (spills, rounds, engine used).
+    /// Statistics so far (spills, rounds, rescues).
     pub stats: AllocStats,
 }
 
 /// Runs assignment and spill insertion, mutating `f` with spill code but
 /// leaving it in virtual-register form.
 ///
+/// Linear scan is the only engine. It runs round after round until it
+/// returns an assignment; each failing round rewrites its victims
+/// (rematerialize, split, or spill everywhere) and rescans. No round
+/// budget is needed, because every failing round removes a web from the
+/// function:
+///
+/// - the second-chance pass cannot rescue every victim of a failing
+///   round (if it could, the round would succeed), so at least one
+///   victim is rewritten;
+/// - remat and spill-everywhere replace each occurrence of the victim by
+///   an unspillable one-instruction temporary; a split does the same
+///   outside its region and renames the inside to a fresh sub-web that
+///   is never split again.
+///
+/// Counting two units per original web and one per split sub-web, every
+/// failing round lowers the count, so scan succeeds or fails hard by
+/// round `2 · num_vars + 1`. The loop keeps that bound only as a cap
+/// guarding the argument.
+///
 /// # Errors
 /// [`AllocError::ResidualPhi`] on φ-bearing input, [`AllocError::PinConflict`]
-/// on contradictory precoloring, [`AllocError::OutOfRegisters`] when the
-/// round budget is exhausted.
+/// on contradictory precoloring, [`AllocError::OutOfRegisters`] when an
+/// unspillable web finds no register (or, should the argument above
+/// break, when the cap is reached; it names a victim of the last round).
 pub fn prepare(f: &mut Function, opts: &AllocOptions) -> Result<Prepared, AllocError> {
     for (b, i) in f.all_insts() {
         if f.inst(i).is_phi() {
@@ -350,174 +341,140 @@ pub fn prepare(f: &mut Function, opts: &AllocOptions) -> Result<Prepared, AllocE
     let mut stats = AllocStats::default();
     let mut next_slot: i64 = 0;
     let mut temps: HashSet<Var> = HashSet::new();
-    let engines: &[(Strategy, bool)] = match opts.strategy {
-        Strategy::Auto => &[(Strategy::LinearScan, false), (Strategy::Graph, true)],
-        Strategy::LinearScan => &[(Strategy::LinearScan, false)],
-        Strategy::Graph => &[(Strategy::Graph, false)],
-    };
-    let mut last_err = None;
-    // Webs that already went through rematerialization or splitting:
-    // if they come back as victims the fallback is spill-everywhere,
-    // which guarantees the loop keeps shrinking long intervals.
-    let mut no_split: HashSet<Var> = HashSet::new();
-    let mut remat_done: HashSet<Var> = HashSet::new();
-    // Hot sub-webs created by region splitting: when one comes back as
-    // a victim, the second-chance pass probes the round's partial
-    // assignment for a register before the terminal spill-everywhere
-    // fallback.
+    // Hot sub-webs created by region splitting. They are never split
+    // again; when one comes back as a victim, the second-chance pass
+    // probes the round's partial assignment for a register before the
+    // terminal spill-everywhere fallback.
     let mut split_webs: HashSet<Var> = HashSet::new();
-    // One analysis manager for every round of every engine: spill
-    // rewriting invalidates instructions only, keeping the CFG hot.
+    // One analysis manager for every round: spill rewriting invalidates
+    // instructions only, keeping the CFG hot.
     let mut cache = tossa_analysis::AnalysisCache::new();
-    for &(engine, is_fallback) in engines {
-        for _ in 0..opts.max_rounds.max(1) {
-            stats.rounds += 1;
-            let ivs = intervals::build_cached_with(f, &mut cache, opts.precision);
-            // Round-scoped analyses for the cost-driven policy, pulled
-            // from the cache *before* any rewrite mutates `f`.
-            let round = match opts.spill_policy {
-                SpillPolicy::Everywhere => None,
-                SpillPolicy::CostDriven => {
-                    let cfg = cache.cfg(f);
-                    let live = cache.liveness(f);
-                    let loops = cache.loops(f);
-                    let costs = cost::SpillCosts::compute(f, &loops);
-                    Some((cfg, live, loops, costs))
-                }
-            };
-            let costs = round.as_ref().map(|(_, _, _, c)| c);
-            let outcome = match engine {
-                Strategy::Graph => graph::color(f, &ivs, &temps, costs),
-                _ => scan::scan(f, &ivs, &temps, costs),
-            };
-            match outcome {
-                Ok(assignment) => {
-                    stats.fallback = is_fallback;
-                    if is_fallback {
-                        tossa_trace::count(Counter::AllocFallbacks, 1);
+    // The termination bound above, kept only as a guard.
+    let max_rounds = 2 * f.num_vars() + 1;
+    loop {
+        stats.rounds += 1;
+        let ivs = intervals::build_cached_with(f, &mut cache, opts.precision);
+        // Round-scoped analyses for the cost-driven policy, pulled from
+        // the cache *before* any rewrite mutates `f`.
+        let round = match opts.spill_policy {
+            SpillPolicy::Everywhere => None,
+            SpillPolicy::CostDriven => {
+                let cfg = cache.cfg(f);
+                let live = cache.liveness(f);
+                let loops = cache.loops(f);
+                let costs = cost::SpillCosts::compute(f, &loops);
+                Some((cfg, live, loops, costs))
+            }
+        };
+        let costs = round.as_ref().map(|(_, _, _, c)| c);
+        let (reqs, partial) = match scan::scan(f, &ivs, &temps, costs) {
+            Ok(assignment) => return Ok(Prepared { assignment, stats }),
+            Err(scan::ScanFail::Spill { reqs, partial }) => (reqs, partial),
+            Err(scan::ScanFail::Hard(e)) => return Err(e),
+        };
+        // Second chance: scan batches a whole round's evictions, so by
+        // the end of the round the pressure that evicted a web is often
+        // over-relieved. A split sub-web back on the victim list would
+        // fall terminally to spill-everywhere — probe the round's
+        // finished partial assignment for a register free across its
+        // ranges first. The rescue stands only when *every* victim of
+        // the round is rescued (the assignment is then complete);
+        // otherwise the other victims force a rewrite-and-rescan anyway
+        // and the rescued webs simply skip this round's spill code.
+        let mut rescue_asg = partial;
+        let mut rescues: Vec<(Var, PhysReg)> = Vec::new();
+        if reqs.iter().any(|r| split_webs.contains(&r.var)) {
+            if let Ok(blocked) = scan::Blocked::collect(&ivs) {
+                for req in reqs.iter().filter(|r| split_webs.contains(&r.var)) {
+                    let Some(iv) = ivs.find(req.var) else {
+                        continue;
+                    };
+                    let free = pools(f, iv.ptr_pref).into_iter().find(|&r| {
+                        !blocked.conflicts(&ivs, r, iv)
+                            && !ivs.items.iter().any(|other| {
+                                other.var != iv.var
+                                    && rescue_asg.get(other.var) == Some(r)
+                                    && ivs.overlap(other, iv)
+                            })
+                    });
+                    if let Some(r) = free {
+                        rescue_asg.set(iv.var, r);
+                        rescues.push((iv.var, r));
                     }
-                    return Ok(Prepared { assignment, stats });
-                }
-                Err(scan::ScanFail::Spill { reqs, partial }) => {
-                    // Second chance: the engines batch a whole round's
-                    // evictions, so by the end of the round the pressure
-                    // that evicted a web is often over-relieved. A split
-                    // sub-web back on the victim list would fall
-                    // terminally to spill-everywhere — probe the round's
-                    // finished partial assignment for a register free
-                    // across its ranges first. The rescue stands only
-                    // when *every* victim of the round is rescued (the
-                    // assignment is then complete); otherwise the other
-                    // victims force a rewrite-and-rescan anyway and the
-                    // rescued webs simply skip this round's spill code.
-                    let mut rescue_asg = partial;
-                    let mut rescues: Vec<(Var, PhysReg)> = Vec::new();
-                    if reqs.iter().any(|r| split_webs.contains(&r.var)) {
-                        if let Ok(blocked) = scan::Blocked::collect(&ivs) {
-                            for req in reqs.iter().filter(|r| split_webs.contains(&r.var)) {
-                                let Some(iv) = ivs.find(req.var) else {
-                                    continue;
-                                };
-                                let free = pools(f, iv.ptr_pref).into_iter().find(|&r| {
-                                    !blocked.conflicts(&ivs, r, iv)
-                                        && !ivs.items.iter().any(|other| {
-                                            other.var != iv.var
-                                                && rescue_asg.get(other.var) == Some(r)
-                                                && ivs.overlap(other, iv)
-                                        })
-                                });
-                                if let Some(r) = free {
-                                    rescue_asg.set(iv.var, r);
-                                    rescues.push((iv.var, r));
-                                }
-                            }
-                        }
-                    }
-                    if !rescues.is_empty() && rescues.len() == reqs.len() {
-                        for &(v, r) in &rescues {
-                            let cause = format!("second-chance:{}", f.machine.reg_name(r));
-                            record_spill_cause(f, &ivs, v, &cause);
-                        }
-                        stats.second_chances += rescues.len();
-                        stats.fallback = is_fallback;
-                        if is_fallback {
-                            tossa_trace::count(Counter::AllocFallbacks, 1);
-                        }
-                        return Ok(Prepared {
-                            assignment: rescue_asg,
-                            stats,
-                        });
-                    }
-                    let rescued: HashSet<Var> = rescues.into_iter().map(|(v, _)| v).collect();
-                    // Disposition per victim: rematerialize, split, or
-                    // spill everywhere. Remat and split run first so the
-                    // batched everywhere-rewrite sees the final shape.
-                    let mut everywhere: Vec<(Var, i64)> = Vec::new();
-                    for req in &reqs {
-                        let v = req.var;
-                        if rescued.contains(&v) {
-                            continue;
-                        }
-                        if let Some((cfg, live, loops, costs)) = &round {
-                            if let Some(imm) = costs.remat_imm(v) {
-                                if !remat_done.contains(&v) {
-                                    remat_done.insert(v);
-                                    record_spill_cause(f, &ivs, v, "remat:make");
-                                    let n = spill::rematerialize(f, v, imm, &mut temps);
-                                    stats.remats += n;
-                                    continue;
-                                }
-                            }
-                            if let Some(out) = split::try_split(
-                                f,
-                                v,
-                                req.at,
-                                &ivs,
-                                loops,
-                                live,
-                                cfg,
-                                costs,
-                                next_slot,
-                                &mut temps,
-                                &mut no_split,
-                            ) {
-                                split_webs.insert(out.hot_var);
-                                next_slot += 1;
-                                stats.splits += 1;
-                                stats.spilled_vars += 1;
-                                stats.stores += out.stores;
-                                stats.reloads += out.reloads;
-                                tossa_trace::count(Counter::AllocSpilledVars, 1);
-                                tossa_trace::count(Counter::AllocStores, out.stores as u64);
-                                tossa_trace::count(Counter::AllocReloads, out.reloads as u64);
-                                continue;
-                            }
-                        }
-                        everywhere.push((v, next_slot));
-                        next_slot += 1;
-                    }
-                    if !everywhere.is_empty() {
-                        let (st, rl) = spill::rewrite_spills_with_slots(f, &everywhere, &mut temps);
-                        stats.spilled_vars += everywhere.len();
-                        stats.stores += st;
-                        stats.reloads += rl;
-                        tossa_trace::count(Counter::AllocSpilledVars, everywhere.len() as u64);
-                        tossa_trace::count(Counter::AllocStores, st as u64);
-                        tossa_trace::count(Counter::AllocReloads, rl as u64);
-                    }
-                    cache.invalidate_instructions();
-                }
-                Err(scan::ScanFail::Hard(e)) => {
-                    if matches!(e, AllocError::PinConflict { .. }) {
-                        return Err(e);
-                    }
-                    last_err = Some(e);
-                    break;
                 }
             }
         }
+        if !rescues.is_empty() && rescues.len() == reqs.len() {
+            for &(v, r) in &rescues {
+                let cause = format!("second-chance:{}", f.machine.reg_name(r));
+                record_spill_cause(f, &ivs, v, &cause);
+            }
+            stats.second_chances += rescues.len();
+            return Ok(Prepared {
+                assignment: rescue_asg,
+                stats,
+            });
+        }
+        let rescued: HashSet<Var> = rescues.into_iter().map(|(v, _)| v).collect();
+        if stats.rounds == max_rounds {
+            if let Some(req) = reqs.iter().find(|r| !rescued.contains(&r.var)) {
+                return Err(AllocError::OutOfRegisters { var: req.var });
+            }
+        }
+        // Disposition per victim: rematerialize, split, or spill
+        // everywhere. Remat and split run first so the batched
+        // everywhere-rewrite sees the final shape.
+        let mut everywhere: Vec<(Var, i64)> = Vec::new();
+        for req in &reqs {
+            let v = req.var;
+            if rescued.contains(&v) {
+                continue;
+            }
+            if let Some((cfg, live, loops, costs)) = &round {
+                if let Some(imm) = costs.remat_imm(v) {
+                    record_spill_cause(f, &ivs, v, "remat:make");
+                    let n = spill::rematerialize(f, v, imm, &mut temps);
+                    stats.remats += n;
+                    continue;
+                }
+                if let Some(out) = split::try_split(
+                    f,
+                    v,
+                    req.at,
+                    &ivs,
+                    loops,
+                    live,
+                    cfg,
+                    costs,
+                    next_slot,
+                    &mut temps,
+                    &mut split_webs,
+                ) {
+                    next_slot += 1;
+                    stats.splits += 1;
+                    stats.spilled_vars += 1;
+                    stats.stores += out.stores;
+                    stats.reloads += out.reloads;
+                    tossa_trace::count(Counter::AllocSpilledVars, 1);
+                    tossa_trace::count(Counter::AllocStores, out.stores as u64);
+                    tossa_trace::count(Counter::AllocReloads, out.reloads as u64);
+                    continue;
+                }
+            }
+            everywhere.push((v, next_slot));
+            next_slot += 1;
+        }
+        if !everywhere.is_empty() {
+            let (st, rl) = spill::rewrite_spills_with_slots(f, &everywhere, &mut temps);
+            stats.spilled_vars += everywhere.len();
+            stats.stores += st;
+            stats.reloads += rl;
+            tossa_trace::count(Counter::AllocSpilledVars, everywhere.len() as u64);
+            tossa_trace::count(Counter::AllocStores, st as u64);
+            tossa_trace::count(Counter::AllocReloads, rl as u64);
+        }
+        cache.invalidate_instructions();
     }
-    Err(last_err.unwrap_or(AllocError::OutOfRegisters { var: Var::new(0) }))
 }
 
 /// Records a `Spill` provenance entry for `v` with the given cause,
@@ -585,17 +542,14 @@ pub fn finish(f: &mut Function, prep: Prepared) -> AllocStats {
     stats
 }
 
-/// Full allocation: [`prepare`], optional [`verify_allocation`],
-/// [`finish`].
+/// Full allocation: [`prepare`], [`verify_allocation`], [`finish`].
 ///
 /// # Errors
 /// Propagates every [`AllocError`] of the two phases.
 pub fn allocate(f: &mut Function, opts: &AllocOptions) -> Result<AllocStats, AllocError> {
     tossa_trace::span("alloc", || {
         let prep = prepare(f, opts)?;
-        if opts.verify {
-            verify_allocation(f, &prep.assignment)?;
-        }
+        verify_allocation(f, &prep.assignment)?;
         Ok(finish(f, prep))
     })
 }
@@ -667,7 +621,7 @@ mod tests {
     }
 
     #[test]
-    fn graph_strategy_matches_scan_semantics() {
+    fn counted_loop_allocates_and_runs() {
         let text = "
 func @g {
 entry:
@@ -683,18 +637,8 @@ body:
 exit:
   ret %z
 }";
-        for strategy in [Strategy::LinearScan, Strategy::Graph] {
-            let opts = AllocOptions {
-                strategy,
-                ..Default::default()
-            };
-            let (f, _) = alloc_text(text, &opts);
-            assert_eq!(
-                interp::run(&f, &[4], 1000).unwrap().outputs,
-                vec![4],
-                "{strategy:?}\n{f}"
-            );
-        }
+        let (f, _) = alloc_text(text, &AllocOptions::default());
+        assert_eq!(interp::run(&f, &[4], 1000).unwrap().outputs, vec![4], "{f}");
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Independent allocation verifier.
 //!
 //! Rechecks an [`Assignment`](crate::Assignment) against the function it
-//! was computed for, using nothing from the assignment engines except
-//! the liveness analysis:
+//! was computed for, using nothing from the scan engine except the
+//! liveness analysis:
 //!
 //! - every operand variable has a register ([`AllocError::Unassigned`]);
 //! - precolored variables keep their register
@@ -212,7 +212,7 @@ fn out_of(f: &Function, written_in: &[HashSet<i64>], b: tossa_ir::ids::Block) ->
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{intervals, scan, AllocOptions, Strategy};
+    use crate::{intervals, scan, AllocOptions};
     use tossa_ir::machine::Machine;
     use tossa_ir::parse::parse_function;
 
@@ -326,8 +326,9 @@ entry:
     }
 
     #[test]
-    fn graph_and_scan_both_verify_on_branchy_code() {
-        let text = "
+    fn branchy_code_verifies() {
+        let (f, asg) = prepared(
+            "
 func @g {
 entry:
   %a, %b = input
@@ -341,18 +342,8 @@ e:
   jump done
 done:
   ret %r
-}";
-        for strategy in [Strategy::LinearScan, Strategy::Graph] {
-            let mut f = parse_function(text, &Machine::dsp32()).unwrap();
-            let prep = crate::prepare(
-                &mut f,
-                &AllocOptions {
-                    strategy,
-                    ..Default::default()
-                },
-            )
-            .unwrap();
-            verify_allocation(&f, &prep.assignment).unwrap();
-        }
+}",
+        );
+        verify_allocation(&f, &asg).unwrap();
     }
 }

@@ -114,8 +114,9 @@ pub enum Counter {
     AllocReloads,
     /// Spill stores (`spillst`) the allocator inserted.
     AllocStores,
-    /// Functions where linear scan failed and the interference-graph
-    /// coloring fallback produced the assignment.
+    /// Always 0: the allocator has one engine and no fallback. Kept so
+    /// the counter schema of every checked-in trajectory cell stays
+    /// unchanged.
     AllocFallbacks,
     /// `mov`s still present after register allocation (self-moves under
     /// the assignment excluded).

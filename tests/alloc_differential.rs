@@ -7,12 +7,16 @@
 //! `check` panics on the first divergence or trap, naming the function
 //! and inputs.
 
-use tossa::bench::runner::{run_suite_each_allocated, run_suite_each_allocated_with};
+use tossa::bench::runner::{
+    self, run_experiment, run_suite_each_allocated, run_suite_each_allocated_with,
+};
 use tossa::bench::suites::synth::{generate_function, SynthConfig};
 use tossa::bench::suites::{all_suites, Suite};
 use tossa::core::coalesce::CoalesceOptions;
 use tossa::core::Experiment;
-use tossa::regalloc::{AllocOptions, IntervalPrecision, SpillPolicy};
+use tossa::regalloc::{
+    finish, prepare, verify_allocation, AllocOptions, IntervalPrecision, SpillPolicy,
+};
 
 /// Small synthetic-population scale: keeps the full 10-experiment matrix
 /// affordable in CI; the perf trajectory run covers the full scale.
@@ -77,7 +81,6 @@ fn spill_policies_are_execution_equivalent_and_cost_driven_wins_statically() {
     let policy_opts = |p: SpillPolicy| AllocOptions {
         spill_policy: p,
         precision: IntervalPrecision::Hull,
-        ..Default::default()
     };
     let mut strict_wins = 0usize;
     let (mut remats, mut splits) = (0usize, 0usize);
@@ -243,6 +246,51 @@ fn second_chance_rescues_fire_on_the_pressure_population() {
         holes > 0,
         "the pressure population must trigger at least one second-chance rescue"
     );
+}
+
+/// High-pressure functions on which scan needs 9 to 18 rounds: five
+/// that a budget of eight rounds could not allocate at all, and three
+/// that it handed to a graph-colouring engine (the bound in the table is
+/// that engine's spill+move total). Each must allocate, pass the
+/// verifier and run like the source.
+#[test]
+fn scan_converges_where_the_round_budget_ran_out() {
+    let shape = |pool, max_depth, body_len| SynthConfig {
+        functions: 1,
+        pool,
+        max_depth,
+        body_len,
+    };
+    let (pool32, pressure, pool48) = (shape(32, 1, 16), shape(32, 1, 12), shape(48, 2, 16));
+    let cases = [
+        (&pool32, 7135, Experiment::LphiAbiC, None),
+        (&pool32, 63929, Experiment::LphiAbiC, None),
+        (&pool32, 121231, Experiment::LphiAbiC, None),
+        (&pool32, 123201, Experiment::LphiAbiC, None),
+        (&pool32, 161638, Experiment::LphiC, None),
+        (&pressure, 451, Experiment::LphiC, Some(84)),
+        (&pool48, 2179, Experiment::LphiAbiC, Some(310)),
+        (&pool48, 2966, Experiment::LphiAbiC, Some(251)),
+    ];
+    let opts = CoalesceOptions::default();
+    for (cfg, seed, exp, bound) in cases {
+        let bf = generate_function(seed, cfg);
+        let mut r = run_experiment(&bf.func, exp, &opts);
+        let prep = prepare(&mut r.func, &AllocOptions::default())
+            .unwrap_or_else(|e| panic!("seed {seed} / {exp:?}: {e}"));
+        verify_allocation(&r.func, &prep.assignment)
+            .unwrap_or_else(|e| panic!("seed {seed} / {exp:?}: {e}"));
+        let stats = finish(&mut r.func, prep);
+        runner::verify(&bf.func, &r.func, &bf.inputs)
+            .unwrap_or_else(|e| panic!("seed {seed} / {exp:?}: {e}"));
+        if let Some(bound) = bound {
+            assert!(
+                stats.spill_move_total() <= bound,
+                "seed {seed} / {exp:?}: spill+move total {} above {bound}",
+                stats.spill_move_total()
+            );
+        }
+    }
 }
 
 /// The allocated form is genuinely physical: every operand variable of

@@ -1,156 +1,27 @@
-//! Pins the checked-in `BENCH_pr10.json` claims: the telemetry PR is
-//! perf-neutral through the pipeline. Every deterministic cell — move
-//! counts, weighted counts, allocation stats, non-advisory trace
-//! counters — is byte-identical to the `BENCH_pr9.json` baseline (the
-//! metrics registry records only in the service layer, never inside a
-//! trajectory cell), the snapshot moves to the v5 schema, and the
-//! throughput object gains the compile-latency percentiles
-//! (`latency_p50_ns`/`p90`/`p99`). The PR 9 headline (zero spilling at
-//! trajectory scale) carries over unchanged. The snapshot is
-//! regenerated with `cargo run --release -p tossa-bench --bin perf`.
+//! Pins the checked-in `BENCH_pr10.json` claims: service telemetry left
+//! every deterministic cell of `BENCH_pr9.json` unchanged apart from the
+//! two advisory cache counters, zero spilling carries over, and the
+//! throughput object gains compile-latency percentiles in increasing
+//! order. The shared checks live in `ratchet/mod.rs`.
 
-use std::collections::BTreeMap;
-
-use tossa::trace::json::{parse_json, Json};
-
-/// Cache-policy counters exempted from cell identity (see bench_pr7.rs
-/// and `bench-diff` — advisory, policy-dependent).
-const ADVISORY: [&str; 2] = [
-    "counter.analysis_cache_hits",
-    "counter.analysis_cache_misses",
-];
-
-fn snapshot(name: &str) -> Json {
-    let path = format!("{}/{name}", env!("CARGO_MANIFEST_DIR"));
-    let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("reading {path}: {e}"));
-    parse_json(&text).unwrap_or_else(|e| panic!("parsing {path}: {e}"))
-}
-
-/// Every deterministic scalar of every (suite × experiment) cell,
-/// excluding timing and advisory counters.
-fn deterministic_cells(doc: &Json) -> BTreeMap<(String, String), BTreeMap<String, u64>> {
-    let mut out = BTreeMap::new();
-    for s in doc.get("suites").and_then(Json::as_arr).unwrap_or_default() {
-        let suite = s.get("suite").and_then(Json::as_str).unwrap_or("?");
-        for e in s
-            .get("experiments")
-            .and_then(Json::as_arr)
-            .unwrap_or_default()
-        {
-            let exp = e.get("experiment").and_then(Json::as_str).unwrap_or("?");
-            let mut fields = BTreeMap::new();
-            for key in ["moves", "weighted"] {
-                if let Some(v) = e.get(key).and_then(Json::as_u64) {
-                    fields.insert(key.to_string(), v);
-                }
-            }
-            for (group, prefix) in [("alloc", "alloc."), ("counters", "counter.")] {
-                if let Some(obj) = e.get(group).and_then(Json::as_obj) {
-                    for (k, v) in obj {
-                        if let Some(v) = v.as_u64() {
-                            let field = format!("{prefix}{k}");
-                            if !ADVISORY.contains(&field.as_str()) {
-                                fields.insert(field, v);
-                            }
-                        }
-                    }
-                }
-            }
-            out.insert((suite.to_string(), exp.to_string()), fields);
-        }
-    }
-    out
-}
+mod ratchet;
 
 #[test]
 fn snapshot_is_well_formed_v5() {
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/BENCH_pr10.json");
-    let text = std::fs::read_to_string(path).unwrap();
-    tossa::trace::validate_json(&text).expect("BENCH_pr10.json is well-formed JSON");
-    assert!(
-        text.contains("\"schema\": \"tossa-bench-trajectory/5\""),
-        "snapshot must use the v5 schema"
-    );
+    ratchet::well_formed("BENCH_pr10.json");
 }
 
-/// The perf-neutrality claim: wiring telemetry through the *service*
-/// moved nothing in the *pipeline*. Every deterministic cell — the
-/// allocation group included this time, since the allocator is
-/// untouched — matches BENCH_pr9.json exactly.
 #[test]
 fn all_deterministic_cells_are_identical_to_the_pr9_baseline() {
-    let old = deterministic_cells(&snapshot("BENCH_pr9.json"));
-    let new = deterministic_cells(&snapshot("BENCH_pr10.json"));
-    assert_eq!(
-        old.keys().collect::<Vec<_>>(),
-        new.keys().collect::<Vec<_>>(),
-        "suite × experiment matrix changed shape"
-    );
-    for (key, o) in &old {
-        assert_eq!(
-            o, &new[key],
-            "{}/{}: deterministic drift vs BENCH_pr9.json",
-            key.0, key.1
-        );
-    }
+    ratchet::pinned_cells_unchanged("BENCH_pr10.json");
 }
 
-/// The PR 9 headline survives: zero spilling anywhere at trajectory
-/// scale, so `spill_move_total` stays the pure parallel-copy count.
 #[test]
 fn zero_spilling_carries_over_from_pr9() {
-    let cells = deterministic_cells(&snapshot("BENCH_pr10.json"));
-    assert!(!cells.is_empty());
-    for (key, c) in &cells {
-        for field in ["alloc.spilled_vars", "alloc.reloads", "alloc.stores"] {
-            assert_eq!(c[field], 0, "{}/{}: {field} must stay zero", key.0, key.1);
-        }
-        assert_eq!(
-            c["alloc.spill_move_total"], c["alloc.moves_after"],
-            "{}/{}: with zero spill traffic the total must be the move count",
-            key.0, key.1
-        );
-    }
+    ratchet::spills_nothing("BENCH_pr10.json");
 }
 
-/// The v5 throughput dimension: the carried-over capacity figure stays
-/// self-consistent and now reports the compile-latency percentiles in
-/// monotone order.
 #[test]
 fn snapshot_carries_throughput_with_latency_percentiles() {
-    let doc = snapshot("BENCH_pr10.json");
-    let t = doc
-        .get("throughput")
-        .unwrap_or_else(|| panic!("BENCH_pr10.json lacks the throughput object"));
-    for key in ["experiment", "threads", "functions", "wall_ns", "target_ms"] {
-        assert!(t.get(key).is_some(), "throughput lacks {key:?}");
-    }
-    let fps = t
-        .get("functions_per_sec")
-        .and_then(Json::as_f64)
-        .expect("functions_per_sec is a number");
-    assert!(fps > 0.0, "sustained throughput must be positive: {fps}");
-    let functions = t.get("functions").and_then(Json::as_u64).unwrap_or(0);
-    let wall_ns = t.get("wall_ns").and_then(Json::as_u64).unwrap_or(0);
-    assert!(functions > 0 && wall_ns > 0);
-    let recomputed = functions as f64 * 1e9 / wall_ns as f64;
-    assert!(
-        (recomputed - fps).abs() / recomputed < 0.01,
-        "functions_per_sec {fps} inconsistent with {functions} fns / {wall_ns} ns"
-    );
-    let pick = |key: &str| {
-        t.get(key)
-            .and_then(Json::as_u64)
-            .unwrap_or_else(|| panic!("throughput lacks {key} (v5 requires it)"))
-    };
-    let (p50, p90, p99) = (
-        pick("latency_p50_ns"),
-        pick("latency_p90_ns"),
-        pick("latency_p99_ns"),
-    );
-    assert!(p50 > 0, "p50 latency must be positive");
-    assert!(
-        p50 <= p90 && p90 <= p99,
-        "latency percentiles must be monotone: {p50} / {p90} / {p99}"
-    );
+    ratchet::throughput_consistent("BENCH_pr10.json");
 }

@@ -1,81 +1,38 @@
-//! Pins the checked-in `BENCH_pr4.json` end-to-end allocation claim:
-//! on the paper's focus suites (kernels + vocoder), the pinning
-//! pipeline's post-allocation spill+move total is no worse than either
-//! naive baseline's. The snapshot is regenerated with
-//! `cargo run --release -p tossa-bench --bin perf`.
+//! Pins the checked-in `BENCH_pr4.json` claims: the first snapshot with
+//! allocation, where on the paper's focus suites (kernels + vocoder) the
+//! pinning pipeline's post-allocation spill+move total is no worse than
+//! either naive baseline's. The shared checks live in `ratchet/mod.rs`.
 
-use std::collections::HashMap;
-
-fn snapshot() -> String {
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/BENCH_pr4.json");
-    std::fs::read_to_string(path).unwrap_or_else(|e| panic!("reading {path}: {e}"))
-}
-
-/// Line-wise extraction of `(suite, experiment) -> spill_move_total`
-/// from the stable trajectory shape (one experiment entry per line
-/// group; the `"alloc"` object is emitted on one line).
-fn alloc_totals(json: &str) -> HashMap<(String, String), u64> {
-    let grab = |line: &str, key: &str| -> Option<String> {
-        let at = line.find(key)? + key.len();
-        let rest = &line[at..];
-        Some(
-            rest.trim_start_matches([':', ' ', '"'])
-                .chars()
-                .take_while(|c| c.is_alphanumeric() || "_- ".contains(*c))
-                .collect::<String>()
-                .trim()
-                .to_string(),
-        )
-    };
-    let mut out = HashMap::new();
-    let (mut suite, mut exp) = (String::new(), String::new());
-    for line in json.lines() {
-        if let Some(s) = grab(line, "\"suite\"") {
-            suite = s;
-        }
-        if let Some(e) = grab(line, "\"experiment\"") {
-            exp = e;
-        }
-        if let Some(t) = grab(line, "\"spill_move_total\"") {
-            let total: u64 = t.parse().unwrap_or_else(|_| panic!("bad total `{t}`"));
-            out.insert((suite.clone(), exp.clone()), total);
-        }
-    }
-    out
-}
+mod ratchet;
 
 #[test]
 fn snapshot_is_well_formed_v3() {
-    let json = snapshot();
-    tossa::trace::validate_json(&json).expect("BENCH_pr4.json is well-formed JSON");
-    assert!(
-        json.contains("\"schema\": \"tossa-bench-trajectory/3\""),
-        "snapshot must use the v3 schema (with alloc objects)"
-    );
-    assert!(json.contains("\"alloc_ns\""));
+    ratchet::well_formed("BENCH_pr4.json");
 }
 
+/// On the focus suites the pinning pipeline's post-allocation
+/// spill+move total is no worse than either naive Table-4 baseline's
+/// (Briggs-style φ replacement, naive ABI handling, no coalescing), and
+/// within one of the Sreedhar pipeline's.
 #[test]
 fn pipeline_allocates_no_worse_than_naive_on_focus_suites() {
-    let totals = alloc_totals(&snapshot());
+    let cells = ratchet::cells(&ratchet::snapshot("BENCH_pr4.json"));
     for suite in ["VALcc1", "VALcc2", "LAI Large"] {
         let get = |exp: &str| {
-            *totals
+            cells
                 .get(&(suite.to_string(), exp.to_string()))
+                .and_then(|c| c.get("alloc.spill_move_total"))
+                .copied()
                 .unwrap_or_else(|| panic!("{suite}/{exp} missing from BENCH_pr4.json"))
         };
         let pipeline = get("LphiAbiC");
-        // The Table-4 naive baselines: Briggs-style φ replacement and
-        // naive ABI handling, no coalescing.
         for naive in ["Sphi", "Labi"] {
             assert!(
                 pipeline <= get(naive),
-                "{suite}: pipeline post-alloc total {pipeline} worse than naive \
-                 {naive} {}",
+                "{suite}: pipeline post-alloc total {pipeline} worse than naive {naive} {}",
                 get(naive)
             );
         }
-        // And the full-pipeline Sreedhar baseline stays within one move.
         assert!(
             pipeline <= get("SphiLabiC") + 1,
             "{suite}: pipeline {pipeline} vs Sreedhar {}",

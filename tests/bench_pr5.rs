@@ -1,112 +1,16 @@
 //! Pins the checked-in `BENCH_pr5.json` claims: the decision-provenance
-//! layer changed *nothing* about the translation — every deterministic
-//! cell (move counts, weighted counts, allocation stats, trace
-//! counters) is byte-identical to the `BENCH_pr4.json` baseline — and
-//! recording itself is invisible: a traced run produces the same code
-//! as an untraced run. The snapshot is regenerated with
-//! `cargo run --release -p tossa-bench --bin perf`.
+//! layer changed nothing about the translation, so every deterministic
+//! cell, the cache counters included, equals `BENCH_pr4.json`'s. The
+//! shared checks live in `ratchet/mod.rs`.
 
-use std::collections::BTreeMap;
-
-use tossa::bench::runner::run_experiment;
-use tossa::bench::suites::synth::{generate_function, SynthConfig};
-use tossa::core::Experiment;
-use tossa::trace::capture;
-use tossa::trace::json::{parse_json, Json};
-
-fn snapshot(name: &str) -> Json {
-    let path = format!("{}/{name}", env!("CARGO_MANIFEST_DIR"));
-    let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("reading {path}: {e}"));
-    parse_json(&text).unwrap_or_else(|e| panic!("parsing {path}: {e}"))
-}
-
-/// Extracts every deterministic scalar of every (suite × experiment)
-/// cell: moves, weighted, the alloc object, the counters object.
-/// Timing fields are deliberately excluded.
-fn deterministic_cells(doc: &Json) -> BTreeMap<(String, String), BTreeMap<String, u64>> {
-    let mut out = BTreeMap::new();
-    for s in doc.get("suites").and_then(Json::as_arr).unwrap_or_default() {
-        let suite = s.get("suite").and_then(Json::as_str).unwrap_or("?");
-        for e in s
-            .get("experiments")
-            .and_then(Json::as_arr)
-            .unwrap_or_default()
-        {
-            let exp = e.get("experiment").and_then(Json::as_str).unwrap_or("?");
-            let mut fields = BTreeMap::new();
-            for key in ["moves", "weighted"] {
-                if let Some(v) = e.get(key).and_then(Json::as_u64) {
-                    fields.insert(key.to_string(), v);
-                }
-            }
-            for (group, prefix) in [("alloc", "alloc."), ("counters", "counter.")] {
-                if let Some(obj) = e.get(group).and_then(Json::as_obj) {
-                    for (k, v) in obj {
-                        if let Some(v) = v.as_u64() {
-                            fields.insert(format!("{prefix}{k}"), v);
-                        }
-                    }
-                }
-            }
-            out.insert((suite.to_string(), exp.to_string()), fields);
-        }
-    }
-    out
-}
+mod ratchet;
 
 #[test]
 fn snapshot_is_well_formed_v3() {
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/BENCH_pr5.json");
-    let text = std::fs::read_to_string(path).unwrap();
-    tossa::trace::validate_json(&text).expect("BENCH_pr5.json is well-formed JSON");
-    assert!(
-        text.contains("\"schema\": \"tossa-bench-trajectory/3\""),
-        "snapshot must use the v3 schema"
-    );
+    ratchet::well_formed("BENCH_pr5.json");
 }
 
-/// The bench-diff gate, inlined: adding the provenance layer must not
-/// shift a single deterministic cell relative to the PR 4 baseline.
 #[test]
 fn deterministic_cells_are_identical_to_the_pr4_baseline() {
-    let old = deterministic_cells(&snapshot("BENCH_pr4.json"));
-    let new = deterministic_cells(&snapshot("BENCH_pr5.json"));
-    let keys: Vec<_> = old.keys().collect();
-    assert_eq!(
-        keys,
-        new.keys().collect::<Vec<_>>(),
-        "suite × experiment matrix changed shape"
-    );
-    for (key, o) in &old {
-        assert_eq!(
-            o, &new[key],
-            "{}/{}: deterministic drift vs BENCH_pr4.json",
-            key.0, key.1
-        );
-    }
-}
-
-/// Recording provenance must be invisible to the translation: running
-/// the pipeline under capture yields the same move counts as running it
-/// untraced, and an untraced run emits no records at all.
-#[test]
-fn tracing_does_not_perturb_the_translation() {
-    for seed in [3u64, 11, 19] {
-        let bf = generate_function(
-            seed,
-            &SynthConfig {
-                functions: 1,
-                ..Default::default()
-            },
-        );
-        let opts = Default::default();
-        let untraced = run_experiment(&bf.func, Experiment::LphiAbiC, &opts);
-        let (traced, trace) = capture(|| run_experiment(&bf.func, Experiment::LphiAbiC, &opts));
-        assert_eq!(untraced.moves, traced.moves, "seed {seed}");
-        assert_eq!(untraced.weighted, traced.weighted, "seed {seed}");
-        assert!(
-            !trace.records.is_empty(),
-            "seed {seed}: traced run should carry provenance"
-        );
-    }
+    ratchet::pinned_cells_unchanged("BENCH_pr5.json");
 }

@@ -1,152 +1,35 @@
 //! Pins the checked-in `BENCH_pr6.json` claims: the flat-IR layout work
-//! is a *layout* change, not a semantics change — every deterministic
-//! cell (move counts, weighted counts, allocation stats, trace
-//! counters) is byte-identical to the `BENCH_pr5.json` baseline except
-//! the two advisory cache-policy counters, which legitimately shift
-//! when the instructions-only invalidation fast path turns misses into
-//! hits — and the headline perf claim holds: the allocated end-to-end
-//! wall is at or below the unallocated PR 1 wall. The snapshot is
-//! regenerated with `cargo run --release -p tossa-bench --bin perf`.
+//! left every deterministic cell of `BENCH_pr5.json` unchanged apart
+//! from the two advisory cache counters, and the allocated end-to-end
+//! wall is at or below the unallocated wall of `BENCH_pr1.json`. The
+//! shared checks live in `ratchet/mod.rs`.
 
-use std::collections::BTreeMap;
+mod ratchet;
 
-use tossa::bench::runner::run_experiment;
-use tossa::bench::suites::synth::{generate_function, SynthConfig};
-use tossa::core::Experiment;
-use tossa::trace::json::{parse_json, Json};
-use tossa::trace::{capture, capture_counters};
-
-/// Cache-policy counters: *how often* the analysis cache hit is a
-/// property of the invalidation policy, not of the translation, so the
-/// fast path is allowed (expected, even) to shift these. `bench-diff`
-/// exempts the same two fields.
-const ADVISORY: [&str; 2] = [
-    "counter.analysis_cache_hits",
-    "counter.analysis_cache_misses",
-];
-
-fn snapshot(name: &str) -> Json {
-    let path = format!("{}/{name}", env!("CARGO_MANIFEST_DIR"));
-    let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("reading {path}: {e}"));
-    parse_json(&text).unwrap_or_else(|e| panic!("parsing {path}: {e}"))
-}
-
-/// Extracts every deterministic scalar of every (suite × experiment)
-/// cell: moves, weighted, the alloc object, the counters object.
-/// Timing fields and the advisory cache-policy counters are excluded.
-fn deterministic_cells(doc: &Json) -> BTreeMap<(String, String), BTreeMap<String, u64>> {
-    let mut out = BTreeMap::new();
-    for s in doc.get("suites").and_then(Json::as_arr).unwrap_or_default() {
-        let suite = s.get("suite").and_then(Json::as_str).unwrap_or("?");
-        for e in s
-            .get("experiments")
-            .and_then(Json::as_arr)
-            .unwrap_or_default()
-        {
-            let exp = e.get("experiment").and_then(Json::as_str).unwrap_or("?");
-            let mut fields = BTreeMap::new();
-            for key in ["moves", "weighted"] {
-                if let Some(v) = e.get(key).and_then(Json::as_u64) {
-                    fields.insert(key.to_string(), v);
-                }
-            }
-            for (group, prefix) in [("alloc", "alloc."), ("counters", "counter.")] {
-                if let Some(obj) = e.get(group).and_then(Json::as_obj) {
-                    for (k, v) in obj {
-                        if let Some(v) = v.as_u64() {
-                            let field = format!("{prefix}{k}");
-                            if !ADVISORY.contains(&field.as_str()) {
-                                fields.insert(field, v);
-                            }
-                        }
-                    }
-                }
-            }
-            out.insert((suite.to_string(), exp.to_string()), fields);
-        }
-    }
-    out
-}
+use tossa::trace::json::Json;
 
 #[test]
 fn snapshot_is_well_formed_v3() {
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/BENCH_pr6.json");
-    let text = std::fs::read_to_string(path).unwrap();
-    tossa::trace::validate_json(&text).expect("BENCH_pr6.json is well-formed JSON");
-    assert!(
-        text.contains("\"schema\": \"tossa-bench-trajectory/3\""),
-        "snapshot must use the v3 schema"
-    );
+    ratchet::well_formed("BENCH_pr6.json");
 }
 
-/// The PR's headline claim, pinned from the two checked-in snapshots:
-/// the allocated end-to-end wall recovered to (below) the wall of the
-/// PR 1 trajectory, which did not run allocation at all.
+/// `BENCH_pr1.json` ran no allocation at all.
 #[test]
 fn allocated_wall_is_at_or_below_the_unallocated_pr1_wall() {
     let wall = |name| {
-        snapshot(name)
+        ratchet::snapshot(name)
             .get("end_to_end_wall_ns")
             .and_then(Json::as_u64)
             .unwrap_or_else(|| panic!("{name}: missing end_to_end_wall_ns"))
     };
-    let (pr1, pr6) = (wall("BENCH_pr1.json"), wall("BENCH_pr6.json"));
+    let (unallocated, allocated) = (wall("BENCH_pr1.json"), wall("BENCH_pr6.json"));
     assert!(
-        pr6 <= pr1,
-        "BENCH_pr6 wall {pr6} ns exceeds the PR 1 target {pr1} ns"
+        allocated <= unallocated,
+        "BENCH_pr6 wall {allocated} ns exceeds the BENCH_pr1 wall {unallocated} ns"
     );
 }
 
-/// The bench-diff gate, inlined: the flat-IR refactor must not shift a
-/// single non-advisory deterministic cell relative to the PR 5
-/// baseline.
 #[test]
 fn deterministic_cells_are_identical_to_the_pr5_baseline() {
-    let old = deterministic_cells(&snapshot("BENCH_pr5.json"));
-    let new = deterministic_cells(&snapshot("BENCH_pr6.json"));
-    let keys: Vec<_> = old.keys().collect();
-    assert_eq!(
-        keys,
-        new.keys().collect::<Vec<_>>(),
-        "suite × experiment matrix changed shape"
-    );
-    for (key, o) in &old {
-        assert_eq!(
-            o, &new[key],
-            "{}/{}: deterministic drift vs BENCH_pr5.json",
-            key.0, key.1
-        );
-    }
-}
-
-/// The trajectory's timed pass now runs under a counters-only capture.
-/// That capture must be invisible twice over: the translation is
-/// unchanged relative to an untraced run, and the counter totals are
-/// identical to what a full (span + provenance) capture counts.
-#[test]
-fn counters_only_capture_matches_the_full_capture() {
-    for seed in [3u64, 11, 19] {
-        let bf = generate_function(
-            seed,
-            &SynthConfig {
-                functions: 1,
-                ..Default::default()
-            },
-        );
-        let opts = Default::default();
-        let untraced = run_experiment(&bf.func, Experiment::LphiAbiC, &opts);
-        let (counted, set) =
-            capture_counters(|| run_experiment(&bf.func, Experiment::LphiAbiC, &opts));
-        let (_, full) = capture(|| run_experiment(&bf.func, Experiment::LphiAbiC, &opts));
-        assert_eq!(untraced.moves, counted.moves, "seed {seed}");
-        assert_eq!(untraced.weighted, counted.weighted, "seed {seed}");
-        assert_eq!(
-            set, full.counters,
-            "seed {seed}: counters-only capture disagrees with full capture"
-        );
-        assert!(
-            !full.records.is_empty(),
-            "seed {seed}: full capture should still carry provenance"
-        );
-    }
+    ratchet::pinned_cells_unchanged("BENCH_pr6.json");
 }

@@ -1,122 +1,22 @@
-//! Pins the checked-in `BENCH_pr7.json` claims: the compile-service PR
-//! adds a *service envelope* and a sustained-throughput dimension around
-//! the pipeline — it must not change the translation itself. Every
-//! deterministic cell (move counts, weighted counts, allocation stats,
-//! non-advisory trace counters) is byte-identical to the `BENCH_pr6.json`
-//! baseline, and the new v4 `throughput` object carries a plausible
-//! sustained functions/sec figure. The snapshot is regenerated with
-//! `cargo run --release -p tossa-bench --bin perf`.
+//! Pins the checked-in `BENCH_pr7.json` claims: the compile-service
+//! envelope left every deterministic cell of `BENCH_pr6.json` unchanged
+//! apart from the two advisory cache counters, and the snapshot gains a
+//! self-consistent `throughput` object. The shared checks live in
+//! `ratchet/mod.rs`.
 
-use std::collections::BTreeMap;
-
-use tossa::trace::json::{parse_json, Json};
-
-/// Cache-policy counters exempted from cell identity (see bench_pr6.rs
-/// and `bench-diff` — advisory, policy-dependent).
-const ADVISORY: [&str; 2] = [
-    "counter.analysis_cache_hits",
-    "counter.analysis_cache_misses",
-];
-
-fn snapshot(name: &str) -> Json {
-    let path = format!("{}/{name}", env!("CARGO_MANIFEST_DIR"));
-    let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("reading {path}: {e}"));
-    parse_json(&text).unwrap_or_else(|e| panic!("parsing {path}: {e}"))
-}
-
-/// Same extraction as bench_pr6.rs: every deterministic scalar of every
-/// (suite × experiment) cell, excluding timing and advisory counters.
-fn deterministic_cells(doc: &Json) -> BTreeMap<(String, String), BTreeMap<String, u64>> {
-    let mut out = BTreeMap::new();
-    for s in doc.get("suites").and_then(Json::as_arr).unwrap_or_default() {
-        let suite = s.get("suite").and_then(Json::as_str).unwrap_or("?");
-        for e in s
-            .get("experiments")
-            .and_then(Json::as_arr)
-            .unwrap_or_default()
-        {
-            let exp = e.get("experiment").and_then(Json::as_str).unwrap_or("?");
-            let mut fields = BTreeMap::new();
-            for key in ["moves", "weighted"] {
-                if let Some(v) = e.get(key).and_then(Json::as_u64) {
-                    fields.insert(key.to_string(), v);
-                }
-            }
-            for (group, prefix) in [("alloc", "alloc."), ("counters", "counter.")] {
-                if let Some(obj) = e.get(group).and_then(Json::as_obj) {
-                    for (k, v) in obj {
-                        if let Some(v) = v.as_u64() {
-                            let field = format!("{prefix}{k}");
-                            if !ADVISORY.contains(&field.as_str()) {
-                                fields.insert(field, v);
-                            }
-                        }
-                    }
-                }
-            }
-            out.insert((suite.to_string(), exp.to_string()), fields);
-        }
-    }
-    out
-}
+mod ratchet;
 
 #[test]
 fn snapshot_is_well_formed_v4() {
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/BENCH_pr7.json");
-    let text = std::fs::read_to_string(path).unwrap();
-    tossa::trace::validate_json(&text).expect("BENCH_pr7.json is well-formed JSON");
-    assert!(
-        text.contains("\"schema\": \"tossa-bench-trajectory/4\""),
-        "snapshot must use the v4 schema"
-    );
+    ratchet::well_formed("BENCH_pr7.json");
 }
 
-/// The service PR's cell-identity claim: adding the envelope (and the
-/// separate job-counter set) shifted no deterministic cell — the
-/// per-cell counter schema is untouched relative to PR 6.
 #[test]
 fn deterministic_cells_are_identical_to_the_pr6_baseline() {
-    let old = deterministic_cells(&snapshot("BENCH_pr6.json"));
-    let new = deterministic_cells(&snapshot("BENCH_pr7.json"));
-    let keys: Vec<_> = old.keys().collect();
-    assert_eq!(
-        keys,
-        new.keys().collect::<Vec<_>>(),
-        "suite × experiment matrix changed shape"
-    );
-    for (key, o) in &old {
-        assert_eq!(
-            o, &new[key],
-            "{}/{}: deterministic drift vs BENCH_pr6.json",
-            key.0, key.1
-        );
-    }
+    ratchet::pinned_cells_unchanged("BENCH_pr7.json");
 }
 
-/// The new dimension: a `throughput` object with the sustained
-/// functions/sec measurement and enough metadata to reproduce it.
 #[test]
 fn snapshot_carries_the_throughput_dimension() {
-    let doc = snapshot("BENCH_pr7.json");
-    let t = doc
-        .get("throughput")
-        .unwrap_or_else(|| panic!("BENCH_pr7.json lacks the v4 throughput object"));
-    for key in ["experiment", "threads", "functions", "wall_ns", "target_ms"] {
-        assert!(t.get(key).is_some(), "throughput lacks {key:?}");
-    }
-    let fps = t
-        .get("functions_per_sec")
-        .and_then(Json::as_f64)
-        .expect("functions_per_sec is a number");
-    assert!(fps > 0.0, "sustained throughput must be positive: {fps}");
-    let functions = t.get("functions").and_then(Json::as_u64).unwrap_or(0);
-    let wall_ns = t.get("wall_ns").and_then(Json::as_u64).unwrap_or(0);
-    assert!(functions > 0 && wall_ns > 0);
-    // The recorded rate is consistent with its own numerator/denominator
-    // (3 decimal places of slack from the formatter).
-    let recomputed = functions as f64 * 1e9 / wall_ns as f64;
-    assert!(
-        (recomputed - fps).abs() / recomputed < 0.01,
-        "functions_per_sec {fps} inconsistent with {functions} fns / {wall_ns} ns"
-    );
+    ratchet::throughput_consistent("BENCH_pr7.json");
 }

@@ -1,175 +1,28 @@
 //! Pins the checked-in `BENCH_pr8.json` claims: the cost-driven spiller
-//! PR changes *only* the allocation post-pass. Every non-allocation
-//! deterministic cell (move counts, weighted counts, non-advisory trace
-//! counters) is byte-identical to the `BENCH_pr7.json` baseline; the
-//! allocation cells may only improve — `spill_move_total` never exceeds
-//! the PR 7 (spill-everywhere) figure, and improves strictly on every
-//! cell of the loop-heavy SPECint suite, which is where loop-aware
-//! victim selection, boundary splitting, and rematerialization pay off.
-//! The snapshot is regenerated with
-//! `cargo run --release -p tossa-bench --bin perf`.
+//! changes only the allocation post-pass. Every non-alloc cell equals
+//! `BENCH_pr7.json`'s (the advisory cache counters aside); the alloc
+//! cells may only improve, with register usage unchanged and every
+//! SPECint cell improving strictly. The shared checks live in
+//! `ratchet/mod.rs`.
 
-use std::collections::BTreeMap;
-
-use tossa::trace::json::{parse_json, Json};
-
-/// Cache-policy counters exempted from cell identity (see bench_pr7.rs
-/// and `bench-diff` — advisory, policy-dependent).
-const ADVISORY: [&str; 2] = [
-    "counter.analysis_cache_hits",
-    "counter.analysis_cache_misses",
-];
-
-fn snapshot(name: &str) -> Json {
-    let path = format!("{}/{name}", env!("CARGO_MANIFEST_DIR"));
-    let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("reading {path}: {e}"));
-    parse_json(&text).unwrap_or_else(|e| panic!("parsing {path}: {e}"))
-}
-
-/// Every deterministic scalar of every (suite × experiment) cell,
-/// excluding timing and advisory counters. `include_alloc` controls
-/// whether the `alloc.*` group is part of the extraction — the spiller
-/// PR legitimately moves those, so the identity check drops them and a
-/// separate one-sided check covers them.
-fn deterministic_cells(
-    doc: &Json,
-    include_alloc: bool,
-) -> BTreeMap<(String, String), BTreeMap<String, u64>> {
-    let mut out = BTreeMap::new();
-    for s in doc.get("suites").and_then(Json::as_arr).unwrap_or_default() {
-        let suite = s.get("suite").and_then(Json::as_str).unwrap_or("?");
-        for e in s
-            .get("experiments")
-            .and_then(Json::as_arr)
-            .unwrap_or_default()
-        {
-            let exp = e.get("experiment").and_then(Json::as_str).unwrap_or("?");
-            let mut fields = BTreeMap::new();
-            for key in ["moves", "weighted"] {
-                if let Some(v) = e.get(key).and_then(Json::as_u64) {
-                    fields.insert(key.to_string(), v);
-                }
-            }
-            for (group, prefix) in [("alloc", "alloc."), ("counters", "counter.")] {
-                if group == "alloc" && !include_alloc {
-                    continue;
-                }
-                if let Some(obj) = e.get(group).and_then(Json::as_obj) {
-                    for (k, v) in obj {
-                        if let Some(v) = v.as_u64() {
-                            let field = format!("{prefix}{k}");
-                            if !ADVISORY.contains(&field.as_str()) {
-                                fields.insert(field, v);
-                            }
-                        }
-                    }
-                }
-            }
-            out.insert((suite.to_string(), exp.to_string()), fields);
-        }
-    }
-    out
-}
+mod ratchet;
 
 #[test]
 fn snapshot_is_well_formed_v4() {
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/BENCH_pr8.json");
-    let text = std::fs::read_to_string(path).unwrap();
-    tossa::trace::validate_json(&text).expect("BENCH_pr8.json is well-formed JSON");
-    assert!(
-        text.contains("\"schema\": \"tossa-bench-trajectory/4\""),
-        "snapshot must use the v4 schema"
-    );
+    ratchet::well_formed("BENCH_pr8.json");
 }
 
-/// The translation-neutrality claim: swapping the spill policy shifted
-/// no move count, weighted count, or trace counter — the pipeline in
-/// front of the allocator is untouched, and the allocator's own
-/// counter schema kept its shape.
 #[test]
 fn non_alloc_cells_are_identical_to_the_pr7_baseline() {
-    let old = deterministic_cells(&snapshot("BENCH_pr7.json"), false);
-    let new = deterministic_cells(&snapshot("BENCH_pr8.json"), false);
-    assert_eq!(
-        old.keys().collect::<Vec<_>>(),
-        new.keys().collect::<Vec<_>>(),
-        "suite × experiment matrix changed shape"
-    );
-    for (key, o) in &old {
-        assert_eq!(
-            o, &new[key],
-            "{}/{}: non-alloc deterministic drift vs BENCH_pr7.json",
-            key.0, key.1
-        );
-    }
+    ratchet::pinned_cells_unchanged("BENCH_pr8.json");
 }
 
-/// The spiller claim, one-sided: under the cost-driven default no cell
-/// pays more spill+move instructions than the spill-everywhere baseline
-/// did, register usage is unchanged, and every SPECint cell — the only
-/// suite with register pressure at the trajectory scale — improves
-/// strictly.
 #[test]
 fn alloc_cells_only_improve_and_specint_improves_strictly() {
-    let old = deterministic_cells(&snapshot("BENCH_pr7.json"), true);
-    let new = deterministic_cells(&snapshot("BENCH_pr8.json"), true);
-    let mut specint_cells = 0usize;
-    for (key, o) in &old {
-        let n = &new[key];
-        let total = |c: &BTreeMap<String, u64>| c["alloc.spill_move_total"];
-        assert!(
-            total(n) <= total(o),
-            "{}/{}: spill+move total regressed ({} > {})",
-            key.0,
-            key.1,
-            total(n),
-            total(o)
-        );
-        assert_eq!(
-            n["alloc.regs_used"], o["alloc.regs_used"],
-            "{}/{}: register usage shifted",
-            key.0, key.1
-        );
-        if key.0 == "SPECint" {
-            specint_cells += 1;
-            assert!(
-                total(n) < total(o),
-                "{}/{}: the loop-heavy suite must improve strictly ({} vs {})",
-                key.0,
-                key.1,
-                total(n),
-                total(o)
-            );
-        }
-    }
-    assert_eq!(
-        specint_cells, 10,
-        "SPECint must cover the full experiment matrix"
-    );
+    ratchet::alloc_cells_improve("BENCH_pr8.json");
 }
 
-/// The v4 throughput dimension carries over from PR 7 and stays
-/// self-consistent.
 #[test]
 fn snapshot_carries_the_throughput_dimension() {
-    let doc = snapshot("BENCH_pr8.json");
-    let t = doc
-        .get("throughput")
-        .unwrap_or_else(|| panic!("BENCH_pr8.json lacks the v4 throughput object"));
-    for key in ["experiment", "threads", "functions", "wall_ns", "target_ms"] {
-        assert!(t.get(key).is_some(), "throughput lacks {key:?}");
-    }
-    let fps = t
-        .get("functions_per_sec")
-        .and_then(Json::as_f64)
-        .expect("functions_per_sec is a number");
-    assert!(fps > 0.0, "sustained throughput must be positive: {fps}");
-    let functions = t.get("functions").and_then(Json::as_u64).unwrap_or(0);
-    let wall_ns = t.get("wall_ns").and_then(Json::as_u64).unwrap_or(0);
-    assert!(functions > 0 && wall_ns > 0);
-    let recomputed = functions as f64 * 1e9 / wall_ns as f64;
-    assert!(
-        (recomputed - fps).abs() / recomputed < 0.01,
-        "functions_per_sec {fps} inconsistent with {functions} fns / {wall_ns} ns"
-    );
+    ratchet::throughput_consistent("BENCH_pr8.json");
 }

@@ -306,3 +306,62 @@ fn trace_spans_nest_and_counters_replay() {
         assert_eq!(names(&first), names(&second), "seed {seed}");
     }
 }
+
+/// Recording provenance must be invisible to the translation: running
+/// the pipeline under capture yields the same move counts as running it
+/// untraced, and an untraced run emits no records at all.
+#[test]
+fn tracing_does_not_perturb_the_translation() {
+    use tossa::trace::capture;
+    for seed in [3u64, 11, 19] {
+        let bf = generate_function(
+            seed,
+            &SynthConfig {
+                functions: 1,
+                ..Default::default()
+            },
+        );
+        let opts = Default::default();
+        let untraced = run_experiment(&bf.func, Experiment::LphiAbiC, &opts);
+        let (traced, trace) = capture(|| run_experiment(&bf.func, Experiment::LphiAbiC, &opts));
+        assert_eq!(untraced.moves, traced.moves, "seed {seed}");
+        assert_eq!(untraced.weighted, traced.weighted, "seed {seed}");
+        assert!(
+            !trace.records.is_empty(),
+            "seed {seed}: traced run should carry provenance"
+        );
+    }
+}
+
+/// The trajectory's timed pass now runs under a counters-only capture.
+/// That capture must be invisible twice over: the translation is
+/// unchanged relative to an untraced run, and the counter totals are
+/// identical to what a full (span + provenance) capture counts.
+#[test]
+fn counters_only_capture_matches_the_full_capture() {
+    use tossa::trace::{capture, capture_counters};
+    for seed in [3u64, 11, 19] {
+        let bf = generate_function(
+            seed,
+            &SynthConfig {
+                functions: 1,
+                ..Default::default()
+            },
+        );
+        let opts = Default::default();
+        let untraced = run_experiment(&bf.func, Experiment::LphiAbiC, &opts);
+        let (counted, set) =
+            capture_counters(|| run_experiment(&bf.func, Experiment::LphiAbiC, &opts));
+        let (_, full) = capture(|| run_experiment(&bf.func, Experiment::LphiAbiC, &opts));
+        assert_eq!(untraced.moves, counted.moves, "seed {seed}");
+        assert_eq!(untraced.weighted, counted.weighted, "seed {seed}");
+        assert_eq!(
+            set, full.counters,
+            "seed {seed}: counters-only capture disagrees with full capture"
+        );
+        assert!(
+            !full.records.is_empty(),
+            "seed {seed}: full capture should still carry provenance"
+        );
+    }
+}
