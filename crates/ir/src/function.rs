@@ -248,6 +248,12 @@ impl Function {
         }
     }
 
+    /// Number of instructions ever allocated in the arena, removed ones
+    /// included: the length of a dense side table indexed by [`Inst`].
+    pub fn num_insts(&self) -> usize {
+        self.insts.len()
+    }
+
     /// Appends an instruction to a block and returns its id.
     pub fn push_inst(&mut self, block: Block, data: InstData) -> Inst {
         let slot = self.flatten(data);

@@ -13,7 +13,6 @@
 //! is *rematerializable*: re-issuing the `make` at each use is never
 //! worse than a `spillld` and needs no stack slot at all.
 
-use std::collections::HashMap;
 use tossa_analysis::LoopInfo;
 use tossa_ir::ids::{Block, Var};
 use tossa_ir::{Function, Opcode};
@@ -37,8 +36,12 @@ pub struct SpillCosts {
     /// `Some(imm)` when the variable's single def is `make imm` and the
     /// variable is unpinned — re-issue the def instead of reloading.
     remat_imm: Vec<Option<i64>>,
-    /// Blocks holding at least one occurrence of each variable.
-    occ_blocks: HashMap<Var, Vec<Block>>,
+    /// Blocks holding at least one occurrence of each variable, grouped
+    /// per variable: variable `v`'s blocks are
+    /// `occ_blocks[occ_start[v]..occ_start[v + 1]]`, in first-occurrence
+    /// order (which is increasing block index).
+    occ_blocks: Vec<Block>,
+    occ_start: Vec<u32>,
 }
 
 impl SpillCosts {
@@ -48,7 +51,12 @@ impl SpillCosts {
         let mut costs = vec![VarCost::default(); n];
         let mut def_count = vec![0u32; n];
         let mut remat_imm: Vec<Option<i64>> = vec![None; n];
-        let mut occ_blocks: HashMap<Var, Vec<Block>> = HashMap::new();
+        // (var index, block) for each variable's first occurrence in each
+        // block. `all_insts` visits a block's instructions contiguously,
+        // so a repeat in the same block is always the variable's last
+        // entry.
+        let mut last_block: Vec<Option<Block>> = vec![None; n];
+        let mut firsts: Vec<(u32, Block)> = Vec::new();
         for (b, i) in f.all_insts() {
             let w = loops.weight(b);
             let d = loops.depth(b);
@@ -58,9 +66,9 @@ impl SpillCosts {
                 c.weight = c.weight.saturating_add(w);
                 c.depth = c.depth.max(d);
                 c.occurrences += 1;
-                let blocks = occ_blocks.entry(o.var).or_default();
-                if !blocks.contains(&b) {
-                    blocks.push(b);
+                if last_block[o.var.index()] != Some(b) {
+                    last_block[o.var.index()] = Some(b);
+                    firsts.push((o.var.index() as u32, b));
                 }
             }
             for o in inst.defs {
@@ -72,10 +80,14 @@ impl SpillCosts {
                 };
             }
         }
+        // Group by variable, keeping each variable's blocks in
+        // first-occurrence order.
+        let (occ_start, occ_blocks) = crate::group_by_key(n, &firsts);
         SpillCosts {
             costs,
             remat_imm,
             occ_blocks,
+            occ_start,
         }
     }
 
@@ -90,9 +102,16 @@ impl SpillCosts {
         self.remat_imm.get(v.index()).copied().flatten()
     }
 
-    /// Blocks holding an occurrence of `v` (insertion order).
+    /// Blocks holding an occurrence of `v`, in first-occurrence order
+    /// (increasing block index).
     pub fn occurrence_blocks(&self, v: Var) -> &[Block] {
-        self.occ_blocks.get(&v).map(Vec::as_slice).unwrap_or(&[])
+        match (
+            self.occ_start.get(v.index()),
+            self.occ_start.get(v.index() + 1),
+        ) {
+            (Some(&s), Some(&e)) => &self.occ_blocks[s as usize..e as usize],
+            _ => &[],
+        }
     }
 
     /// The `cost:` provenance rationale for spilling `v` (the grammar of

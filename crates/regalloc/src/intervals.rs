@@ -24,7 +24,7 @@
 //! hold another web, and merging keeps each web's range list in
 //! one-piece-per-real-hole form (and its envelope equal to its hull).
 
-use tossa_analysis::{AnalysisCache, Liveness};
+use tossa_analysis::{AnalysisCache, BitSet, Liveness};
 use tossa_ir::cfg::Cfg;
 use tossa_ir::ids::{Block, Var};
 use tossa_ir::machine::{PhysReg, RegClass};
@@ -193,15 +193,10 @@ pub fn build_with(f: &Function, precision: IntervalPrecision) -> Intervals {
     build_inner(f, &cfg, &live, precision)
 }
 
-/// [`build`] with analyses drawn from `cache` — the spill loop's fast
-/// path. Spill rewriting inserts and removes instructions but never
+/// [`build_with`] with analyses drawn from `cache` — the spill loop's
+/// fast path. Spill rewriting inserts and removes instructions but never
 /// touches block structure, so rounds after the first reuse the cached
 /// CFG and only recompute liveness (instructions-only invalidation).
-pub fn build_cached(f: &Function, cache: &mut AnalysisCache) -> Intervals {
-    build_cached_with(f, cache, IntervalPrecision::Ranges)
-}
-
-/// [`build_cached`] at an explicit precision.
 pub fn build_cached_with(
     f: &Function,
     cache: &mut AnalysisCache,
@@ -228,9 +223,12 @@ fn build_inner(
     // "not live below this point" (every real end is >= 1).
     let mut pending: Vec<u32> = vec![0; f.num_vars()];
     let mut opened: Vec<Var> = Vec::new();
-    // Raw (var, start, end) segments, per-block in decreasing start
-    // order; sorted and merged into the pool afterwards.
-    let mut raw: Vec<(u32, u32, u32)> = Vec::new();
+    let mut exit: BitSet<Var> = BitSet::new(f.num_vars());
+    // Raw (var, (start, end)) segments. The walk emits a block's segments
+    // in decreasing start order; each block's run is reversed once the
+    // block is done, so every variable's segments end up in increasing
+    // start order across the whole function.
+    let mut raw: Vec<(u32, (u32, u32))> = Vec::new();
 
     let mut block_span: Vec<(u32, u32)> = vec![(0, 0); f.num_blocks()];
     let mut base: u32 = 0;
@@ -239,12 +237,14 @@ fn build_inner(
         let k_count = insts.len() as u32;
         let end_pos = base + 2 * k_count;
         block_span[b.index()] = (base, end_pos);
+        let block_raw = raw.len();
 
         // Seed the walk from the block's live-exit set: everything live
         // out is live at `end_pos` until a def inside the block closes
         // its segment.
         opened.clear();
-        for v in live.live_exit(f, b).iter() {
+        live.live_exit_into(f, b, &mut exit);
+        for v in exit.iter() {
             pending[v.index()] = end_pos + 1;
             opened.push(v);
         }
@@ -255,12 +255,12 @@ fn build_inner(
             for o in inst.defs {
                 let p = &mut pending[o.var.index()];
                 if *p != 0 {
-                    raw.push((o.var.index() as u32, def_pos, *p));
+                    raw.push((o.var.index() as u32, (def_pos, *p)));
                     *p = 0;
                 } else {
                     // Dead def: the web still occupies a register for
                     // the defining position itself.
-                    raw.push((o.var.index() as u32, def_pos, def_pos + 1));
+                    raw.push((o.var.index() as u32, (def_pos, def_pos + 1)));
                 }
                 if inst.opcode == Opcode::AutoAdd {
                     ptr_pref[o.var.index()] = true;
@@ -295,10 +295,11 @@ fn build_inner(
         for &v in &opened {
             let p = &mut pending[v.index()];
             if *p != 0 {
-                raw.push((v.index() as u32, base, *p));
+                raw.push((v.index() as u32, (base, *p)));
                 *p = 0;
             }
         }
+        raw[block_raw..].reverse();
         base = end_pos + 2;
     }
 
@@ -309,24 +310,25 @@ fn build_inner(
     pads.sort_unstable();
     let is_pad = |p: u32| pads.binary_search(&p).is_ok();
 
-    raw.sort_unstable();
+    // Bucket the segments by variable (a stable grouping, so each bucket
+    // stays in increasing start order), then merge each bucket.
+    let (seg_start, segs) = crate::group_by_key(f.num_vars(), &raw);
     let mut items: Vec<Interval> = Vec::new();
     let mut ranges: Vec<(u32, u32)> = Vec::new();
-    let mut i = 0;
-    while i < raw.len() {
-        let var_idx = raw[i].0;
+    for var_idx in 0..f.num_vars() {
+        let bucket = &segs[seg_start[var_idx] as usize..seg_start[var_idx + 1] as usize];
+        let Some((&(first_s, first_e), rest)) = bucket.split_first() else {
+            continue;
+        };
         let range_start = ranges.len() as u32;
-        let (mut cur_s, mut cur_e) = (raw[i].1, raw[i].2);
-        i += 1;
-        while i < raw.len() && raw[i].0 == var_idx {
-            let (s, e) = (raw[i].1, raw[i].2);
+        let (mut cur_s, mut cur_e) = (first_s, first_e);
+        for &(s, e) in rest {
             if s <= cur_e || (s == cur_e + 1 && is_pad(cur_e)) {
                 cur_e = cur_e.max(e);
             } else {
                 ranges.push((cur_s, cur_e));
                 (cur_s, cur_e) = (s, e);
             }
-            i += 1;
         }
         ranges.push((cur_s, cur_e));
         let (start, end) = (ranges[range_start as usize].0, cur_e - 1);
@@ -335,7 +337,7 @@ fn build_inner(
             ranges.truncate(range_start as usize);
             ranges.push((start, end + 1));
         }
-        let var = Var::new(var_idx as usize);
+        let var = Var::new(var_idx);
         items.push(Interval {
             var,
             start,

@@ -43,7 +43,6 @@ pub mod spill;
 pub mod split;
 pub mod verify;
 
-use std::collections::{HashMap, HashSet};
 use std::fmt;
 use tossa_ir::ids::{Block, Var};
 use tossa_ir::machine::{PhysReg, RegClass};
@@ -295,6 +294,28 @@ impl Assignment {
     }
 }
 
+/// A set of variables: one flag per [`Var`], indexed by the id. It grows
+/// on insertion, since the spill rewrites keep creating variables.
+#[derive(Clone, Debug, Default)]
+pub struct VarSet {
+    flags: Vec<bool>,
+}
+
+impl VarSet {
+    /// Adds `v`.
+    pub fn insert(&mut self, v: Var) {
+        if self.flags.len() <= v.index() {
+            self.flags.resize(v.index() + 1, false);
+        }
+        self.flags[v.index()] = true;
+    }
+
+    /// Whether `v` is in the set.
+    pub fn contains(&self, v: Var) -> bool {
+        self.flags.get(v.index()).copied().unwrap_or(false)
+    }
+}
+
 /// The state between assignment and the physical rewrite: the
 /// fault-injection point of checked mode.
 #[derive(Clone, Debug)]
@@ -340,12 +361,12 @@ pub fn prepare(f: &mut Function, opts: &AllocOptions) -> Result<Prepared, AllocE
     }
     let mut stats = AllocStats::default();
     let mut next_slot: i64 = 0;
-    let mut temps: HashSet<Var> = HashSet::new();
+    let mut temps = VarSet::default();
     // Hot sub-webs created by region splitting. They are never split
     // again; when one comes back as a victim, the second-chance pass
     // probes the round's partial assignment for a register before the
     // terminal spill-everywhere fallback.
-    let mut split_webs: HashSet<Var> = HashSet::new();
+    let mut split_webs = VarSet::default();
     // One analysis manager for every round: spill rewriting invalidates
     // instructions only, keeping the CFG hot.
     let mut cache = tossa_analysis::AnalysisCache::new();
@@ -383,9 +404,9 @@ pub fn prepare(f: &mut Function, opts: &AllocOptions) -> Result<Prepared, AllocE
         // and the rescued webs simply skip this round's spill code.
         let mut rescue_asg = partial;
         let mut rescues: Vec<(Var, PhysReg)> = Vec::new();
-        if reqs.iter().any(|r| split_webs.contains(&r.var)) {
+        if reqs.iter().any(|r| split_webs.contains(r.var)) {
             if let Ok(blocked) = scan::Blocked::collect(&ivs) {
-                for req in reqs.iter().filter(|r| split_webs.contains(&r.var)) {
+                for req in reqs.iter().filter(|r| split_webs.contains(r.var)) {
                     let Some(iv) = ivs.find(req.var) else {
                         continue;
                     };
@@ -415,9 +436,9 @@ pub fn prepare(f: &mut Function, opts: &AllocOptions) -> Result<Prepared, AllocE
                 stats,
             });
         }
-        let rescued: HashSet<Var> = rescues.into_iter().map(|(v, _)| v).collect();
+        let rescued = |v: Var| rescues.iter().any(|&(r, _)| r == v);
         if stats.rounds == max_rounds {
-            if let Some(req) = reqs.iter().find(|r| !rescued.contains(&r.var)) {
+            if let Some(req) = reqs.iter().find(|r| !rescued(r.var)) {
                 return Err(AllocError::OutOfRegisters { var: req.var });
             }
         }
@@ -427,13 +448,13 @@ pub fn prepare(f: &mut Function, opts: &AllocOptions) -> Result<Prepared, AllocE
         let mut everywhere: Vec<(Var, i64)> = Vec::new();
         for req in &reqs {
             let v = req.var;
-            if rescued.contains(&v) {
+            if rescued(v) {
                 continue;
             }
             if let Some((cfg, live, loops, costs)) = &round {
                 if let Some(imm) = costs.remat_imm(v) {
                     record_spill_cause(f, &ivs, v, "remat:make");
-                    let n = spill::rematerialize(f, v, imm, &mut temps);
+                    let n = spill::rematerialize(f, v, imm, costs.occurrence_blocks(v), &mut temps);
                     stats.remats += n;
                     continue;
                 }
@@ -465,7 +486,23 @@ pub fn prepare(f: &mut Function, opts: &AllocOptions) -> Result<Prepared, AllocE
             next_slot += 1;
         }
         if !everywhere.is_empty() {
-            let (st, rl) = spill::rewrite_spills_with_slots(f, &everywhere, &mut temps);
+            // The blocks the victims occur in, in increasing index order,
+            // so temporaries are created in program order. Without the
+            // cost-driven analyses no occurrence table exists: every
+            // block is visited.
+            let blocks: Vec<Block> = match &round {
+                Some((_, _, _, costs)) => {
+                    let mut blocks: Vec<Block> = everywhere
+                        .iter()
+                        .flat_map(|&(v, _)| costs.occurrence_blocks(v).iter().copied())
+                        .collect();
+                    blocks.sort_unstable();
+                    blocks.dedup();
+                    blocks
+                }
+                None => f.blocks().collect(),
+            };
+            let (st, rl) = spill::rewrite_spills_in(f, &everywhere, &blocks, &mut temps);
             stats.spilled_vars += everywhere.len();
             stats.stores += st;
             stats.reloads += rl;
@@ -502,39 +539,40 @@ fn record_spill_cause(f: &Function, ivs: &intervals::Intervals, v: Var, cause: &
 pub fn finish(f: &mut Function, prep: Prepared) -> AllocStats {
     let mut stats = prep.stats;
     let asg = &prep.assignment;
-    // Canonical variable per register: prefer an existing reg-identity
-    // variable assigned to its own register, so SP/LR keep their
-    // interpreter-visible identity.
-    let mut canon: HashMap<u8, Var> = HashMap::new();
+    // Canonical variable per register (indexed by register id): prefer
+    // an existing reg-identity variable assigned to its own register, so
+    // SP/LR keep their interpreter-visible identity.
+    let mut canon: [Option<Var>; 256] = [None; 256];
     for v in f.vars() {
         if let (Some(r), Some(have)) = (asg.get(v), f.var(v).reg) {
             if r == have {
-                canon.entry(r.0).or_insert(v);
+                canon[r.0 as usize].get_or_insert(v);
             }
         }
     }
-    let mut used: Vec<PhysReg> = Vec::new();
-    for (_, i) in f.all_insts().collect::<Vec<_>>() {
-        let vars: Vec<Var> = f.inst(i).operands().map(|o| o.var).collect();
-        for v in vars {
-            if let Some(r) = asg.get(v) {
-                used.push(r);
+    let mut used = [false; 256];
+    for (_, i) in f.all_insts() {
+        for o in f.inst(i).operands() {
+            if let Some(r) = asg.get(o.var) {
+                used[r.0 as usize] = true;
             }
         }
     }
-    used.sort_unstable();
-    used.dedup();
-    stats.regs_used = used.len();
-    for r in used {
-        if let std::collections::hash_map::Entry::Vacant(e) = canon.entry(r.0) {
+    stats.regs_used = 0;
+    for r in (0..=u8::MAX).map(PhysReg) {
+        if !used[r.0 as usize] {
+            continue;
+        }
+        stats.regs_used += 1;
+        if canon[r.0 as usize].is_none() {
             let name = f.machine.reg_name(r).to_string();
             let v = f.new_var(name);
             f.var_mut(v).reg = Some(r);
-            e.insert(v);
+            canon[r.0 as usize] = Some(v);
         }
     }
     f.rewrite_vars(|v| match asg.get(v) {
-        Some(r) => canon[&r.0],
+        Some(r) => canon[r.0 as usize].expect("every used register has a canonical variable"),
         None => v,
     });
     stats.moves_after = f.count_moves();
@@ -552,6 +590,30 @@ pub fn allocate(f: &mut Function, opts: &AllocOptions) -> Result<AllocStats, All
         verify_allocation(f, &prep.assignment)?;
         Ok(finish(f, prep))
     })
+}
+
+/// Groups `(key, value)` pairs by key with a stable counting sort.
+/// Returns `(start, values)`: the values of key `k` are
+/// `values[start[k]..start[k + 1]]`, in input order. Every key must be
+/// below `n`.
+pub(crate) fn group_by_key<T: Copy>(n: usize, pairs: &[(u32, T)]) -> (Vec<u32>, Vec<T>) {
+    let mut start = vec![0u32; n + 1];
+    for &(k, _) in pairs {
+        start[k as usize + 1] += 1;
+    }
+    for k in 0..n {
+        start[k + 1] += start[k];
+    }
+    let Some(&(_, first)) = pairs.first() else {
+        return (start, Vec::new());
+    };
+    let mut next = start.clone();
+    let mut values = vec![first; pairs.len()];
+    for &(k, v) in pairs {
+        values[next[k as usize] as usize] = v;
+        next[k as usize] += 1;
+    }
+    (start, values)
 }
 
 /// Registers an unpinned variable may be assigned to, in preference

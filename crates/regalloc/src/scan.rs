@@ -24,7 +24,6 @@
 //! split sub-webs against that assignment before falling back to
 //! spill-everywhere.
 
-use std::collections::{HashMap, HashSet};
 use tossa_ir::ids::Var;
 use tossa_ir::machine::{PhysReg, RegClass};
 use tossa_ir::print::var_str;
@@ -33,7 +32,7 @@ use tossa_trace::provenance;
 
 use crate::cost::SpillCosts;
 use crate::intervals::{Interval, Intervals};
-use crate::{pools, AllocError, Assignment};
+use crate::{pools, AllocError, Assignment, VarSet};
 
 /// One eviction decision: which web to spill and the linear position of
 /// the pressure point that forced it (the spill layer uses the position
@@ -67,27 +66,32 @@ pub enum ScanFail {
 
 /// Per-register reservations made by precolored intervals.
 pub(crate) struct Blocked {
-    /// Item indices of precolored intervals, by register id.
-    by_reg: HashMap<u8, Vec<usize>>,
+    /// Item indices of precolored intervals, indexed by register id.
+    by_reg: Vec<Vec<usize>>,
 }
 
 impl Blocked {
     /// Collects precolored reservations; errors when two precolored
     /// intervals on one register have overlapping ranges (sharing a
-    /// register across disjoint ranges is legal).
+    /// register across disjoint ranges is legal). Registers are checked
+    /// in increasing id order.
     pub(crate) fn collect(ivs: &Intervals) -> Result<Blocked, AllocError> {
-        let mut by_reg: HashMap<u8, Vec<usize>> = HashMap::new();
+        let mut by_reg: Vec<Vec<usize>> = Vec::new();
         for (idx, iv) in ivs.items.iter().enumerate() {
             if let Some(r) = iv.pre {
-                by_reg.entry(r.0).or_default().push(idx);
+                let r = r.0 as usize;
+                if by_reg.len() <= r {
+                    by_reg.resize_with(r + 1, Vec::new);
+                }
+                by_reg[r].push(idx);
             }
         }
-        for (&reg, idxs) in &by_reg {
+        for (reg, idxs) in by_reg.iter().enumerate() {
             for (i, &a) in idxs.iter().enumerate() {
                 for &b in &idxs[i + 1..] {
                     if ivs.overlap(&ivs.items[a], &ivs.items[b]) {
                         return Err(AllocError::PinConflict {
-                            reg: PhysReg(reg),
+                            reg: PhysReg(reg as u8),
                             a: ivs.items[a].var,
                             b: ivs.items[b].var,
                         });
@@ -102,9 +106,8 @@ impl Blocked {
     /// overlap `iv`'s?
     pub(crate) fn conflicts(&self, ivs: &Intervals, r: PhysReg, iv: &Interval) -> bool {
         self.by_reg
-            .get(&r.0)
-            .map(|v| v.iter().any(|&i| ivs.overlap(&ivs.items[i], iv)))
-            .unwrap_or(false)
+            .get(r.0 as usize)
+            .is_some_and(|v| v.iter().any(|&i| ivs.overlap(&ivs.items[i], iv)))
     }
 }
 
@@ -116,7 +119,7 @@ impl Blocked {
 pub fn scan(
     f: &Function,
     ivs: &Intervals,
-    temps: &HashSet<Var>,
+    temps: &VarSet,
     costs: Option<&SpillCosts>,
 ) -> Result<Assignment, ScanFail> {
     let blocked = Blocked::collect(ivs).map_err(ScanFail::Hard)?;
@@ -152,7 +155,7 @@ pub fn scan(
             active.push((iv.end, r, idx, false));
             continue;
         }
-        let spillable = !temps.contains(&iv.var);
+        let spillable = !temps.contains(iv.var);
         let hinted = iv.hint.and_then(|h| {
             asg.get(h)
                 .filter(|&r| f.machine.reg_class(r) != RegClass::Special)
@@ -176,10 +179,13 @@ pub fn scan(
                 sole[r.0 as usize] = ai;
             }
         }
+        // `over_count` is a table lookup and `usable` walks precolored
+        // ranges; both are pure, so testing the cheap one first picks
+        // the same register.
         let chosen = hinted
             .into_iter()
             .chain(pool.iter().copied())
-            .find(|&r| usable(r) && over_count[r.0 as usize] == 0);
+            .find(|&r| over_count[r.0 as usize] == 0 && usable(r));
         if let Some(r) = chosen {
             asg.set(iv.var, r);
             active.push((iv.end, r, idx, spillable));
@@ -196,7 +202,7 @@ pub fn scan(
             .iter()
             .enumerate()
             .filter(|&(ai, &(_, r, _, sp))| {
-                sp && usable(r) && over_count[r.0 as usize] == 1 && sole[r.0 as usize] == ai
+                sp && over_count[r.0 as usize] == 1 && sole[r.0 as usize] == ai && usable(r)
             })
             .map(|(ai, &(end, r, aidx, _))| (ai, end, r, ivs.items[aidx].var));
         let victim = match costs {
@@ -320,7 +326,7 @@ mod tests {
         f.var_mut(va).reg = Some(r5);
         f.var_mut(vb).reg = Some(r5);
         let ivs = intervals::build(&f);
-        let err = scan(&f, &ivs, &HashSet::new(), None).unwrap_err();
+        let err = scan(&f, &ivs, &VarSet::default(), None).unwrap_err();
         assert!(
             matches!(err, ScanFail::Hard(AllocError::PinConflict { .. })),
             "{err:?}"
@@ -343,7 +349,7 @@ mod tests {
             }
         }
         let ivs = intervals::build(&f);
-        let asg = scan(&f, &ivs, &HashSet::new(), None).unwrap();
+        let asg = scan(&f, &ivs, &VarSet::default(), None).unwrap();
         for iv in &ivs.items {
             if iv.pre.is_some() {
                 assert_eq!(asg.get(iv.var), Some(r5));

@@ -1,149 +1,111 @@
 //! Spill rewriting through the stack-slot model.
 //!
-//! Three rewrites live here, all driven by the spill loop in
-//! [`crate::prepare`]:
+//! Two rewrites live here, both driven by the spill loop in
+//! [`crate::prepare`], and both visiting only the blocks they are given:
+//! the blocks where the victim occurs ([`crate::cost::SpillCosts`]
+//! records them). Spilling a web only ever touches that web's
+//! occurrences, so no other block needs to be rebuilt.
 //!
-//! - **Spill-everywhere** ([`rewrite_spills`] / [`rewrite_spills_with_slots`]):
-//!   each evicted variable gets one stack slot for the whole function.
-//!   Every instruction that reads it gets a fresh reload temporary
-//!   (`tmp = spillld slot`) inserted just before it; every instruction
-//!   that writes it gets a fresh store temporary followed by
-//!   `spillst tmp, slot`. Temporaries live for exactly one instruction,
-//!   are recorded as unspillable, and shrink register pressure at every
-//!   original program point — which is what makes the spill-and-rescan
-//!   loop terminate.
-//! - **Region-filtered spill** ([`rewrite_spills_outside`]): the same
-//!   rewrite restricted to blocks outside a loop region; the
-//!   live-range-splitting layer ([`crate::split`]) uses it for the cold
-//!   side of a split web.
+//! - **Spill-everywhere** ([`rewrite_spills_in`]): each evicted variable
+//!   gets one stack slot for the whole function. Every instruction that
+//!   reads it gets a fresh reload temporary (`tmp = spillld slot`)
+//!   inserted just before it; every instruction that writes it gets a
+//!   fresh store temporary followed by `spillst tmp, slot`. Temporaries
+//!   live for exactly one instruction, are recorded as unspillable, and
+//!   shrink register pressure at every original program point — which
+//!   is what makes the spill-and-rescan loop terminate. The
+//!   live-range-splitting layer ([`crate::split`]) runs the same rewrite
+//!   over the occurrence blocks outside a region, for the cold side of a
+//!   split web.
 //! - **Rematerialization** ([`rematerialize`]): a web whose single def is
 //!   a pure `make` is re-issued before each use instead of reloaded, and
 //!   its original def deleted — no slot, no memory traffic.
+//!
+//! Blocks are visited in the order given, which callers keep increasing,
+//! so temporaries are created (and numbered) in program order.
 
-use std::collections::{HashMap, HashSet};
 use tossa_ir::ids::{Block, Var};
 use tossa_ir::instr::{InstData, Operand};
 use tossa_ir::{Function, Opcode};
 
-/// Rewrites `vars` through freshly assigned spill slots. Returns
-/// `(stores, reloads)` inserted. `next_slot` persists across rounds so
-/// slots never collide; the fresh temporaries are added to `temps`.
-pub fn rewrite_spills(
-    f: &mut Function,
-    vars: &[Var],
-    next_slot: &mut i64,
-    temps: &mut HashSet<Var>,
-) -> (usize, usize) {
-    let pairs: Vec<(Var, i64)> = vars
-        .iter()
-        .map(|&v| {
-            let s = *next_slot;
-            *next_slot += 1;
-            (v, s)
-        })
-        .collect();
-    rewrite_spills_with_slots(f, &pairs, temps)
-}
+use crate::VarSet;
 
-/// [`rewrite_spills`] with caller-assigned slots (the cost-driven driver
-/// assigns slots up front so splitting and everywhere-spilling share one
-/// slot namespace).
-pub fn rewrite_spills_with_slots(
+/// Rewrites each `(var, slot)` of `pairs` through its stack slot in
+/// `blocks`, which must hold every occurrence of those variables that is
+/// to be rewritten. Returns `(stores, reloads)` inserted; the fresh
+/// temporaries are added to `temps`.
+pub fn rewrite_spills_in(
     f: &mut Function,
     pairs: &[(Var, i64)],
-    temps: &mut HashSet<Var>,
+    blocks: &[Block],
+    temps: &mut VarSet,
 ) -> (usize, usize) {
-    rewrite_filtered(f, pairs, temps, &|_| false)
-}
-
-/// Spill-everywhere restricted to blocks *outside* `region`: the cold
-/// side of a live-range split. Occurrences inside `region` are left
-/// untouched (the split renamed them to the hot sub-web already).
-pub fn rewrite_spills_outside(
-    f: &mut Function,
-    pairs: &[(Var, i64)],
-    temps: &mut HashSet<Var>,
-    region: &[Block],
-) -> (usize, usize) {
-    rewrite_filtered(f, pairs, temps, &|b| region.contains(&b))
-}
-
-fn rewrite_filtered(
-    f: &mut Function,
-    pairs: &[(Var, i64)],
-    temps: &mut HashSet<Var>,
-    skip: &dyn Fn(Block) -> bool,
-) -> (usize, usize) {
-    let slot_of: HashMap<Var, i64> = pairs.iter().copied().collect();
+    let slot_of = |v: Var| pairs.iter().find(|&&(p, _)| p == v).map(|&(_, s)| s);
     let mut stores = 0usize;
     let mut reloads = 0usize;
+    // Per-instruction scratch, reused: (spilled var, its temporary) for
+    // the reloads before the instruction, and (spilled var, slot, its
+    // temporary) for the stores after it.
+    let mut reload_tmp: Vec<(Var, Var)> = Vec::new();
+    let mut store_after: Vec<(Var, i64, Var)> = Vec::new();
 
-    let blocks: Vec<_> = f.blocks().collect();
-    for b in blocks {
-        if skip(b) {
-            continue;
-        }
-        let old: Vec<_> = f.block_insts(b).collect();
-        let mut new_list = Vec::with_capacity(old.len());
-        for i in old {
+    for &b in blocks {
+        let old = std::mem::take(&mut f.block_mut(b).insts);
+        let mut new_list = Vec::with_capacity(old.len() + 2);
+        for &i in &old {
             // One reload temp per distinct spilled variable used here.
-            let used: Vec<Var> = {
-                let mut seen = Vec::new();
-                for o in f.inst(i).uses {
-                    if slot_of.contains_key(&o.var) && !seen.contains(&o.var) {
-                        seen.push(o.var);
-                    }
+            reload_tmp.clear();
+            for k in 0..f.uses(i).len() {
+                let v = f.uses(i)[k].var;
+                let Some(slot) = slot_of(v) else {
+                    continue;
+                };
+                if reload_tmp.iter().any(|&(u, _)| u == v) {
+                    continue;
                 }
-                seen
-            };
-            let mut reload_tmp: HashMap<Var, Var> = HashMap::new();
-            for v in used {
-                let slot = slot_of[&v];
-                let name = format!("{}.r", f.var(v).name);
-                let tmp = f.new_var(name);
+                let tmp = f.new_var(format!("{}.r", f.var(v).name));
                 temps.insert(tmp);
                 let ld = InstData::new(Opcode::SpillLoad)
                     .with_defs(vec![Operand::new(tmp)])
                     .with_imm(slot);
                 new_list.push(f.alloc_inst(ld));
-                reload_tmp.insert(v, tmp);
+                reload_tmp.push((v, tmp));
                 reloads += 1;
             }
-            let mut store_after: Vec<(Var, i64)> = Vec::new();
-            {
-                let inst = f.inst_mut(i);
-                for o in inst.uses.iter_mut() {
-                    if let Some(&tmp) = reload_tmp.get(&o.var) {
-                        o.var = tmp;
-                    }
-                }
-                for o in inst.defs.iter_mut() {
-                    if let Some(&slot) = slot_of.get(&o.var) {
-                        store_after.push((o.var, slot));
-                    }
+            // Fresh store temp per spilled def. Should one instruction
+            // define a variable twice, the last temp stands for both.
+            store_after.clear();
+            for k in 0..f.defs(i).len() {
+                let v = f.defs(i)[k].var;
+                if let Some(slot) = slot_of(v) {
+                    let tmp = f.new_var(format!("{}.w", f.var(v).name));
+                    temps.insert(tmp);
+                    store_after.push((v, slot, tmp));
                 }
             }
-            // Fresh store temp per spilled def (defs are distinct vars
-            // within one instruction after validation).
-            let mut def_tmp: HashMap<Var, Var> = HashMap::new();
-            for &(v, _) in &store_after {
-                let name = format!("{}.w", f.var(v).name);
-                let tmp = f.new_var(name);
-                temps.insert(tmp);
-                def_tmp.insert(v, tmp);
+            let store_tmp = |v: Var| {
+                store_after
+                    .iter()
+                    .rev()
+                    .find(|&&(u, _, _)| u == v)
+                    .map(|&(_, _, tmp)| tmp)
+            };
+            let inst = f.inst_mut(i);
+            for o in inst.uses.iter_mut() {
+                if let Some(&(_, tmp)) = reload_tmp.iter().find(|&&(u, _)| u == o.var) {
+                    o.var = tmp;
+                }
             }
-            {
-                let inst = f.inst_mut(i);
-                for o in inst.defs.iter_mut() {
-                    if let Some(&tmp) = def_tmp.get(&o.var) {
-                        o.var = tmp;
-                    }
+            for o in inst.defs.iter_mut() {
+                if let Some(tmp) = store_tmp(o.var) {
+                    o.var = tmp;
                 }
             }
             new_list.push(i);
-            for (v, slot) in store_after {
+            for &(v, slot, _) in &store_after {
+                let tmp = store_tmp(v).expect("recorded above");
                 let st = InstData::new(Opcode::SpillStore)
-                    .with_uses(vec![Operand::new(def_tmp[&v])])
+                    .with_uses(vec![Operand::new(tmp)])
                     .with_imm(slot);
                 new_list.push(f.alloc_inst(st));
                 stores += 1;
@@ -154,18 +116,24 @@ fn rewrite_filtered(
     (stores, reloads)
 }
 
-/// Rematerializes `v` (single def `make imm`): re-issues the `make` into
-/// a fresh one-instruction temporary before every use and deletes the
-/// original def, eliminating `v` without a stack slot. Returns the
-/// number of re-issued defs. The temporaries join `temps` (unspillable,
-/// like reload temps).
-pub fn rematerialize(f: &mut Function, v: Var, imm: i64, temps: &mut HashSet<Var>) -> usize {
+/// Rematerializes `v` (single def `make imm`) in `blocks`, the blocks
+/// holding its occurrences: re-issues the `make` into a fresh
+/// one-instruction temporary before every use and deletes the original
+/// def, eliminating `v` without a stack slot. Returns the number of
+/// re-issued defs. The temporaries join `temps` (unspillable, like
+/// reload temps).
+pub fn rematerialize(
+    f: &mut Function,
+    v: Var,
+    imm: i64,
+    blocks: &[Block],
+    temps: &mut VarSet,
+) -> usize {
     let mut remats = 0usize;
-    let blocks: Vec<_> = f.blocks().collect();
-    for b in blocks {
-        let old: Vec<_> = f.block_insts(b).collect();
-        let mut new_list = Vec::with_capacity(old.len());
-        for i in old {
+    for &b in blocks {
+        let old = std::mem::take(&mut f.block_mut(b).insts);
+        let mut new_list = Vec::with_capacity(old.len() + 1);
+        for &i in &old {
             // Drop the original def: after the rewrite the web has no
             // uses left, and `make` is pure.
             let inst_ref = f.inst(i);
@@ -173,15 +141,13 @@ pub fn rematerialize(f: &mut Function, v: Var, imm: i64, temps: &mut HashSet<Var
                 continue;
             }
             if inst_ref.uses.iter().any(|o| o.var == v) {
-                let name = format!("{}.m", f.var(v).name);
-                let tmp = f.new_var(name);
+                let tmp = f.new_var(format!("{}.m", f.var(v).name));
                 temps.insert(tmp);
                 let mk = InstData::new(Opcode::Make)
                     .with_defs(vec![Operand::new(tmp)])
                     .with_imm(imm);
                 new_list.push(f.alloc_inst(mk));
-                let inst = f.inst_mut(i);
-                for o in inst.uses.iter_mut() {
+                for o in f.inst_mut(i).uses.iter_mut() {
                     if o.var == v {
                         o.var = tmp;
                     }
@@ -222,13 +188,12 @@ exit:
         let mut f = parse_function(text, &Machine::dsp32()).unwrap();
         let before = interp::run(&f, &[6], 10_000).unwrap().outputs;
         let z = f.vars().find(|&v| f.var(v).name == "z").unwrap();
-        let mut next_slot = 0;
-        let mut temps = HashSet::new();
-        let (st, rl) = rewrite_spills(&mut f, &[z], &mut next_slot, &mut temps);
+        let mut temps = VarSet::default();
+        let blocks: Vec<Block> = f.blocks().collect();
+        let (st, rl) = rewrite_spills_in(&mut f, &[(z, 0)], &blocks, &mut temps);
         f.validate().unwrap();
         assert!(st >= 2 && rl >= 2, "stores={st} reloads={rl}\n{f}");
-        assert_eq!(next_slot, 1);
-        assert!(!temps.is_empty());
+        assert!(f.vars().any(|v| temps.contains(v)));
         assert_eq!(
             interp::run(&f, &[6], 10_000).unwrap().outputs,
             before,
@@ -256,11 +221,12 @@ entry:
         let mut f = parse_function(text, &Machine::dsp32()).unwrap();
         let before = interp::run(&f, &[3], 100).unwrap().outputs;
         let k = f.vars().find(|&v| f.var(v).name == "k").unwrap();
-        let mut temps = HashSet::new();
-        let n = rematerialize(&mut f, k, 9, &mut temps);
+        let mut temps = VarSet::default();
+        let entry = f.entry;
+        let n = rematerialize(&mut f, k, 9, &[entry], &mut temps);
         f.validate().unwrap();
         assert_eq!(n, 2, "{f}");
-        assert_eq!(temps.len(), 2);
+        assert_eq!(f.vars().filter(|&v| temps.contains(v)).count(), 2);
         // The web is gone entirely — no operand, no def, and no spill
         // opcode was introduced.
         for (_, i) in f.all_insts() {

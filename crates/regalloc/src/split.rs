@@ -30,7 +30,6 @@
 //! would have avoided. When the pre-check (or the region's shape) rules
 //! a split out, the caller falls back to spill-everywhere for that web.
 
-use std::collections::HashSet;
 use tossa_analysis::{Liveness, LoopInfo};
 use tossa_ir::cfg::Cfg;
 use tossa_ir::ids::{Block, Var};
@@ -41,6 +40,7 @@ use tossa_trace::provenance;
 
 use crate::cost::SpillCosts;
 use crate::intervals::Intervals;
+use crate::VarSet;
 
 /// What a committed split inserted.
 #[derive(Clone, Debug)]
@@ -147,25 +147,29 @@ fn pick_region(
 /// Must-written pre-check over the *planned* spill code: `true` when
 /// every planned reload of `slot` (cold-side reloads before outside uses
 /// of `v`, plus the boundary reload at each entry predecessor) is
-/// preceded by a store on all paths.
+/// preceded by a store on all paths. `cold` lists the blocks outside the
+/// region that hold an occurrence of `v`: the only blocks whose own
+/// instructions will store to or reload from the slot.
 fn planned_slot_is_must_written(
     f: &Function,
     cfg: &Cfg,
     v: Var,
-    region: &Region,
+    cold: &[Block],
     entry_preds: &[Block],
     exit_stores: &[Block],
     needs_entry_reload: bool,
 ) -> bool {
-    let in_body = |b: Block| region.body.contains(&b);
     // gen[b]: block b will contain a spillst to the web's slot — a
     // cold-side def (store follows immediately) or a planned exit store.
-    let gen = |b: Block| {
-        (!in_body(b)
-            && f.block_insts(b)
-                .any(|i| f.inst(i).defs.iter().any(|o| o.var == v)))
-            || exit_stores.contains(&b)
-    };
+    let mut gen = vec![false; f.num_blocks()];
+    for &b in cold {
+        gen[b.index()] = f
+            .block_insts(b)
+            .any(|i| f.inst(i).defs.iter().any(|o| o.var == v));
+    }
+    for &b in exit_stores {
+        gen[b.index()] = true;
+    }
     // Forward all-paths dataflow: in[entry] = false, in[b] = AND over
     // preds of (in[p] | gen[p]). Unreachable blocks stay at top (the
     // post-verifier is equally lenient there).
@@ -179,7 +183,7 @@ fn planned_slot_is_must_written(
                 continue;
             }
             let preds = cfg.preds(b);
-            let v_in = !preds.is_empty() && preds.iter().all(|&p| inb[p.index()] || gen(p));
+            let v_in = !preds.is_empty() && preds.iter().all(|&p| inb[p.index()] || gen[p.index()]);
             if v_in != inb[b.index()] {
                 inb[b.index()] = v_in;
                 changed = true;
@@ -187,10 +191,7 @@ fn planned_slot_is_must_written(
         }
     }
     // Cold-side reload points: before every outside use of v.
-    for b in f.blocks() {
-        if in_body(b) {
-            continue;
-        }
+    for &b in cold {
         let mut written = inb[b.index()];
         for i in f.block_insts(b) {
             let inst = f.inst(i);
@@ -205,7 +206,7 @@ fn planned_slot_is_must_written(
     // Boundary reloads at the end of each entry predecessor.
     if needs_entry_reload {
         for &p in entry_preds {
-            if !(inb[p.index()] || gen(p)) {
+            if !(inb[p.index()] || gen[p.index()]) {
                 return false;
             }
         }
@@ -230,14 +231,22 @@ pub fn try_split(
     cfg: &Cfg,
     costs: &SpillCosts,
     slot: i64,
-    temps: &mut HashSet<Var>,
-    no_split: &mut HashSet<Var>,
+    temps: &mut VarSet,
+    no_split: &mut VarSet,
 ) -> Option<SplitOutcome> {
-    if no_split.contains(&v) || temps.contains(&v) || f.var(v).reg.is_some() {
+    if no_split.contains(v) || temps.contains(v) || f.var(v).reg.is_some() {
         return None;
     }
     let region = pick_region(v, conflict_at, ivs, loops, cfg, costs)?;
     let in_body = |b: Block| region.body.contains(&b);
+    // The cold side: occurrence blocks outside the region, in increasing
+    // block index (the order the rewrite below creates temporaries in).
+    let cold: Vec<Block> = costs
+        .occurrence_blocks(v)
+        .iter()
+        .copied()
+        .filter(|&b| !in_body(b))
+        .collect();
 
     let entry_preds: Vec<Block> = cfg
         .preds(region.header)
@@ -268,7 +277,7 @@ pub fn try_split(
         f,
         cfg,
         v,
-        &region,
+        &cold,
         &entry_preds,
         &exit_stores,
         needs_entry_reload,
@@ -282,9 +291,8 @@ pub fn try_split(
     let hot = f.new_var(format!("{}.s", f.var(v).name));
     no_split.insert(hot);
     for &b in &region.body {
-        let insts: Vec<_> = f.block_insts(b).collect();
-        for i in insts {
-            let inst = f.inst_mut(i);
+        for k in 0..f.block(b).insts.len() {
+            let inst = f.inst_mut(f.block(b).insts[k]);
             for o in inst.uses.iter_mut().chain(inst.defs.iter_mut()) {
                 if o.var == v {
                     o.var = hot;
@@ -335,8 +343,9 @@ pub fn try_split(
         });
     }
 
-    // Cold side: spill-everywhere outside the region.
-    let (st, rl) = crate::spill::rewrite_spills_outside(f, &[(v, slot)], temps, &region.body);
+    // Cold side: spill-everywhere outside the region (the boundary
+    // copies above use the hot sub-web, not `v`).
+    let (st, rl) = crate::spill::rewrite_spills_in(f, &[(v, slot)], &cold, temps);
     out.stores += st;
     out.reloads += rl;
     Some(out)
@@ -390,8 +399,8 @@ exit:
         // Conflict in `exit`, outside the loop.
         let exit = f.blocks().find(|&b| f.block(b).name == "exit").unwrap();
         let conflict_at = ivs.block_span[exit.index()].0;
-        let mut temps = HashSet::new();
-        let mut no_split = HashSet::new();
+        let mut temps = VarSet::default();
+        let mut no_split = VarSet::default();
         let out = try_split(
             &mut f,
             k,
@@ -449,8 +458,8 @@ exit:
         let costs = SpillCosts::compute(&f, &loops);
         let body_b = f.blocks().find(|&b| f.block(b).name == "body").unwrap();
         let conflict_at = ivs.block_span[body_b.index()].0;
-        let mut temps = HashSet::new();
-        let mut no_split = HashSet::new();
+        let mut temps = VarSet::default();
+        let mut no_split = VarSet::default();
         let out = try_split(
             &mut f,
             k,
@@ -492,8 +501,8 @@ exit:
         let costs = SpillCosts::compute(&f, &loops);
         let entry = f.blocks().find(|&b| f.block(b).name == "entry").unwrap();
         let conflict_at = ivs.block_span[entry.index()].0;
-        let mut temps = HashSet::new();
-        let mut no_split = HashSet::new();
+        let mut temps = VarSet::default();
+        let mut no_split = VarSet::default();
         assert!(try_split(
             &mut f,
             r,
@@ -539,8 +548,8 @@ last:
         let costs = SpillCosts::compute(&f, &loops);
         let mid = f.blocks().find(|&b| f.block(b).name == "mid").unwrap();
         let conflict_at = ivs.block_span[mid.index()].0;
-        let mut temps = HashSet::new();
-        let mut no_split = HashSet::new();
+        let mut temps = VarSet::default();
+        let mut no_split = VarSet::default();
         let out = try_split(
             &mut f,
             k,
@@ -586,8 +595,8 @@ last:
         let costs = SpillCosts::compute(&f, &loops);
         let exit = f.blocks().find(|&b| f.block(b).name == "exit").unwrap();
         let conflict_at = ivs.block_span[exit.index()].0;
-        let mut temps = HashSet::new();
-        let mut no_split = HashSet::new();
+        let mut temps = VarSet::default();
+        let mut no_split = VarSet::default();
         let out = try_split(
             &mut f,
             z,

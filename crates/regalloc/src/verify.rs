@@ -26,10 +26,9 @@
 //! This is the checked-mode contract: chaos-injected allocation faults
 //! must surface here as structured errors, never as miscompiles.
 
-use std::collections::HashSet;
-use tossa_analysis::Liveness;
+use tossa_analysis::{BitSet, Liveness};
 use tossa_ir::cfg::Cfg;
-use tossa_ir::ids::Var;
+use tossa_ir::ids::{EntityId, Var};
 use tossa_ir::machine::RegClass;
 use tossa_ir::{Function, Opcode};
 
@@ -41,6 +40,7 @@ use crate::{AllocError, Assignment};
 /// # Errors
 /// The first violated invariant, as an [`AllocError`].
 pub fn verify_allocation(f: &Function, asg: &Assignment) -> Result<(), AllocError> {
+    // Assignment completeness, pin preservation, definedness.
     let mut defined = vec![false; f.num_vars()];
     let mut used = vec![false; f.num_vars()];
     for (_, i) in f.all_insts() {
@@ -51,11 +51,7 @@ pub fn verify_allocation(f: &Function, asg: &Assignment) -> Result<(), AllocErro
         for o in inst.uses {
             used[o.var.index()] = true;
         }
-    }
-
-    // Assignment completeness, pin preservation, definedness.
-    for (_, i) in f.all_insts() {
-        for o in f.inst(i).operands() {
+        for o in inst.operands() {
             let v = o.var;
             let r = asg.get(v).ok_or(AllocError::Unassigned { var: v })?;
             if let Some(pinned) = f.var(v).reg {
@@ -90,6 +86,7 @@ pub fn verify_allocation(f: &Function, asg: &Assignment) -> Result<(), AllocErro
     // variable owning each register. One dense 256-entry ownership table
     // is reused across blocks (reg ids are `u8`), cleared per block.
     let mut owner: Vec<Option<Var>> = vec![None; 256];
+    let mut exit: BitSet<Var> = BitSet::new(f.num_vars());
     for b in f.blocks() {
         owner.fill(None);
         let claim = |owner: &mut [Option<Var>], v: Var| -> Result<(), AllocError> {
@@ -102,11 +99,11 @@ pub fn verify_allocation(f: &Function, asg: &Assignment) -> Result<(), AllocErro
                 }
             }
         };
-        for v in live.live_exit(f, b).iter() {
+        live.live_exit_into(f, b, &mut exit);
+        for v in exit.iter() {
             claim(&mut owner, v)?;
         }
-        let insts: Vec<_> = f.block_insts(b).collect();
-        for &i in insts.iter().rev() {
+        for &i in f.block(b).insts.iter().rev() {
             let inst = f.inst(i);
             // A def clobbers whatever holds its register, so the holder
             // must be the defined variable itself (or nothing). Dead
@@ -142,71 +139,91 @@ pub fn verify_allocation(f: &Function, asg: &Assignment) -> Result<(), AllocErro
     verify_slots(f, &cfg)
 }
 
+/// A spill slot's dense index: the rank of its slot number among the
+/// distinct slot numbers the function uses.
+#[derive(Clone, Copy, PartialEq, Eq)]
+struct Slot(usize);
+
+impl EntityId for Slot {
+    fn from_index(index: usize) -> Self {
+        Slot(index)
+    }
+    fn index(self) -> usize {
+        self.0
+    }
+}
+
 /// Must-written forward dataflow over spill slots: a `spillld` of a slot
 /// not written on every path to it is an [`AllocError::UnpairedSlot`].
 fn verify_slots(f: &Function, cfg: &Cfg) -> Result<(), AllocError> {
-    let mut slots: HashSet<i64> = HashSet::new();
+    let mut numbers: Vec<i64> = Vec::new();
     for (_, i) in f.all_insts() {
-        let inst = f.inst(i);
-        if matches!(inst.opcode, Opcode::SpillStore | Opcode::SpillLoad) {
-            slots.insert(inst.imm);
+        if matches!(f.opcode(i), Opcode::SpillStore | Opcode::SpillLoad) {
+            numbers.push(f.inst(i).imm);
         }
     }
-    if slots.is_empty() {
+    if numbers.is_empty() {
         return Ok(());
     }
-    let all: HashSet<i64> = slots;
-    // in[entry] = ∅, in[b] = ∩ preds out; out[b] = in[b] ∪ stores(b).
-    let mut written_in: Vec<HashSet<i64>> = vec![all.clone(); f.num_blocks()];
-    written_in[f.entry.index()] = HashSet::new();
+    numbers.sort_unstable();
+    numbers.dedup();
+    let n = numbers.len();
+    let slot = |imm: i64| Slot(numbers.binary_search(&imm).expect("collected above"));
+    // stored[b]: the slots `b` stores to.
+    let mut stored: Vec<BitSet<Slot>> = (0..f.num_blocks()).map(|_| BitSet::new(n)).collect();
+    for b in f.blocks() {
+        for i in f.block_insts(b) {
+            if f.opcode(i) == Opcode::SpillStore {
+                stored[b.index()].insert(slot(f.inst(i).imm));
+            }
+        }
+    }
+    // in[entry] = ∅, in[b] = ∩ preds out; out[b] = in[b] ∪ stored[b].
+    let mut all = BitSet::new(n);
+    for k in 0..n {
+        all.insert(Slot(k));
+    }
+    let mut written_in: Vec<BitSet<Slot>> = vec![all; f.num_blocks()];
+    written_in[f.entry.index()].clear();
+    let (mut inb, mut out) = (BitSet::new(n), BitSet::new(n));
     let mut changed = true;
     while changed {
         changed = false;
         for &b in cfg.rpo() {
-            let inb = if b == f.entry || cfg.preds(b).is_empty() {
-                HashSet::new()
+            let preds = cfg.preds(b);
+            if b == f.entry || preds.is_empty() {
+                inb.clear();
             } else {
-                let preds = cfg.preds(b);
-                let mut acc = out_of(f, &written_in, preds[0]);
+                inb.clone_from(&written_in[preds[0].index()]);
+                inb.union_with(&stored[preds[0].index()]);
                 for &p in &preds[1..] {
-                    let po = out_of(f, &written_in, p);
-                    acc.retain(|s| po.contains(s));
+                    out.clone_from(&written_in[p.index()]);
+                    out.union_with(&stored[p.index()]);
+                    inb.intersect_with(&out);
                 }
-                acc
-            };
+            }
             if inb != written_in[b.index()] {
-                written_in[b.index()] = inb;
+                written_in[b.index()].clone_from(&inb);
                 changed = true;
             }
         }
     }
     for b in f.blocks() {
-        let mut cur = written_in[b.index()].clone();
+        let cur = &mut written_in[b.index()];
         for i in f.block_insts(b) {
             let inst = f.inst(i);
             match inst.opcode {
-                Opcode::SpillLoad if !cur.contains(&inst.imm) => {
+                Opcode::SpillLoad if !cur.contains(slot(inst.imm)) => {
                     return Err(AllocError::UnpairedSlot { slot: inst.imm });
                 }
                 Opcode::SpillStore => {
-                    cur.insert(inst.imm);
+                    cur.insert(slot(inst.imm));
                 }
                 _ => {}
             }
         }
     }
     Ok(())
-}
-
-fn out_of(f: &Function, written_in: &[HashSet<i64>], b: tossa_ir::ids::Block) -> HashSet<i64> {
-    let mut out = written_in[b.index()].clone();
-    for i in f.block_insts(b) {
-        let inst = f.inst(i);
-        if inst.opcode == Opcode::SpillStore {
-            out.insert(inst.imm);
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -304,7 +321,7 @@ entry:
         )
         .unwrap();
         let ivs = intervals::build(&f);
-        let asg = match scan::scan(&f, &ivs, &std::collections::HashSet::new(), None) {
+        let asg = match scan::scan(&f, &ivs, &crate::VarSet::default(), None) {
             Ok(a) => a,
             Err(e) => panic!("{e:?}"),
         };
@@ -320,7 +337,7 @@ entry:
         )
         .unwrap();
         let ivs = intervals::build(&f);
-        let asg = scan::scan(&f, &ivs, &std::collections::HashSet::new(), None).unwrap();
+        let asg = scan::scan(&f, &ivs, &crate::VarSet::default(), None).unwrap();
         let e = verify_allocation(&f, &asg).unwrap_err();
         assert!(matches!(e, AllocError::UndefinedUse { .. }), "{e}");
     }

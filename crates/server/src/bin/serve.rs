@@ -352,7 +352,12 @@ fn run_tcp(config: ServiceConfig, addr: &str, paths: &OutPaths) -> i32 {
             return 2;
         }
     };
-    eprintln!("serve: listening on {addr}");
+    // The bound address, not the requested one: `--tcp 127.0.0.1:0`
+    // binds a free port, and a client learns which from this line.
+    match listener.local_addr() {
+        Ok(bound) => eprintln!("serve: listening on {bound}"),
+        Err(_) => eprintln!("serve: listening on {addr}"),
+    }
     let (service, rx) = CompileService::start(config);
     let routes: Routes = Arc::new(Mutex::new(HashMap::new()));
     let responder = spawn_responder(

@@ -4,7 +4,7 @@
 
 use tossa_analysis::{DomFrontiers, DomTree, Liveness};
 use tossa_ir::cfg::Cfg;
-use tossa_ir::ids::{Block, EntityVec, Inst, Var};
+use tossa_ir::ids::{Block, EntityVec, Var};
 use tossa_ir::instr::{InstData, Operand};
 use tossa_ir::{Function, Opcode};
 
@@ -34,27 +34,29 @@ pub fn to_ssa(f: &mut Function) {
     let live = Liveness::compute(f, &cfg);
     let num_orig = f.num_vars();
 
-    // Definition blocks per variable.
+    // Definition blocks per variable, in block order (`all_insts` visits
+    // a block's instructions contiguously, so a repeat is always last).
     let mut def_blocks: EntityVec<Var, Vec<Block>> = EntityVec::filled(num_orig, Vec::new());
-    for (b, i) in f.all_insts().collect::<Vec<_>>() {
-        for d in f.inst(i).defs.to_vec() {
-            if !def_blocks[d.var].contains(&b) {
-                def_blocks[d.var].push(b);
+    for (b, i) in f.all_insts() {
+        for d in f.defs(i) {
+            let blocks = &mut def_blocks[d.var];
+            if blocks.last() != Some(&b) {
+                blocks.push(b);
             }
         }
     }
 
-    // φ insertion on the pruned iterated dominance frontier.
-    let mut phi_orig: Vec<(Inst, Var)> = Vec::new();
+    // φ insertion on the pruned iterated dominance frontier. `phi_orig`
+    // maps each inserted φ's arena id to the variable it merges.
+    let mut phi_orig: Vec<Option<Var>> = Vec::new();
     for v in (0..num_orig).map(Var::new) {
         if def_blocks[v].is_empty() {
             continue;
         }
-        let seeds: Vec<Block> = def_blocks[v]
+        let seeds = def_blocks[v]
             .iter()
             .copied()
-            .filter(|&b| dt.is_reachable(b))
-            .collect();
+            .filter(|&b| dt.is_reachable(b));
         for join in df.iterated(seeds) {
             // Pruned SSA: only where the variable is live-in.
             if !live.live_in(join).contains(v) {
@@ -65,85 +67,96 @@ pub fn to_ssa(f: &mut Function) {
             preds.dedup();
             let inst = InstData::phi(v, preds.into_iter().map(|p| (p, v)).collect());
             let id = f.insert_inst(join, 0, inst);
-            phi_orig.push((id, v));
+            if phi_orig.len() <= id.index() {
+                phi_orig.resize(id.index() + 1, None);
+            }
+            phi_orig[id.index()] = Some(v);
         }
     }
-    let phi_orig_of = |i: Inst| phi_orig.iter().find(|&&(pi, _)| pi == i).map(|&(_, v)| v);
 
     // Renaming along the dominator tree (iterative, enter/exit events).
     let mut stacks: EntityVec<Var, Vec<Var>> = EntityVec::filled(num_orig, Vec::new());
     enum Event {
         Enter(Block),
-        Exit(Block),
+        /// Pop every version pushed since `pushed` had this length.
+        Exit(usize),
     }
+    let kids = dom_children(&dt, f.num_blocks());
     let mut events = vec![Event::Enter(f.entry)];
-    // Track per-block how many pushes to undo at exit.
-    let mut pushed: Vec<Vec<Var>> = vec![Vec::new(); f.num_blocks()];
+    // The original variable of every version pushed so far, in order.
+    let mut pushed: Vec<Var> = Vec::new();
 
     while let Some(ev) = events.pop() {
         match ev {
             Event::Enter(b) => {
-                events.push(Event::Exit(b));
-                let insts: Vec<Inst> = f.block_insts(b).collect();
-                for i in insts {
-                    let is_phi = f.inst(i).is_phi();
-                    if !is_phi {
+                events.push(Event::Exit(pushed.len()));
+                for k in 0..f.block(b).insts.len() {
+                    let i = f.block(b).insts[k];
+                    if !f.opcode(i).is_phi() {
                         // Rewrite uses to the current version.
-                        let uses = f.inst(i).uses.to_vec();
-                        for (k, op) in uses.iter().enumerate() {
-                            if op.var.index() < num_orig {
-                                if let Some(&top) = stacks[op.var].last() {
-                                    f.inst_mut(i).uses[k].var = top;
+                        for u in f.inst_mut(i).uses.iter_mut() {
+                            if u.var.index() < num_orig {
+                                if let Some(&top) = stacks[u.var].last() {
+                                    u.var = top;
                                 }
                             }
                         }
                     }
                     // Rewrite defs to fresh versions.
-                    let defs = f.inst(i).defs.to_vec();
-                    for (k, op) in defs.iter().enumerate() {
-                        if op.var.index() < num_orig {
-                            let new = f.new_var_version(op.var);
-                            stacks[op.var].push(new);
-                            pushed[b.index()].push(op.var);
+                    for k in 0..f.defs(i).len() {
+                        let v = f.defs(i)[k].var;
+                        if v.index() < num_orig {
+                            let new = f.new_var_version(v);
+                            stacks[v].push(new);
+                            pushed.push(v);
                             f.inst_mut(i).defs[k].var = new;
                         }
                     }
                 }
                 // Fill φ arguments of successors for the edge b -> s.
-                for s in f.succs(b).to_vec() {
-                    for phi in f.phis(s).collect::<Vec<_>>() {
-                        let Some(orig) = phi_orig_of(phi) else {
+                for si in 0..f.succs(b).len() {
+                    let s = f.succs(b)[si];
+                    for k in 0..f.first_non_phi(s) {
+                        let phi = f.block(s).insts[k];
+                        let Some(orig) = phi_orig.get(phi.index()).copied().flatten() else {
                             continue;
                         };
                         let Some(&top) = stacks[orig].last() else {
                             continue;
                         };
-                        let slots: Vec<usize> = f
-                            .inst(phi)
-                            .phi_preds
-                            .iter()
-                            .enumerate()
-                            .filter_map(|(k, &p)| (p == b).then_some(k))
-                            .collect();
-                        for k in slots {
-                            f.inst_mut(phi).uses[k].var = top;
+                        let inst = f.inst_mut(phi);
+                        for (slot, &p) in inst.phi_preds.iter().enumerate() {
+                            if p == b {
+                                inst.uses[slot].var = top;
+                            }
                         }
                     }
                 }
                 // Recurse into dominator-tree children.
-                let mut kids = dt.children(b);
-                kids.sort_by_key(|&c| std::cmp::Reverse(dt.rpo_pos(c)));
-                for c in kids {
+                for &c in &kids[b.index()] {
                     events.push(Event::Enter(c));
                 }
             }
-            Event::Exit(b) => {
-                for v in pushed[b.index()].drain(..) {
+            Event::Exit(mark) => {
+                for v in pushed.drain(mark..) {
                     stacks[v].pop();
                 }
             }
         }
     }
+}
+
+/// The dominator-tree children of every block, indexed by block, each
+/// list in decreasing reverse-postorder position: pushed in that order
+/// onto an event stack, the children are entered in reverse postorder.
+pub(crate) fn dom_children(dt: &DomTree, num_blocks: usize) -> Vec<Vec<Block>> {
+    let mut kids = vec![Vec::new(); num_blocks];
+    for &c in dt.rpo().iter().rev() {
+        if let Some(d) = dt.idom(c) {
+            kids[d.index()].push(c);
+        }
+    }
+    kids
 }
 
 /// Returns true if `f` contains at least one φ.

@@ -13,38 +13,44 @@ use tossa_ir::cfg::Cfg;
 use tossa_ir::ids::{Inst, Var};
 use tossa_ir::{Function, Opcode};
 
+use crate::construct::dom_children;
+
 /// Replaces every use of a copy destination by the copy source
 /// (transitively) and leaves the now-dead `mov`s for [`dce`]. Returns the
 /// number of uses rewritten.
 pub fn copy_propagate(f: &mut Function) -> usize {
-    // d -> s for every `d = mov s`.
-    let mut alias: HashMap<Var, Var> = HashMap::new();
-    for (_, i) in f.all_insts().collect::<Vec<_>>() {
+    // alias[d] = s for every `d = mov s`; `moves` counts the entries.
+    let mut alias: Vec<Option<Var>> = vec![None; f.num_vars()];
+    let mut moves = 0usize;
+    for (_, i) in f.all_insts() {
         let inst = f.inst(i);
         if inst.opcode.is_move() {
-            alias.insert(inst.defs[0].var, inst.uses[0].var);
+            let slot = &mut alias[inst.defs[0].var.index()];
+            if slot.is_none() {
+                moves += 1;
+            }
+            *slot = Some(inst.uses[0].var);
         }
     }
-    fn resolve(alias: &HashMap<Var, Var>, mut v: Var) -> Var {
+    let resolve = |mut v: Var| {
         let mut hops = 0;
-        while let Some(&s) = alias.get(&v) {
+        while let Some(s) = alias[v.index()] {
             v = s;
             hops += 1;
-            if hops > alias.len() {
+            if hops > moves {
                 break; // defensive: cyclic moves cannot occur in SSA
             }
         }
         v
-    }
+    };
     let mut rewritten = 0;
-    for b in f.blocks().collect::<Vec<_>>() {
-        for i in f.block_insts(b).collect::<Vec<_>>() {
-            let n = f.inst(i).uses.len();
-            for k in 0..n {
-                let v = f.inst(i).uses[k].var;
-                let r = resolve(&alias, v);
-                if r != v {
-                    f.inst_mut(i).uses[k].var = r;
+    for b in f.blocks() {
+        for k in 0..f.block(b).insts.len() {
+            let i = f.block(b).insts[k];
+            for o in f.inst_mut(i).uses.iter_mut() {
+                let r = resolve(o.var);
+                if r != o.var {
+                    o.var = r;
                     rewritten += 1;
                 }
             }
@@ -53,48 +59,47 @@ pub fn copy_propagate(f: &mut Function) -> usize {
     rewritten
 }
 
+/// Keeps only the instructions `keep` accepts, with one `retain` per
+/// block. Returns the number dropped.
+fn sweep(f: &mut Function, keep: impl Fn(Inst) -> bool) -> usize {
+    let mut removed = 0;
+    for b in f.blocks() {
+        let insts = &mut f.block_mut(b).insts;
+        let before = insts.len();
+        insts.retain(|&i| keep(i));
+        removed += before - insts.len();
+    }
+    removed
+}
+
 /// Dead-code elimination: removes instructions without side effects whose
 /// definitions are never used (transitively). Returns the number of
 /// instructions removed.
 pub fn dce(f: &mut Function) -> usize {
     // Mark pass: seed with side-effecting instructions.
-    let all: Vec<(tossa_ir::Block, Inst)> = f.all_insts().collect();
-    let mut live_insts: HashMap<Inst, bool> = all
-        .iter()
-        .map(|&(_, i)| (i, f.inst(i).opcode.has_side_effects()))
-        .collect();
-    let mut def_of: HashMap<Var, Inst> = HashMap::new();
-    for &(_, i) in &all {
-        for d in f.inst(i).defs {
-            def_of.insert(d.var, i);
+    let mut live = vec![false; f.num_insts()];
+    let mut def_of: Vec<Option<Inst>> = vec![None; f.num_vars()];
+    let mut work: Vec<Inst> = Vec::new();
+    for (_, i) in f.all_insts() {
+        for d in f.defs(i) {
+            def_of[d.var.index()] = Some(i);
+        }
+        if f.opcode(i).has_side_effects() {
+            live[i.index()] = true;
+            work.push(i);
         }
     }
-    let mut work: Vec<Inst> = all
-        .iter()
-        .filter(|&&(_, i)| live_insts[&i])
-        .map(|&(_, i)| i)
-        .collect();
     while let Some(i) = work.pop() {
-        for u in f.inst(i).uses.to_vec() {
-            if let Some(&di) = def_of.get(&u.var) {
-                if let Some(flag) = live_insts.get_mut(&di) {
-                    if !*flag {
-                        *flag = true;
-                        work.push(di);
-                    }
+        for u in f.uses(i) {
+            if let Some(di) = def_of[u.var.index()] {
+                if !live[di.index()] {
+                    live[di.index()] = true;
+                    work.push(di);
                 }
             }
         }
     }
-    // Sweep.
-    let mut removed = 0;
-    for (b, i) in all {
-        if !live_insts[&i] {
-            f.remove_inst(b, i);
-            removed += 1;
-        }
-    }
-    removed
+    sweep(f, |i| live[i.index()])
 }
 
 /// Dominator-scoped value numbering: two pure instructions computing the
@@ -137,10 +142,12 @@ pub fn gvn(f: &mut Function) -> usize {
         )
     }
 
-    let mut replacement: HashMap<Var, Var> = HashMap::new();
+    let mut replacement: Vec<Option<Var>> = vec![None; f.num_vars()];
     let mut table: HashMap<Key, Var> = HashMap::new();
     let mut scopes: Vec<Vec<Key>> = Vec::new();
-    let mut dead: Vec<(tossa_ir::Block, Inst)> = Vec::new();
+    let mut dead = vec![false; f.num_insts()];
+    let mut removed = 0;
+    let kids = dom_children(&dt, f.num_blocks());
 
     enum Event {
         Enter(tossa_ir::Block),
@@ -152,13 +159,12 @@ pub fn gvn(f: &mut Function) -> usize {
             Event::Enter(b) => {
                 events.push(Event::Exit);
                 scopes.push(Vec::new());
-                for i in f.block_insts(b).collect::<Vec<_>>() {
+                for k in 0..f.block(b).insts.len() {
+                    let i = f.block(b).insts[k];
                     // Resolve uses through prior replacements first.
-                    let n = f.inst(i).uses.len();
-                    for k in 0..n {
-                        let v = f.inst(i).uses[k].var;
-                        if let Some(&r) = replacement.get(&v) {
-                            f.inst_mut(i).uses[k].var = r;
+                    for o in f.inst_mut(i).uses.iter_mut() {
+                        if let Some(r) = replacement[o.var.index()] {
+                            o.var = r;
                         }
                     }
                     let inst = f.inst(i);
@@ -180,8 +186,9 @@ pub fn gvn(f: &mut Function) -> usize {
                     };
                     match table.get(&key) {
                         Some(&existing) => {
-                            replacement.insert(inst.defs[0].var, existing);
-                            dead.push((b, i));
+                            replacement[inst.defs[0].var.index()] = Some(existing);
+                            dead[i.index()] = true;
+                            removed += 1;
                         }
                         None => {
                             table.insert(key.clone(), inst.defs[0].var);
@@ -189,9 +196,7 @@ pub fn gvn(f: &mut Function) -> usize {
                         }
                     }
                 }
-                let mut kids = dt.children(b);
-                kids.sort_by_key(|&c| std::cmp::Reverse(dt.rpo_pos(c)));
-                for c in kids {
+                for &c in &kids[b.index()] {
                     events.push(Event::Enter(c));
                 }
             }
@@ -204,20 +209,16 @@ pub fn gvn(f: &mut Function) -> usize {
     }
 
     // Apply replacements everywhere (φ args in not-yet-visited blocks).
-    if !replacement.is_empty() {
+    if removed > 0 {
         // rewrite_vars also remaps the defs of the replaced instructions
         // themselves; harmless, they are removed below.
-        f.rewrite_vars(|v| {
-            let mut v = v;
-            while let Some(&r) = replacement.get(&v) {
+        f.rewrite_vars(|mut v| {
+            while let Some(r) = replacement[v.index()] {
                 v = r;
             }
             v
         });
-    }
-    let removed = dead.len();
-    for (b, i) in dead {
-        f.remove_inst(b, i);
+        sweep(f, |i| !dead[i.index()]);
     }
     removed
 }

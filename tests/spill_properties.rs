@@ -24,7 +24,7 @@ use tossa::ir::{Function, Opcode};
 use tossa::regalloc::cost::SpillCosts;
 use tossa::regalloc::intervals;
 use tossa::regalloc::scan::{scan, ScanFail};
-use tossa::regalloc::{prepare, AllocOptions, AllocStats};
+use tossa::regalloc::{prepare, AllocOptions, AllocStats, VarSet};
 
 const CASES: usize = 24;
 
@@ -248,7 +248,7 @@ fn spill_requests_respect_the_cost_order() {
         let loops = LoopInfo::compute(&f, &cfg, &dt);
         let costs = SpillCosts::compute(&f, &loops);
         let ivs = intervals::build(&f);
-        let reqs = match scan(&f, &ivs, &HashSet::new(), Some(&costs)) {
+        let reqs = match scan(&f, &ivs, &VarSet::default(), Some(&costs)) {
             Ok(_) => continue,
             Err(ScanFail::Spill { reqs, .. }) => reqs,
             Err(ScanFail::Hard(e)) => panic!("seed {seed}: {e}"),
