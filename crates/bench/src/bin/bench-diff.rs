@@ -1,38 +1,15 @@
-//! Statistical regression gate over `BENCH_*.json` trajectories.
+//! Exact regression gate over `BENCH_*.json` trajectories.
 //!
-//! Usage: `bench-diff OLD.json[,OLD2.json,...] NEW.json[,NEW2.json,...]`
-//! `       [--threshold PCT] [--resamples N] [--seed S] [--warn-only]`
+//! Usage: `bench-diff OLD.json NEW.json`
 //!
-//! Timing cells are noisy, so they get a statistical treatment:
-//! comma-separated repeat files are reduced per cell by min-of-N (the
-//! minimum is the least-noise estimator for wall clocks), then the
-//! per-cell log-ratios `ln(new/old)` are bootstrap-resampled
-//! (`--resamples`, default 1000, seeded SplitMix64, `--seed` default 42)
-//! into a percentile confidence interval on the mean log-ratio. A
-//! *confident* timing regression — the whole 95% interval above
-//! `--threshold` percent (default 10) — exits 1, unless `--warn-only`
-//! downgrades it to a warning (CI uses this: timing noise across runner
-//! machines should annotate, not block).
-//!
-//! Per-stage wall clocks (`stages.*_ns`) are timing-class too: each
-//! stage's median log-ratio across all comparable cells is printed as an
-//! attribution aid — when the end-to-end wall moves, the report names
-//! the stage that moved it. Stage ratios are advisory and never flip the
-//! exit status by themselves.
-//!
-//! Counter, move-count, and allocation cells are deterministic, so they
-//! are compared exactly: any drift is reported cell by cell and exits 2
-//! even under `--warn-only` — a changed counter means the *translation*
-//! changed, which a perf-neutral PR must not do silently. Missing or
-//! extra (suite × experiment) cells are structural drift, also exit 2.
-//!
-//! The top-level `"throughput"` object (schema v4: sustained
-//! functions/sec through the full pipeline + allocation) is
-//! timing-class: the ratio of `functions_per_sec` between the two sides
-//! is reported as advisory and never affects the exit status — service
-//! capacity varies with the runner machine, and the end-to-end CI above
-//! is the timing gate. A side without the object (a v3 document, or a
-//! `--no-throughput` run) simply skips the report.
+//! Every (suite × experiment) cell's deterministic fields — `moves`,
+//! `weighted`, the `alloc` statistics and the `counters` — are compared
+//! exactly: any drift is reported cell by cell, since a changed count
+//! means the *translation* changed, which a behaviour-preserving PR must
+//! not do silently. Missing or extra cells are structural drift. Both
+//! sides may be any trajectory schema from v3 on; the clock keys of
+//! v3–v5 documents (`wall_ns`, `stages`, `throughput`, ...) are ignored.
+//! Timing belongs to the repository benchmark (`benchmark/`).
 //!
 //! Two counters are exempt from the exact gate:
 //! `analysis_cache_hits` and `analysis_cache_misses` measure the
@@ -43,20 +20,15 @@
 //! byte-identical. They are compared and *reported* as advisory shifts,
 //! but never affect the exit status.
 //!
-//! Exit status: 0 clean, 1 confident timing regression, 2 counter or
-//! structural drift (2 wins when both).
+//! Exit status: 0 identical, 2 deterministic drift, 3 bad usage or an
+//! unreadable document.
 
 use std::collections::BTreeMap;
-use tossa_ir::rng::SplitMix64;
 use tossa_trace::json::{parse_json, Json};
 
 /// One (suite × experiment) cell reduced to the comparable parts.
 #[derive(Clone, Debug, Default)]
 struct Cell {
-    wall_ns: f64,
-    /// Per-stage wall clocks (`stages.*_ns`), keyed by stage name.
-    /// Timing-class like `wall_ns`: min-of-N reduced, ratio-compared.
-    stages: BTreeMap<String, f64>,
     /// Deterministic scalars: moves, weighted, alloc stats, counters —
     /// all compared exactly, keyed by field name.
     exact: BTreeMap<String, u64>,
@@ -74,21 +46,7 @@ const ADVISORY_COUNTERS: [&str; 2] = [
 
 type Cells = BTreeMap<(String, String), Cell>;
 
-/// Names of the advisory compile-latency percentiles inside the
-/// `"throughput"` object (schema v5), in [`Side::latency_ns`] order.
-const LATENCY_KEYS: [&str; 3] = ["latency_p50_ns", "latency_p90_ns", "latency_p99_ns"];
-
-/// One side of the comparison: the cell matrix plus the optional
-/// top-level sustained-throughput figures (functions/sec since v4,
-/// compile-latency percentiles since v5).
-struct Side {
-    cells: Cells,
-    functions_per_sec: Option<f64>,
-    /// p50/p90/p99 per-function compile latency, per [`LATENCY_KEYS`].
-    latency_ns: [Option<f64>; 3],
-}
-
-fn load(path: &str) -> Side {
+fn load(path: &str) -> Cells {
     let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
         eprintln!("reading {path}: {e}");
         std::process::exit(3);
@@ -111,17 +69,7 @@ fn load(path: &str) -> Side {
             .unwrap_or_default()
         {
             let exp = e.get("experiment").and_then(Json::as_str).unwrap_or("?");
-            let mut cell = Cell {
-                wall_ns: e.get("wall_ns").and_then(Json::as_f64).unwrap_or(0.0),
-                ..Cell::default()
-            };
-            if let Some(obj) = e.get("stages").and_then(Json::as_obj) {
-                for (k, v) in obj {
-                    if let Some(v) = v.as_f64() {
-                        cell.stages.insert(k.clone(), v);
-                    }
-                }
-            }
+            let mut cell = Cell::default();
             for key in ["moves", "weighted"] {
                 if let Some(v) = e.get(key).and_then(Json::as_u64) {
                     cell.exact.insert(key.to_string(), v);
@@ -144,144 +92,26 @@ fn load(path: &str) -> Side {
             cells.insert((suite.to_string(), exp.to_string()), cell);
         }
     }
-    let functions_per_sec = doc
-        .get("throughput")
-        .and_then(|t| t.get("functions_per_sec"))
-        .and_then(Json::as_f64)
-        .filter(|&v| v > 0.0);
-    let latency_ns = LATENCY_KEYS.map(|key| {
-        doc.get("throughput")
-            .and_then(|t| t.get(key))
-            .and_then(Json::as_f64)
-            .filter(|&v| v > 0.0)
-    });
-    Side {
-        cells,
-        functions_per_sec,
-        latency_ns,
-    }
-}
-
-/// Loads the comma-separated repeat files of one side and reduces them:
-/// min-of-N on timings, exact-equality check on deterministic fields
-/// (drift *between repeats of one side* means the benchmark itself is
-/// not deterministic — reported and treated as drift).
-fn load_side(spec: &str, drift: &mut Vec<String>) -> Side {
-    let mut merged: Option<Side> = None;
-    for path in spec.split(',') {
-        let side = load(path);
-        match &mut merged {
-            None => merged = Some(side),
-            Some(m) => {
-                // Throughput is better-is-higher, so the max across
-                // repeats is the min-of-N analog (least machine noise).
-                m.functions_per_sec = match (m.functions_per_sec, side.functions_per_sec) {
-                    (Some(a), Some(b)) => Some(a.max(b)),
-                    (a, b) => a.or(b),
-                };
-                // Latency is better-is-lower: plain min-of-N.
-                for (p, v) in m.latency_ns.iter_mut().zip(side.latency_ns) {
-                    *p = match (*p, v) {
-                        (Some(a), Some(b)) => Some(a.min(b)),
-                        (a, b) => a.or(b),
-                    };
-                }
-                for (key, cell) in side.cells {
-                    match m.cells.get_mut(&key) {
-                        Some(prev) => {
-                            prev.wall_ns = prev.wall_ns.min(cell.wall_ns);
-                            for (stage, v) in &cell.stages {
-                                prev.stages
-                                    .entry(stage.clone())
-                                    .and_modify(|p| *p = p.min(*v))
-                                    .or_insert(*v);
-                            }
-                            if prev.exact != cell.exact || prev.advisory != cell.advisory {
-                                drift.push(format!(
-                                    "{}/{}: repeats of {spec} disagree on deterministic fields",
-                                    key.0, key.1
-                                ));
-                            }
-                        }
-                        None => drift.push(format!(
-                            "{}/{}: cell present in {path} but not in earlier repeats",
-                            key.0, key.1
-                        )),
-                    }
-                }
-            }
-        }
-    }
-    merged.unwrap_or(Side {
-        cells: Cells::new(),
-        functions_per_sec: None,
-        latency_ns: [None; 3],
-    })
-}
-
-/// Percentile of a sorted slice (nearest-rank).
-fn percentile(sorted: &[f64], p: f64) -> f64 {
-    let idx = ((p / 100.0) * (sorted.len() - 1) as f64).round() as usize;
-    sorted[idx.min(sorted.len() - 1)]
+    cells
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let flag = |name: &str| args.iter().any(|a| a == name);
-    let value = |name: &str| {
-        args.iter()
-            .position(|a| a == name)
-            .and_then(|p| args.get(p + 1))
-            .cloned()
-    };
-    let positional: Vec<&String> = {
-        let mut out = Vec::new();
-        let mut skip = false;
-        for (i, a) in args.iter().enumerate() {
-            if skip {
-                skip = false;
-                continue;
-            }
-            if a == "--threshold" || a == "--resamples" || a == "--seed" {
-                skip = true;
-                continue;
-            }
-            if a.starts_with("--") {
-                continue;
-            }
-            let _ = i;
-            out.push(a);
-        }
-        out
-    };
-    let [old_spec, new_spec] = positional.as_slice() else {
-        eprintln!("usage: bench-diff OLD.json[,OLD2,...] NEW.json[,NEW2,...] [--threshold PCT] [--resamples N] [--seed S] [--warn-only]");
+    let [old_path, new_path] = args.as_slice() else {
+        eprintln!("usage: bench-diff OLD.json NEW.json");
         std::process::exit(3);
     };
-    let threshold: f64 = value("--threshold")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(10.0);
-    let resamples: usize = value("--resamples")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1000);
-    let seed: u64 = value("--seed").and_then(|v| v.parse().ok()).unwrap_or(42);
-    let warn_only = flag("--warn-only");
+    let old = load(old_path);
+    let new = load(new_path);
 
     let mut drift: Vec<String> = Vec::new();
     let mut advisory: Vec<String> = Vec::new();
-    let old_side = load_side(old_spec, &mut drift);
-    let new_side = load_side(new_spec, &mut drift);
-    let (old, new) = (&old_side.cells, &new_side.cells);
-
-    // ---- structural + exact comparison ---------------------------------
-    let mut ratios: Vec<(f64, String)> = Vec::new();
-    let mut stage_ratios: BTreeMap<String, Vec<f64>> = BTreeMap::new();
-    for (key, o) in old {
+    for (key, o) in &old {
+        let label = format!("{}/{}", key.0, key.1);
         let Some(n) = new.get(key) else {
-            drift.push(format!("{}/{}: cell missing in {new_spec}", key.0, key.1));
+            drift.push(format!("{label}: cell missing in {new_path}"));
             continue;
         };
-        let label = format!("{}/{}", key.0, key.1);
         for (field, &ov) in &o.exact {
             match n.exact.get(field) {
                 Some(&nv) if nv == ov => {}
@@ -289,12 +119,9 @@ fn main() {
                 None => drift.push(format!("{label}: {field} dropped ({ov} before)")),
             }
         }
-        for field in n.exact.keys() {
+        for (field, nv) in &n.exact {
             if !o.exact.contains_key(field) {
-                drift.push(format!(
-                    "{label}: {field} appeared ({} now)",
-                    n.exact[field]
-                ));
+                drift.push(format!("{label}: {field} appeared ({nv} now)"));
             }
         }
         for (field, &ov) in &o.advisory {
@@ -304,138 +131,16 @@ fn main() {
                 }
             }
         }
-        if o.wall_ns > 0.0 && n.wall_ns > 0.0 {
-            ratios.push(((n.wall_ns / o.wall_ns).ln(), label));
-        }
-        for (stage, &ov) in &o.stages {
-            if let Some(&nv) = n.stages.get(stage) {
-                if ov > 0.0 && nv > 0.0 {
-                    stage_ratios
-                        .entry(stage.clone())
-                        .or_default()
-                        .push((nv / ov).ln());
-                }
-            }
-        }
     }
     for key in new.keys() {
         if !old.contains_key(key) {
             drift.push(format!(
-                "{}/{}: new cell absent in {old_spec}",
+                "{}/{}: new cell absent in {old_path}",
                 key.0, key.1
             ));
         }
     }
 
-    // ---- bootstrap CI on the mean timing log-ratio ---------------------
-    let mut timing_regression = false;
-    if ratios.is_empty() {
-        println!("no comparable timing cells");
-    } else {
-        let logs: Vec<f64> = ratios.iter().map(|(l, _)| *l).collect();
-        let mean = logs.iter().sum::<f64>() / logs.len() as f64;
-        let mut rng = SplitMix64::seed_from_u64(seed);
-        let mut means: Vec<f64> = (0..resamples.max(1))
-            .map(|_| {
-                let mut acc = 0.0;
-                for _ in 0..logs.len() {
-                    acc += logs[rng.random_range(0usize..logs.len())];
-                }
-                acc / logs.len() as f64
-            })
-            .collect();
-        means.sort_by(|a, b| a.total_cmp(b));
-        let lo = percentile(&means, 2.5);
-        let hi = percentile(&means, 97.5);
-        let pct = |l: f64| (l.exp() - 1.0) * 100.0;
-        println!(
-            "timing: {} cells, mean ratio {:+.2}% (95% CI [{:+.2}%, {:+.2}%], {} resamples, min-of-N per side)",
-            logs.len(),
-            pct(mean),
-            pct(lo),
-            pct(hi),
-            resamples
-        );
-        let mut worst: Vec<&(f64, String)> = ratios.iter().collect();
-        worst.sort_by(|a, b| b.0.total_cmp(&a.0));
-        for (l, label) in worst.iter().take(3) {
-            println!("  slowest shift: {label} {:+.2}%", pct(*l));
-        }
-        let bound = (1.0 + threshold / 100.0).ln();
-        if lo > bound {
-            timing_regression = true;
-            println!(
-                "CONFIDENT timing regression: whole CI above +{threshold}% ({})",
-                if warn_only {
-                    "warn-only: not failing"
-                } else {
-                    "failing"
-                }
-            );
-        } else if hi < -bound {
-            println!("confident timing improvement: whole CI below -{threshold}%");
-        } else {
-            println!("timing within noise of +-{threshold}% at 95% confidence");
-        }
-    }
-
-    // ---- per-stage attribution -----------------------------------------
-    // Advisory: names which pipeline stage moved when the end-to-end wall
-    // shifts. Median log-ratio per stage across all comparable cells —
-    // the median resists the tiny-denominator noise of microsecond
-    // stages better than the mean. Never affects the exit status on its
-    // own; the end-to-end CI above is the gate.
-    if !stage_ratios.is_empty() {
-        println!("per-stage timing ratios (median across cells):");
-        for (stage, mut logs) in stage_ratios {
-            logs.sort_by(|a, b| a.total_cmp(b));
-            let median = logs[logs.len() / 2];
-            println!(
-                "  {stage}: {:+.2}% ({} cells)",
-                (median.exp() - 1.0) * 100.0,
-                logs.len()
-            );
-        }
-    }
-
-    // ---- advisory throughput -------------------------------------------
-    // Sustained functions/sec (schema v4): reported when both sides
-    // carry it, never gating — capacity tracks the runner machine.
-    match (old_side.functions_per_sec, new_side.functions_per_sec) {
-        (Some(o), Some(n)) => {
-            println!(
-                "throughput (advisory, never gating): {o:.1} -> {n:.1} functions/s ({:+.2}%)",
-                (n / o - 1.0) * 100.0
-            );
-        }
-        (None, Some(n)) => {
-            println!(
-                "throughput (advisory, never gating): {n:.1} functions/s (no old-side figure)"
-            );
-        }
-        (Some(_), None) | (None, None) => {}
-    }
-    // Compile-latency percentiles (schema v5): same advisory treatment.
-    for (key, (o, n)) in LATENCY_KEYS
-        .iter()
-        .zip(old_side.latency_ns.iter().zip(&new_side.latency_ns))
-    {
-        match (o, n) {
-            (Some(o), Some(n)) => println!(
-                "{key} (advisory, never gating): {:.3} -> {:.3} ms ({:+.2}%)",
-                o / 1e6,
-                n / 1e6,
-                (n / o - 1.0) * 100.0
-            ),
-            (None, Some(n)) => println!(
-                "{key} (advisory, never gating): {:.3} ms (no old-side figure)",
-                n / 1e6
-            ),
-            _ => {}
-        }
-    }
-
-    // ---- verdict --------------------------------------------------------
     if !advisory.is_empty() {
         println!(
             "advisory cache-policy counter shifts ({} fields, never gating):",
@@ -452,11 +157,6 @@ fn main() {
         for d in &drift {
             println!("  {d}");
         }
-    }
-    if !drift.is_empty() {
         std::process::exit(2);
-    }
-    if timing_regression && !warn_only {
-        std::process::exit(1);
     }
 }

@@ -37,7 +37,7 @@
 //! interference class with its concrete witness pair.
 
 use tossa_bench::runner::{apply_alloc_with, run_experiment};
-use tossa_bench::suites::all_suites;
+use tossa_bench::suites::{all_suites, spec_arg};
 use tossa_core::coalesce::CoalesceOptions;
 use tossa_core::interfere::InterferenceMode;
 use tossa_core::Experiment;
@@ -416,7 +416,10 @@ fn main() {
         ..CoalesceOptions::default()
     };
     let mode = if naive { "pessimistic" } else { "exact" };
-    let spec_scale = value("--spec").and_then(|v| v.parse().ok()).unwrap_or(40);
+    let spec_scale = spec_arg(&args).unwrap_or_else(|e| {
+        eprintln!("explain: {e}");
+        std::process::exit(2);
+    });
     let only = value("--function");
     let alloc_opts = flag("--alloc").then(|| AllocOptions {
         spill_policy: if flag("--spill-everywhere") {

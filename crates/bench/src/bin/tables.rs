@@ -16,7 +16,7 @@
 //!   baseline records its `--spec` scale and the gate refuses a
 //!   mismatched comparison.
 
-use tossa_bench::suites::all_suites;
+use tossa_bench::suites::{all_suites, spec_arg};
 use tossa_bench::tables;
 use tossa_regalloc::{AllocOptions, SpillPolicy};
 
@@ -49,7 +49,10 @@ fn main() {
             .and_then(|p| args.get(p + 1))
             .cloned()
     };
-    let spec_scale: usize = value("--spec").and_then(|v| v.parse().ok()).unwrap_or(40);
+    let spec_scale = spec_arg(&args).unwrap_or_else(|e| {
+        eprintln!("tables: {e}");
+        std::process::exit(2);
+    });
     let alloc_opts = AllocOptions {
         spill_policy: if args.iter().any(|a| a == "--spill-everywhere") {
             SpillPolicy::Everywhere

@@ -7,14 +7,15 @@
 //!   DESIGN.md §3);
 //! * [`metrics`] — move counts and the `5^depth` weighted counts;
 //! * [`runner`] — the Table-1 pipeline executor (parallel over suites)
-//!   with end-to-end interpreter verification and per-stage timings;
+//!   with end-to-end interpreter verification;
 //! * [`checked`] — the checked pipeline mode: per-pass invariant
 //!   verification plus differential execution, graceful degradation to
 //!   the naive translation, and the per-function error report;
 //! * [`reduce`] — delta-debugging reducer for failing fuzz cases;
 //! * [`tables`] — renderers for Tables 1–5;
-//! * [`trajectory`] — the machine-readable `BENCH_pr<N>.json` perf
-//!   trajectory emitter.
+//! * [`trajectory`] — the machine-readable `BENCH_pr<N>.json`
+//!   trajectory emitter (deterministic cells only; timing lives in the
+//!   repository benchmark, `benchmark/`).
 //!
 //! Regenerate every table with:
 //!
@@ -22,11 +23,11 @@
 //! cargo run -p tossa-bench --release --bin tables -- all
 //! ```
 //!
-//! Emit the perf trajectory (and, with `--trace DIR`, the JSONL +
+//! Emit the trajectory (and, with `--trace DIR`, the JSONL +
 //! Chrome-trace observability artifacts) with:
 //!
 //! ```bash
-//! cargo run -p tossa-bench --release --bin perf -- --out BENCH_pr3.json --trace traces/
+//! cargo run -p tossa-bench --release --bin perf -- --out BENCH_new.json --trace traces/
 //! ```
 
 #![warn(missing_docs)]

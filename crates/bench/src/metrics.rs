@@ -31,11 +31,6 @@ pub fn weighted_move_count_cached(f: &Function, cache: &mut AnalysisCache) -> u6
     total
 }
 
-/// Total instruction count (excluding φs), for code-size reporting.
-pub fn inst_count(f: &Function) -> usize {
-    f.all_insts().filter(|&(_, i)| !f.inst(i).is_phi()).count()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -11,7 +11,6 @@
 use crate::metrics;
 use crate::suites::{BenchFunction, Suite};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::time::Instant;
 use tossa_analysis::AnalysisCache;
 use tossa_baselines::{aggressive_coalesce_cached, dead_code_elim_cached, to_cssa_cached};
 use tossa_core::coalesce::CoalesceOptions;
@@ -21,49 +20,6 @@ use tossa_core::{program_pinning_cached, Experiment, ReconstructStats};
 use tossa_ir::{interp, Function};
 use tossa_regalloc::{allocate, AllocOptions, AllocStats};
 use tossa_ssa::{ifconv, opt, psi, to_ssa};
-
-/// Wall-clock nanoseconds of each pipeline stage of one
-/// [`run_experiment`] call. Stages an experiment does not enable read 0.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct StageTimings {
-    /// SSA construction, if-conversion, ψ lowering, SSA optimizations.
-    pub front_end_ns: u64,
-    /// Sreedhar SSA→CSSA conversion.
-    pub cssa_ns: u64,
-    /// Constraint collection + `Program_pinning` (all pinning passes).
-    pub pinning_ns: u64,
-    /// Leung–George mark/reconstruct (plus `NaiveABI` when enabled).
-    pub reconstruct_ns: u64,
-    /// Dead code elimination and aggressive coalescing.
-    pub cleanup_ns: u64,
-    /// Move-count metrics.
-    pub metrics_ns: u64,
-    /// Register allocation (0 unless the allocation post-pass ran).
-    pub alloc_ns: u64,
-    /// End-to-end, including everything above.
-    pub total_ns: u64,
-}
-
-impl StageTimings {
-    /// Accumulates `other` into `self` (suite-level aggregation).
-    pub fn add_assign(&mut self, other: &StageTimings) {
-        self.front_end_ns += other.front_end_ns;
-        self.cssa_ns += other.cssa_ns;
-        self.pinning_ns += other.pinning_ns;
-        self.reconstruct_ns += other.reconstruct_ns;
-        self.cleanup_ns += other.cleanup_ns;
-        self.metrics_ns += other.metrics_ns;
-        self.alloc_ns += other.alloc_ns;
-        self.total_ns += other.total_ns;
-    }
-}
-
-fn clocked<T>(slot: &mut u64, name: &'static str, f: impl FnOnce() -> T) -> T {
-    let start = Instant::now();
-    let out = tossa_trace::span(name, f);
-    *slot += start.elapsed().as_nanos() as u64;
-    out
-}
 
 /// Result of running one pipeline on one function.
 #[derive(Clone, Debug)]
@@ -78,8 +34,6 @@ pub struct RunResult {
     pub recon: ReconstructStats,
     /// Moves removed by the Chaitin pass, when enabled.
     pub coalesced: usize,
-    /// Per-stage wall clock of this run.
-    pub timings: StageTimings,
     /// Register-allocation statistics (the allocation post-pass ran and
     /// [`RunResult::func`] is in physical form).
     pub alloc: Option<AllocStats>,
@@ -129,47 +83,31 @@ pub fn front_end(src: &Function) -> Function {
 
 /// Runs one experiment pipeline on a pre-SSA function.
 pub fn run_experiment(src: &Function, exp: Experiment, opts: &CoalesceOptions) -> RunResult {
-    let mut t = StageTimings::default();
-    let start = Instant::now();
-    let f = clocked(&mut t.front_end_ns, "front_end", || front_end(src));
-    run_pipeline(f, exp, opts, t, start)
+    let f = tossa_trace::span("front_end", || front_end(src));
+    run_pipeline(f, exp, opts)
 }
 
 /// Runs one experiment pipeline on an already-SSA-converted function (a
 /// [`front_end`] output). The front end is experiment-independent, so a
 /// suite × experiment matrix computes it once per function and shares it
-/// across all experiments; `front_end_ns` then reads 0 here.
+/// across all experiments.
 pub fn run_experiment_prepared(
     ssa: &Function,
     exp: Experiment,
     opts: &CoalesceOptions,
 ) -> RunResult {
-    run_pipeline(
-        ssa.clone(),
-        exp,
-        opts,
-        StageTimings::default(),
-        Instant::now(),
-    )
+    run_pipeline(ssa.clone(), exp, opts)
 }
 
-fn run_pipeline(
-    mut f: Function,
-    exp: Experiment,
-    opts: &CoalesceOptions,
-    mut t: StageTimings,
-    start: Instant,
-) -> RunResult {
+fn run_pipeline(mut f: Function, exp: Experiment, opts: &CoalesceOptions) -> RunResult {
     let passes = exp.passes();
     // One analysis manager for the rest of the pipeline. Structural
     // passes invalidate; pin-only passes reuse the memoized analyses.
     let mut cache = AnalysisCache::new();
     if passes.sreedhar {
-        clocked(&mut t.cssa_ns, "cssa", || {
-            to_cssa_cached(&mut f, &mut cache)
-        });
+        tossa_trace::span("cssa", || to_cssa_cached(&mut f, &mut cache));
     }
-    clocked(&mut t.pinning_ns, "pinning", || {
+    tossa_trace::span("pinning", || {
         if passes.pinning_cssa {
             pinning_cssa(&mut f); // pin-only: cache stays hot
         }
@@ -185,7 +123,7 @@ fn run_pipeline(
         }
     });
     debug_assert!(passes.out_of_pinned_ssa);
-    let recon = clocked(&mut t.reconstruct_ns, "reconstruct_stage", || {
+    let recon = tossa_trace::span("reconstruct_stage", || {
         let recon = out_of_pinned_ssa(&mut f);
         // Reconstruction only changes block structure when it splits
         // edges; otherwise the CFG-shape analyses stay valid and the
@@ -202,38 +140,35 @@ fn run_pipeline(
         recon
     });
     let mut coalesced = 0;
-    clocked(&mut t.cleanup_ns, "cleanup", || {
+    tossa_trace::span("cleanup", || {
         dead_code_elim_cached(&mut f, &mut cache);
         if passes.coalescing {
             coalesced = aggressive_coalesce_cached(&mut f, &mut cache).coalesced;
             dead_code_elim_cached(&mut f, &mut cache);
         }
     });
-    let (moves, weighted) = clocked(&mut t.metrics_ns, "metrics", || {
+    let (moves, weighted) = tossa_trace::span("metrics", || {
         (
             metrics::move_count(&f),
             metrics::weighted_move_count_cached(&f, &mut cache),
         )
     });
-    t.total_ns = start.elapsed().as_nanos() as u64;
     RunResult {
         func: f,
         moves,
         weighted,
         recon,
         coalesced,
-        timings: t,
         alloc: None,
     }
 }
 
 /// Runs the register-allocation post-pass on a pipeline result, in
 /// place: [`RunResult::func`] is rewritten to physical form (registers +
-/// stack slots), the stage is clocked into [`StageTimings::alloc_ns`]
-/// and traced like every other stage, and the statistics land in
-/// [`RunResult::alloc`]. [`RunResult::moves`] keeps the *pre-allocation*
-/// count (the paper's tables metric); the post-allocation survivor count
-/// is [`AllocStats::moves_after`].
+/// stack slots), the stage is traced like every other stage, and the
+/// statistics land in [`RunResult::alloc`]. [`RunResult::moves`] keeps
+/// the *pre-allocation* count (the paper's tables metric); the
+/// post-allocation survivor count is [`AllocStats::moves_after`].
 ///
 /// # Panics
 /// Panics when allocation fails — like a verification failure, an
@@ -247,11 +182,10 @@ pub fn apply_alloc(r: &mut RunResult) {
 /// gate) that pits the PR4 spill-everywhere policy against the
 /// cost-driven default on identical pipeline output.
 pub fn apply_alloc_with(r: &mut RunResult, opts: &AllocOptions) {
-    let stats = clocked(&mut r.timings.alloc_ns, "alloc_stage", || {
+    let stats = tossa_trace::span("alloc_stage", || {
         allocate(&mut r.func, opts)
             .unwrap_or_else(|e| panic!("allocation failed on {}: {e}\n{}", r.func.name, r.func))
     });
-    r.timings.total_ns += r.timings.alloc_ns;
     r.alloc = Some(stats);
 }
 
@@ -302,9 +236,6 @@ pub struct SuiteResult {
     pub repair_copies: usize,
     /// Total moves removed by Chaitin coalescing.
     pub coalesced: usize,
-    /// Summed per-stage wall clock across the suite (CPU-side; with the
-    /// parallel runner this exceeds elapsed wall clock).
-    pub timings: StageTimings,
     /// Aggregated allocation statistics (`None` when the allocation
     /// post-pass did not run).
     pub alloc: Option<AllocStats>,
@@ -322,7 +253,6 @@ impl SuiteResult {
             total.abi_copies += r.recon.abi_copies;
             total.repair_copies += r.recon.repair_copies;
             total.coalesced += r.coalesced;
-            total.timings.add_assign(&r.timings);
             if let Some(a) = &r.alloc {
                 total
                     .alloc
@@ -436,39 +366,19 @@ pub fn run_suite_each(
     })
 }
 
-/// Serial version of [`run_suite_each`], used by the bench binary's
-/// `--serial` mode to measure the parallel runner's speedup.
-pub fn run_suite_each_serial(
-    suite: &Suite,
-    exp: Experiment,
-    opts: &CoalesceOptions,
-    verify_each: bool,
-) -> Vec<RunResult> {
-    suite
-        .functions
-        .iter()
-        .map(|bf| {
-            let r = run_experiment(&bf.func, exp, opts);
-            check(bf, exp, &r, verify_each);
-            r
-        })
-        .collect()
-}
-
 /// Per-function results of one experiment over a pre-converted suite
-/// (see [`prepare_suite`]); `parallel: false` runs on one thread; `alloc`
-/// appends the register-allocation post-pass ([`apply_alloc`]), in which
-/// case verification runs on the *allocated* code.
+/// (see [`prepare_suite`]); `alloc` appends the register-allocation
+/// post-pass ([`apply_alloc`]), in which case verification runs on the
+/// *allocated* code.
 pub fn run_suite_each_prepared(
     suite: &Suite,
     prepared: &[Function],
     exp: Experiment,
     opts: &CoalesceOptions,
     verify_each: bool,
-    parallel: bool,
     alloc: bool,
 ) -> Vec<RunResult> {
-    let one = |k: usize| {
+    par_map(suite.functions.len(), |k| {
         let bf = &suite.functions[k];
         let mut r = run_experiment_prepared(&prepared[k], exp, opts);
         if alloc {
@@ -476,21 +386,16 @@ pub fn run_suite_each_prepared(
         }
         check(bf, exp, &r, verify_each);
         r
-    };
-    if parallel {
-        par_map(suite.functions.len(), one)
-    } else {
-        (0..suite.functions.len()).map(one).collect()
-    }
+    })
 }
 
-/// [`run_suite_each_prepared`] with a counters-only capture around the
-/// *pipeline* portion of each run: the returned [`CounterSet`] covers
-/// exactly the translation pipeline — the allocation post-pass and
-/// verification run outside the capture — so the counters match a
-/// pipeline-only traced pass byte for byte, while the wall clock still
-/// covers the allocated end-to-end run. One pass serves both timing and
-/// counting; the counters-only capture skips span clocks and provenance
+/// Per-function results of one experiment over a pre-converted suite,
+/// each allocated ([`apply_alloc`]) and verified on the allocated code,
+/// with a counters-only capture around the *pipeline* portion of each
+/// run: the returned [`CounterSet`] covers exactly the translation
+/// pipeline — the allocation post-pass and verification run outside the
+/// capture — so the counters match a pipeline-only traced pass byte for
+/// byte. The counters-only capture skips span clocks and provenance
 /// strings, so its overhead over an untraced run is a handful of local
 /// integer increments in the analysis fixpoints.
 ///
@@ -504,25 +409,15 @@ pub fn run_suite_each_prepared_counted(
     prepared: &[Function],
     exp: Experiment,
     opts: &CoalesceOptions,
-    verify_each: bool,
-    parallel: bool,
-    alloc: bool,
 ) -> Vec<(RunResult, tossa_trace::CounterSet)> {
-    let one = |k: usize| {
+    par_map(suite.functions.len(), |k| {
         let bf = &suite.functions[k];
         let (mut r, set) =
             tossa_trace::capture_counters(|| run_experiment_prepared(&prepared[k], exp, opts));
-        if alloc {
-            apply_alloc(&mut r);
-        }
-        check(bf, exp, &r, verify_each);
+        apply_alloc(&mut r);
+        check(bf, exp, &r, true);
         (r, set)
-    };
-    if parallel {
-        par_map(suite.functions.len(), one)
-    } else {
-        (0..suite.functions.len()).map(one).collect()
-    }
+    })
 }
 
 /// Per-function results of one experiment with the allocation post-pass:
@@ -565,16 +460,6 @@ pub fn run_suite_each_allocated_with(
     })
 }
 
-/// [`run_suite_each_allocated`] folded to the suite aggregate.
-pub fn run_suite_allocated(
-    suite: &Suite,
-    exp: Experiment,
-    opts: &CoalesceOptions,
-    verify_each: bool,
-) -> SuiteResult {
-    SuiteResult::fold(&run_suite_each_allocated(suite, exp, opts, verify_each))
-}
-
 /// Per-function results of one experiment over a suite, each run under
 /// its own trace capture (workers install per-thread collectors, so the
 /// parallel runner records every function's counters and spans). Pair
@@ -592,35 +477,6 @@ pub fn run_suite_each_traced(
         let bf = &suite.functions[k];
         tossa_trace::capture(|| {
             let r = run_experiment(&bf.func, exp, opts);
-            check(bf, exp, &r, verify_each);
-            r
-        })
-    })
-}
-
-/// [`run_suite_each_traced`] over a pre-converted suite (see
-/// [`prepare_suite`]), collecting *counters only*: each function's
-/// pipeline runs under a counters-only capture, starting from the
-/// shared front-end output instead of re-running SSA construction per
-/// cell. The front end lives in `tossa-ssa`, which records no counters
-/// or spans, so the counter totals are identical to a full traced
-/// from-source run — but the pass skips span clocks and provenance
-/// string building entirely, which is what makes the trajectory's
-/// per-cell counter pass affordable.
-///
-/// # Panics
-/// Panics on a verification failure (propagated from any worker).
-pub fn run_suite_each_traced_prepared(
-    suite: &Suite,
-    prepared: &[Function],
-    exp: Experiment,
-    opts: &CoalesceOptions,
-    verify_each: bool,
-) -> Vec<(RunResult, tossa_trace::CounterSet)> {
-    par_map(suite.functions.len(), |k| {
-        let bf = &suite.functions[k];
-        tossa_trace::capture_counters(|| {
-            let r = run_experiment_prepared(&prepared[k], exp, opts);
             check(bf, exp, &r, verify_each);
             r
         })
@@ -663,25 +519,10 @@ pub fn run_suite_matrix(
                 exp,
                 opts,
                 verify_each,
-                true,
                 alloc,
             ))
         })
         .collect()
-}
-
-/// Runs a [`BenchFunction`] through an experiment and verifies it.
-///
-/// # Errors
-/// Propagates the verification failure.
-pub fn run_verified(
-    bf: &BenchFunction,
-    exp: Experiment,
-    opts: &CoalesceOptions,
-) -> Result<RunResult, VerifyError> {
-    let r = run_experiment(&bf.func, exp, opts);
-    verify(&bf.func, &r.func, &bf.inputs)?;
-    Ok(r)
 }
 
 #[cfg(test)]
@@ -694,8 +535,8 @@ mod tests {
         let ex = suites::paper_examples::examples();
         for &exp in Experiment::all() {
             for bf in &ex {
-                run_verified(bf, exp, &CoalesceOptions::default())
-                    .unwrap_or_else(|e| panic!("{exp}: {e}"));
+                let r = run_experiment(&bf.func, exp, &CoalesceOptions::default());
+                verify(&bf.func, &r.func, &bf.inputs).unwrap_or_else(|e| panic!("{exp}: {e}"));
             }
         }
     }
@@ -742,33 +583,12 @@ mod tests {
         };
         let opts = CoalesceOptions::default();
         let par = run_suite_each(&suite, Experiment::LphiAbiC, &opts, false);
-        let ser = run_suite_each_serial(&suite, Experiment::LphiAbiC, &opts, false);
-        assert_eq!(par.len(), ser.len());
-        for (p, s) in par.iter().zip(&ser) {
+        assert_eq!(par.len(), suite.functions.len());
+        for (p, bf) in par.iter().zip(&suite.functions) {
+            let s = run_experiment(&bf.func, Experiment::LphiAbiC, &opts);
             assert_eq!(p.moves, s.moves);
             assert_eq!(p.weighted, s.weighted);
             assert_eq!(p.recon, s.recon);
         }
-    }
-
-    #[test]
-    fn timings_are_populated() {
-        let ex = suites::paper_examples::examples();
-        let r = run_experiment(
-            &ex[0].func,
-            Experiment::LphiAbiC,
-            &CoalesceOptions::default(),
-        );
-        assert!(r.timings.total_ns > 0);
-        assert!(r.timings.front_end_ns > 0);
-        assert!(
-            r.timings.total_ns
-                >= r.timings.front_end_ns
-                    + r.timings.cssa_ns
-                    + r.timings.pinning_ns
-                    + r.timings.reconstruct_ns
-                    + r.timings.cleanup_ns
-                    + r.timings.metrics_ns
-        );
     }
 }

@@ -69,6 +69,22 @@ pub fn all_suites(spec_scale: usize) -> Vec<Suite> {
     ]
 }
 
+/// The `--spec N` option of the bench binaries: the `spec_scale` of
+/// [`all_suites`], 40 (the checked-in trajectories' scale) when absent.
+///
+/// # Errors
+/// Names the option and the value when the value is not a number.
+pub fn spec_arg(args: &[String]) -> Result<usize, String> {
+    match args.iter().position(|a| a == "--spec") {
+        None => Ok(40),
+        Some(k) => {
+            let v = args.get(k + 1).map_or("", String::as_str);
+            v.parse()
+                .map_err(|_| format!("--spec wants a number, got {v:?}"))
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

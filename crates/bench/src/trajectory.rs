@@ -1,62 +1,44 @@
-//! Machine-readable perf trajectory: `BENCH_pr<N>.json` emission.
+//! Machine-readable trajectory: `BENCH_pr<N>.json` emission.
 //!
-//! Each record is one (suite × experiment) cell of the paper's tables,
-//! annotated with the end-to-end wall clock of the suite run and the
-//! summed per-stage pipeline timings, so successive PRs can be compared
-//! number-for-number by scripts (no terminal scraping).
+//! Each record is one (suite × experiment) cell of the paper's tables
+//! with its deterministic fields only — move counts, allocation
+//! statistics and trace counters — so the document is a pure function
+//! of the source tree and the `--spec` scale: two runs write the same
+//! bytes, and successive PRs compare cell for cell (`bench-diff`).
+//! Timing lives in the repository benchmark (`benchmark/`), which
+//! repeats its runs and pairs them.
 //!
-//! The JSON is hand-rolled — the offline container has no serde — but
-//! the shape is stable and append-friendly:
+//! The JSON is hand-rolled — the build has no serde — but the shape is
+//! stable:
 //!
 //! ```json
 //! {
-//!   "schema": "tossa-bench-trajectory/5",
-//!   "unix_time": 1722800000,
-//!   "threads": 8,
-//!   "mode": "parallel",
+//!   "schema": "tossa-bench-trajectory/6",
 //!   "suites": [
-//!     { "suite": "VALcc1", "functions": 18, "insts": 1234, "front_end_ns": ...,
+//!     { "suite": "VALcc1", "functions": 18, "insts": 1234,
 //!       "experiments": [
-//!         { "experiment": "LphiC", "label": "Lphi+C",
-//!           "wall_ns": 1234567, "moves": 42, "weighted": 130,
-//!           "stages": { "front_end_ns": ..., "cssa_ns": ...,
-//!                       "pinning_ns": ..., "reconstruct_ns": ...,
-//!                       "cleanup_ns": ..., "metrics_ns": ...,
-//!                       "alloc_ns": ..., "total_ns": ... },
+//!         { "experiment": "LphiC", "label": "Lphi+C", "moves": 42, "weighted": 130,
 //!           "alloc": { "regs_used": ..., "spilled_vars": ..., "reloads": ...,
 //!                      "stores": ..., "moves_after": ..., "spill_move_total": ... },
-//!           "counters": { "congruence_classes": ..., "copies_phi": ..., "...": 0 } } ] } ],
-//!   "throughput": { "experiment": "LphiAbiC", "threads": 8, "functions": ...,
-//!                   "wall_ns": ..., "target_ms": ..., "functions_per_sec": ...,
-//!                   "latency_p50_ns": ..., "latency_p90_ns": ..., "latency_p99_ns": ... },
-//!   "end_to_end_wall_ns": 987654321
+//!           "counters": { "congruence_classes": ..., "copies_phi": ..., "...": 0 } } ] } ]
 //! }
 //! ```
 //!
-//! v4 over v3: the optional top-level `"throughput"` object (sustained
-//! functions/sec through the full pipeline + allocation — the compile
-//! service's capacity figure). v5 over v4: the throughput object also
-//! carries per-function compile-latency percentiles
-//! (`latency_p50_ns`/`p90`/`p99`, from a log-linear-bucket histogram —
-//! see `tossa_trace::metrics`). Per-cell fields are unchanged across
-//! v3/v4/v5, so documents compare cell-for-cell; the latency keys are
-//! timing-class and advisory in `bench-diff` like the rest of the
-//! throughput object.
+//! v6 over v5: the clocks are gone — the top-level `unix_time`,
+//! `threads`, `mode`, `throughput` and `end_to_end_wall_ns`, the
+//! per-suite `front_end_ns`, and the per-cell `wall_ns` and `stages`.
+//! Per-cell deterministic fields are unchanged since v3, so documents
+//! of every version compare cell for cell.
 
-use crate::runner::{
-    apply_alloc, prepare_suite_counted, run_experiment_prepared, run_suite_each_prepared_counted,
-    StageTimings, SuiteResult,
-};
+use crate::runner::{prepare_suite_counted, run_suite_each_prepared_counted, SuiteResult};
 use crate::suites::Suite;
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::time::{Duration, Instant};
 use tossa_core::coalesce::CoalesceOptions;
 use tossa_core::Experiment;
 use tossa_regalloc::AllocStats;
 use tossa_trace::CounterSet;
 
-/// One (suite × experiment) measurement.
+/// One (suite × experiment) record.
 #[derive(Clone, Debug)]
 pub struct Cell {
     /// Suite name.
@@ -65,308 +47,103 @@ pub struct Cell {
     pub experiment: String,
     /// Paper-table label (not unique: two experiments print as `C`).
     pub label: String,
-    /// End-to-end wall clock of the suite run for this experiment.
-    pub wall_ns: u64,
     /// Total static move count.
     pub moves: usize,
     /// Total `5^depth`-weighted move count.
     pub weighted: u64,
-    /// Summed per-stage pipeline timings across the suite.
-    pub stages: StageTimings,
-    /// Aggregated register-allocation statistics across the suite;
-    /// `None` when the allocation post-pass was off.
-    pub alloc: Option<AllocStats>,
+    /// Aggregated register-allocation statistics across the suite.
+    pub alloc: AllocStats,
     /// Aggregated trace counters across the suite: the pipeline portion
-    /// of the timed run executes under a counters-only capture (spans
-    /// and provenance skipped, allocation and verification outside the
-    /// capture), plus the suite's once-computed front-end counters.
-    /// `None` when counter collection was off.
-    pub counters: Option<CounterSet>,
-}
-
-/// Sustained-throughput measurement: a worker pool cycles the combined
-/// worklist of every suite function through the full pipeline (plus the
-/// allocation post-pass) until a wall-clock deadline, and the count of
-/// *completed* functions per second is the service-capacity figure.
-///
-/// This is a timing-class dimension — it varies run to run with machine
-/// load — so `bench-diff` treats it as advisory (reported, never
-/// gating), and it lives as a top-level `"throughput"` object in the
-/// trajectory JSON so the per-cell deterministic fields stay
-/// byte-identical whether or not the measurement ran.
-#[derive(Clone, Debug)]
-pub struct Throughput {
-    /// Stable experiment key the worklist was compiled under.
-    pub experiment: String,
-    /// Worker threads in the pool.
-    pub threads: usize,
-    /// Functions fully compiled (pipeline + allocation) before the
-    /// deadline.
-    pub functions: u64,
-    /// Actual wall clock of the measurement window.
-    pub wall_ns: u64,
-    /// The requested window length, for the record.
-    pub target_ms: u64,
-    /// p50 of per-function compile latency inside the window (`None`
-    /// when no function completed).
-    pub latency_p50_ns: Option<u64>,
-    /// p90 of per-function compile latency.
-    pub latency_p90_ns: Option<u64>,
-    /// p99 of per-function compile latency.
-    pub latency_p99_ns: Option<u64>,
-}
-
-impl Throughput {
-    /// The headline figure: completed functions per wall-clock second.
-    pub fn functions_per_sec(&self) -> f64 {
-        if self.wall_ns == 0 {
-            return 0.0;
-        }
-        self.functions as f64 * 1e9 / self.wall_ns as f64
-    }
-}
-
-/// Measures sustained compile throughput over `suites`: front-ends every
-/// function once (SSA construction is experiment-independent and is the
-/// service's admission cost, not its steady-state cost), then has
-/// `threads` workers pull indices off a shared cursor and run the full
-/// `exp` pipeline plus register allocation, cycling the worklist until
-/// `target_ms` elapses. Only functions that finish before the deadline
-/// count.
-pub fn measure_throughput(
-    suites: &[Suite],
-    exp: Experiment,
-    target_ms: u64,
-    serial: bool,
-) -> Throughput {
-    let opts = CoalesceOptions::default();
-    let prepared: Vec<_> = suites
-        .iter()
-        .flat_map(|s| s.functions.iter())
-        .map(|bf| crate::runner::front_end(&bf.func))
-        .collect();
-    let threads = if serial {
-        1
-    } else {
-        std::thread::available_parallelism().map_or(1, |p| p.get())
-    };
-    let completed = AtomicU64::new(0);
-    let cursor = AtomicUsize::new(0);
-    // Per-function latency lands in a sharded log-linear histogram —
-    // the same instrument the compile service records with — so the
-    // percentiles cost the workers five relaxed atomics per function.
-    let latency = tossa_trace::metrics::Histogram::new();
-    let start = Instant::now();
-    let deadline = start + Duration::from_millis(target_ms);
-    if !prepared.is_empty() {
-        std::thread::scope(|s| {
-            for _ in 0..threads {
-                s.spawn(|| {
-                    while Instant::now() < deadline {
-                        let k = cursor.fetch_add(1, Ordering::Relaxed) % prepared.len();
-                        let begin = Instant::now();
-                        let mut r = run_experiment_prepared(&prepared[k], exp, &opts);
-                        apply_alloc(&mut r);
-                        latency.record(begin.elapsed().as_nanos() as u64);
-                        completed.fetch_add(1, Ordering::Relaxed);
-                    }
-                });
-            }
-        });
-    }
-    let snap = latency.snapshot();
-    Throughput {
-        experiment: format!("{exp:?}"),
-        threads,
-        functions: completed.into_inner(),
-        wall_ns: start.elapsed().as_nanos() as u64,
-        target_ms,
-        latency_p50_ns: snap.quantile(0.50),
-        latency_p90_ns: snap.quantile(0.90),
-        latency_p99_ns: snap.quantile(0.99),
-    }
+    /// of each run executes under a counters-only capture (allocation
+    /// and verification outside it), plus the suite's once-computed
+    /// front-end counters.
+    pub counters: CounterSet,
 }
 
 /// A full trajectory: every suite crossed with every Table-1 experiment.
 #[derive(Clone, Debug, Default)]
 pub struct Trajectory {
-    /// Worker threads the parallel runner used (1 when serial).
-    pub threads: usize,
-    /// `"parallel"` or `"serial"`.
-    pub mode: String,
     /// The cells, in (suite, experiment) order.
     pub cells: Vec<Cell>,
     /// Per-suite function/instruction counts, in suite order.
     pub suite_shapes: Vec<(String, usize, usize)>,
-    /// Per-suite wall clock of the shared front end (SSA construction is
-    /// experiment-independent, so it runs once per suite), in suite
-    /// order.
-    pub front_end_ns: Vec<u64>,
-    /// Wall clock of the whole matrix.
-    pub end_to_end_wall_ns: u64,
-    /// Sustained functions/sec measurement (see [`measure_throughput`]);
-    /// `None` when the throughput pass was off. Timing-class, advisory
-    /// in `bench-diff`.
-    pub throughput: Option<Throughput>,
 }
 
 /// Runs the full experiment matrix over `suites` and collects the
-/// trajectory. `serial` switches the runner to one thread (for speedup
-/// comparisons); `verify` re-runs the interpreter equivalence check;
-/// `counters` fills [`Cell::counters`] from the timed run itself: the
-/// pipeline executes under a counters-only capture (span clocks and
-/// provenance are skipped entirely, and the allocation/verification
-/// post-passes stay outside the capture), so one pass serves both the
-/// timing and the counter columns and the counter totals are identical
-/// to the old separate traced pass. `alloc` appends the
-/// register-allocation post-pass to every cell (verification then covers
-/// the allocated code) and fills [`Cell::alloc`].
-pub fn measure(
-    suites: &[Suite],
-    verify: bool,
-    serial: bool,
-    counters: bool,
-    alloc: bool,
-) -> Trajectory {
+/// trajectory. Every function of every cell is translated under a
+/// counters-only capture, register-allocated, and verified against its
+/// source by the interpreter (a divergence panics).
+pub fn measure(suites: &[Suite]) -> Trajectory {
     let opts = CoalesceOptions::default();
-    let threads = if serial {
-        1
-    } else {
-        std::thread::available_parallelism().map_or(1, |p| p.get())
-    };
-    let mut t = Trajectory {
-        threads,
-        mode: if serial {
-            "serial".into()
-        } else {
-            "parallel".into()
-        },
-        ..Trajectory::default()
-    };
-    let start = Instant::now();
+    let mut t = Trajectory::default();
     for suite in suites {
         t.suite_shapes.push((
             suite.name.to_string(),
             suite.functions.len(),
             suite.num_insts(),
         ));
-        let begin = Instant::now();
         let (prepared, fe_counters) = prepare_suite_counted(suite);
-        t.front_end_ns.push(begin.elapsed().as_nanos() as u64);
         for &exp in Experiment::all() {
-            let begin = Instant::now();
-            let pairs = run_suite_each_prepared_counted(
-                suite, &prepared, exp, &opts, verify, !serial, alloc,
-            );
-            let wall_ns = begin.elapsed().as_nanos() as u64;
+            let pairs = run_suite_each_prepared_counted(suite, &prepared, exp, &opts);
             let (results, sets): (Vec<_>, Vec<_>) = pairs.into_iter().unzip();
             let folded = SuiteResult::fold(&results);
-            let cell_counters = counters.then(|| {
-                // Front-end counters are experiment-independent; adding
-                // the once-per-suite set reproduces exactly what a full
-                // from-source traced run of this cell would count.
-                let mut total = fe_counters;
-                for set in &sets {
-                    total.merge(set);
-                }
-                total
-            });
+            // Front-end counters are experiment-independent; adding the
+            // once-per-suite set reproduces exactly what a full
+            // from-source traced run of this cell would count.
+            let mut counters = fe_counters;
+            for set in &sets {
+                counters.merge(set);
+            }
             t.cells.push(Cell {
                 suite: suite.name.to_string(),
                 experiment: format!("{exp:?}"),
                 label: exp.label().to_string(),
-                wall_ns,
                 moves: folded.moves,
                 weighted: folded.weighted,
-                stages: folded.timings,
-                alloc: folded.alloc,
-                counters: cell_counters,
+                alloc: folded.alloc.unwrap_or_default(),
+                counters,
             });
         }
     }
-    t.end_to_end_wall_ns = start.elapsed().as_nanos() as u64;
     t
 }
 
 impl Trajectory {
-    /// Sum of suite wall clocks (including the shared front end)
-    /// restricted to the named suites — the speedup figure reported for
-    /// kernels + vocoder.
-    pub fn wall_ns_for(&self, suite_names: &[&str]) -> u64 {
-        let cells: u64 = self
-            .cells
-            .iter()
-            .filter(|c| suite_names.contains(&c.suite.as_str()))
-            .map(|c| c.wall_ns)
-            .sum();
-        let fe: u64 = self
-            .suite_shapes
-            .iter()
-            .zip(&self.front_end_ns)
-            .filter(|((name, _, _), _)| suite_names.contains(&name.as_str()))
-            .map(|(_, &ns)| ns)
-            .sum();
-        cells + fe
-    }
-
     /// Renders the trajectory as the `BENCH_pr<N>.json` document.
-    pub fn to_json(&self, unix_time: u64) -> String {
+    pub fn to_json(&self) -> String {
         let mut out = String::new();
         out.push_str("{\n");
-        let _ = writeln!(out, "  \"schema\": \"tossa-bench-trajectory/5\",");
-        let _ = writeln!(out, "  \"unix_time\": {unix_time},");
-        let _ = writeln!(out, "  \"threads\": {},", self.threads);
-        let _ = writeln!(out, "  \"mode\": \"{}\",", self.mode);
+        let _ = writeln!(out, "  \"schema\": \"tossa-bench-trajectory/6\",");
         out.push_str("  \"suites\": [\n");
         for (si, (name, nfns, ninsts)) in self.suite_shapes.iter().enumerate() {
             let _ = writeln!(
                 out,
-                "    {{ \"suite\": \"{name}\", \"functions\": {nfns}, \"insts\": {ninsts}, \"front_end_ns\": {},",
-                self.front_end_ns.get(si).copied().unwrap_or(0)
+                "    {{ \"suite\": \"{name}\", \"functions\": {nfns}, \"insts\": {ninsts},"
             );
             out.push_str("      \"experiments\": [\n");
             let cells: Vec<&Cell> = self.cells.iter().filter(|c| &c.suite == name).collect();
             for (ci, c) in cells.iter().enumerate() {
-                let s = &c.stages;
+                let a = &c.alloc;
                 let _ = write!(
                     out,
                     "        {{ \"experiment\": \"{}\", \"label\": \"{}\", \
-                     \"wall_ns\": {}, \"moves\": {}, \"weighted\": {},\n          \
-                     \"stages\": {{ \"front_end_ns\": {}, \"cssa_ns\": {}, \
-                     \"pinning_ns\": {}, \"reconstruct_ns\": {}, \"cleanup_ns\": {}, \
-                     \"metrics_ns\": {}, \"alloc_ns\": {}, \"total_ns\": {} }}",
+                     \"moves\": {}, \"weighted\": {},\n          \
+                     \"alloc\": {{ \"regs_used\": {}, \"spilled_vars\": {}, \
+                     \"reloads\": {}, \"stores\": {}, \"moves_after\": {}, \
+                     \"spill_move_total\": {} }},\n          \
+                     \"counters\": {} }}",
                     c.experiment,
                     c.label,
-                    c.wall_ns,
                     c.moves,
                     c.weighted,
-                    s.front_end_ns,
-                    s.cssa_ns,
-                    s.pinning_ns,
-                    s.reconstruct_ns,
-                    s.cleanup_ns,
-                    s.metrics_ns,
-                    s.alloc_ns,
-                    s.total_ns
+                    a.regs_used,
+                    a.spilled_vars,
+                    a.reloads,
+                    a.stores,
+                    a.moves_after,
+                    a.spill_move_total(),
+                    c.counters.to_json()
                 );
-                if let Some(a) = &c.alloc {
-                    let _ = write!(
-                        out,
-                        ",\n          \"alloc\": {{ \"regs_used\": {}, \"spilled_vars\": {}, \
-                         \"reloads\": {}, \"stores\": {}, \"moves_after\": {}, \
-                         \"spill_move_total\": {} }}",
-                        a.regs_used,
-                        a.spilled_vars,
-                        a.reloads,
-                        a.stores,
-                        a.moves_after,
-                        a.spill_move_total()
-                    );
-                }
-                if let Some(counters) = &c.counters {
-                    let _ = write!(out, ",\n          \"counters\": {}", counters.to_json());
-                }
-                out.push_str(" }");
                 out.push_str(if ci + 1 < cells.len() { ",\n" } else { "\n" });
             }
             out.push_str("      ] }");
@@ -376,33 +153,7 @@ impl Trajectory {
                 "\n"
             });
         }
-        out.push_str("  ],\n");
-        if let Some(tp) = &self.throughput {
-            let _ = write!(
-                out,
-                "  \"throughput\": {{ \"experiment\": \"{}\", \"threads\": {}, \
-                 \"functions\": {}, \"wall_ns\": {}, \"target_ms\": {}, \
-                 \"functions_per_sec\": {:.3}",
-                tp.experiment,
-                tp.threads,
-                tp.functions,
-                tp.wall_ns,
-                tp.target_ms,
-                tp.functions_per_sec()
-            );
-            for (key, v) in [
-                ("latency_p50_ns", tp.latency_p50_ns),
-                ("latency_p90_ns", tp.latency_p90_ns),
-                ("latency_p99_ns", tp.latency_p99_ns),
-            ] {
-                if let Some(n) = v {
-                    let _ = write!(out, ", \"{key}\": {n}");
-                }
-            }
-            out.push_str(" },\n");
-        }
-        let _ = writeln!(out, "  \"end_to_end_wall_ns\": {}", self.end_to_end_wall_ns);
-        out.push_str("}\n");
+        out.push_str("  ]\n}\n");
         out
     }
 }
@@ -418,52 +169,18 @@ mod tests {
             name: "example1-8",
             functions: suites::paper_examples::examples(),
         }];
-        let mut t = measure(&suites, true, true, true, true);
-        t.throughput = Some(measure_throughput(&suites, Experiment::LphiAbiC, 50, true));
+        let t = measure(&suites);
         assert_eq!(t.cells.len(), Experiment::all().len());
-        assert!(t.cells.iter().all(|c| c.wall_ns > 0));
-        let json = t.to_json(0);
-        // Shape sanity: parsable keys present once per cell, plus the
-        // throughput object's own wall_ns.
-        assert_eq!(json.matches("\"wall_ns\"").count(), t.cells.len() + 1);
-        assert!(json.contains("\"schema\": \"tossa-bench-trajectory/5\""));
-        assert!(json.contains("\"throughput\""));
-        assert!(json.contains("\"functions_per_sec\""));
-        // Something completed inside the window, so all three latency
-        // percentiles must be present.
-        assert!(json.contains("\"latency_p50_ns\""));
-        assert!(json.contains("\"latency_p90_ns\""));
-        assert!(json.contains("\"latency_p99_ns\""));
-        // The allocation post-pass ran: every cell carries its stats.
+        let json = t.to_json();
+        tossa_trace::validate_json(&json).expect("trajectory is well-formed JSON");
+        assert!(json.contains("\"schema\": \"tossa-bench-trajectory/6\""));
+        // Every cell carries its allocation statistics and counters.
         assert_eq!(json.matches("\"alloc\"").count(), t.cells.len());
-        assert!(t.cells.iter().all(|c| c.alloc.is_some()));
-        assert!(json.contains("\"end_to_end_wall_ns\""));
-        // Balanced braces/brackets (cheap well-formedness check).
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
-    }
-
-    #[test]
-    fn throughput_counts_completed_functions() {
-        let suites = vec![suites::Suite {
-            name: "example1-8",
-            functions: suites::paper_examples::examples(),
-        }];
-        let tp = measure_throughput(&suites, Experiment::LphiAbiC, 50, true);
-        assert!(tp.functions > 0, "no function completed in the window");
-        assert!(tp.wall_ns > 0);
-        assert!(tp.functions_per_sec() > 0.0);
-        assert_eq!(tp.threads, 1);
-        assert_eq!(tp.experiment, "LphiAbiC");
-        assert!(tp.latency_p50_ns.is_some());
-        assert!(tp.latency_p50_ns <= tp.latency_p90_ns);
-        assert!(tp.latency_p90_ns <= tp.latency_p99_ns);
-    }
-
-    #[test]
-    fn throughput_of_an_empty_worklist_is_zero_not_a_hang() {
-        let tp = measure_throughput(&[], Experiment::LphiC, 50, true);
-        assert_eq!(tp.functions, 0);
-        assert_eq!(tp.functions_per_sec(), 0.0);
+        assert_eq!(json.matches("\"counters\"").count(), t.cells.len());
+        // No clock survives into the document.
+        assert!(!json.contains("_ns\""));
+        assert!(!json.contains("unix_time"));
+        // A pure function of the input: a second run writes the same bytes.
+        assert_eq!(measure(&suites).to_json(), json);
     }
 }

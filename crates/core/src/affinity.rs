@@ -265,11 +265,6 @@ impl<'a> VertexInterference<'a> {
         }
     }
 
-    /// Number of definition-pinned members of a resource.
-    pub fn members_count(&self, r: Resource) -> usize {
-        self.members.get(&r).map_or(0, |m| m.len())
-    }
-
     /// Memoizes the vertex's resource set and killed-within list.
     fn ensure_vertex(&mut self, v: RVertex) {
         if !self.per_vertex.contains_key(&v) {

@@ -264,14 +264,6 @@ impl FunctionBuilder {
         d
     }
 
-    /// A call used only for effect (no result).
-    pub fn call_void(&mut self, callee: &str, args: &[Var]) {
-        let mut inst =
-            InstData::new(Opcode::Call).with_uses(args.iter().map(|&a| a.into()).collect());
-        inst.callee = Some(callee.to_string());
-        self.emit(inst);
-    }
-
     /// `br c, then_block, else_block`.
     pub fn br(&mut self, c: Var, then_block: Block, else_block: Block) {
         self.emit(

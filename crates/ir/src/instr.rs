@@ -227,19 +227,6 @@ impl<'a> InstRef<'a> {
             .position(|&b| b == pred)
             .map(|i| self.uses[i])
     }
-
-    /// Materializes the build-time form (for re-pushing or editing).
-    pub fn to_data(&self) -> InstData {
-        InstData {
-            opcode: self.opcode,
-            defs: self.defs.to_vec(),
-            uses: self.uses.to_vec(),
-            imm: self.imm,
-            callee: self.callee.map(str::to_string),
-            targets: self.targets.to_vec(),
-            phi_preds: self.phi_preds.to_vec(),
-        }
-    }
 }
 
 /// A mutable view of one instruction: in-place edits to operands, branch

@@ -116,11 +116,6 @@ impl Opcode {
         matches!(self, Opcode::Br | Opcode::Jump | Opcode::Ret)
     }
 
-    /// Whether this is a call.
-    pub fn is_call(self) -> bool {
-        self == Opcode::Call
-    }
-
     /// Whether the instruction has effects beyond its defs, so dead-code
     /// elimination must keep it even when the defs are unused.
     pub fn has_side_effects(self) -> bool {

@@ -1,8 +1,8 @@
-//! A tiny JSON value parser (the build has no serde). Where
-//! [`crate::validate_json`] only checks well-formedness, [`parse_json`]
+//! A tiny JSON value parser (the build has no serde): [`parse_json`]
 //! builds a [`Json`] tree — used by the `bench-diff` and
 //! `explain --diff` binaries to read back `BENCH_*.json` trajectories
-//! and `tossa-explain/1` dumps.
+//! and `tossa-explain/1` dumps — and is the one JSON grammar of the
+//! crate: [`crate::validate_json`] is this parser with the tree dropped.
 //!
 //! Numbers are held as `f64`; every integer the exporters write fits in
 //! the 53-bit mantissa (nanosecond clocks and counters), so round-trips

@@ -745,190 +745,15 @@ pub fn summary_table(data: &TraceData) -> String {
     out
 }
 
-/// Checks a string is one well-formed JSON value (recursive descent;
-/// no object-key uniqueness check). Used by the CI schema tests — the
-/// build has no JSON library.
+/// Checks a string is one well-formed JSON value: [`json::parse_json`]
+/// with the tree dropped (no object-key uniqueness check). Used by the
+/// schema tests and the CLI export checks — the build has no JSON
+/// library.
 ///
 /// # Errors
 /// Returns a byte offset and description of the first syntax error.
 pub fn validate_json(s: &str) -> Result<(), String> {
-    let b = s.as_bytes();
-    let mut p = Parser { b, at: 0 };
-    p.ws();
-    p.value()?;
-    p.ws();
-    if p.at != b.len() {
-        return Err(format!("trailing data at byte {}", p.at));
-    }
-    Ok(())
-}
-
-struct Parser<'a> {
-    b: &'a [u8],
-    at: usize,
-}
-
-impl Parser<'_> {
-    fn ws(&mut self) {
-        while self.at < self.b.len() && matches!(self.b[self.at], b' ' | b'\t' | b'\n' | b'\r') {
-            self.at += 1;
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.b.get(self.at).copied()
-    }
-
-    fn expect(&mut self, c: u8) -> Result<(), String> {
-        if self.peek() == Some(c) {
-            self.at += 1;
-            Ok(())
-        } else {
-            Err(format!("expected {:?} at byte {}", c as char, self.at))
-        }
-    }
-
-    fn value(&mut self) -> Result<(), String> {
-        match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => self.string(),
-            Some(b't') => self.literal("true"),
-            Some(b'f') => self.literal("false"),
-            Some(b'n') => self.literal("null"),
-            Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
-            _ => Err(format!("expected a value at byte {}", self.at)),
-        }
-    }
-
-    fn literal(&mut self, word: &str) -> Result<(), String> {
-        if self.b[self.at..].starts_with(word.as_bytes()) {
-            self.at += word.len();
-            Ok(())
-        } else {
-            Err(format!("expected {word:?} at byte {}", self.at))
-        }
-    }
-
-    fn object(&mut self) -> Result<(), String> {
-        self.expect(b'{')?;
-        self.ws();
-        if self.peek() == Some(b'}') {
-            self.at += 1;
-            return Ok(());
-        }
-        loop {
-            self.ws();
-            self.string()?;
-            self.ws();
-            self.expect(b':')?;
-            self.ws();
-            self.value()?;
-            self.ws();
-            match self.peek() {
-                Some(b',') => self.at += 1,
-                Some(b'}') => {
-                    self.at += 1;
-                    return Ok(());
-                }
-                _ => return Err(format!("expected ',' or '}}' at byte {}", self.at)),
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<(), String> {
-        self.expect(b'[')?;
-        self.ws();
-        if self.peek() == Some(b']') {
-            self.at += 1;
-            return Ok(());
-        }
-        loop {
-            self.ws();
-            self.value()?;
-            self.ws();
-            match self.peek() {
-                Some(b',') => self.at += 1,
-                Some(b']') => {
-                    self.at += 1;
-                    return Ok(());
-                }
-                _ => return Err(format!("expected ',' or ']' at byte {}", self.at)),
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<(), String> {
-        self.expect(b'"')?;
-        while let Some(c) = self.peek() {
-            self.at += 1;
-            match c {
-                b'"' => return Ok(()),
-                b'\\' => {
-                    let esc = self.peek().ok_or("unterminated escape")?;
-                    self.at += 1;
-                    match esc {
-                        b'"' | b'\\' | b'/' | b'b' | b'f' | b'n' | b'r' | b't' => {}
-                        b'u' => {
-                            for _ in 0..4 {
-                                let h = self.peek().ok_or("truncated \\u escape")?;
-                                if !h.is_ascii_hexdigit() {
-                                    return Err(format!("bad \\u escape at byte {}", self.at));
-                                }
-                                self.at += 1;
-                            }
-                        }
-                        _ => return Err(format!("bad escape at byte {}", self.at)),
-                    }
-                }
-                0x00..=0x1f => {
-                    return Err(format!("raw control byte in string at {}", self.at - 1))
-                }
-                _ => {}
-            }
-        }
-        Err("unterminated string".to_string())
-    }
-
-    fn number(&mut self) -> Result<(), String> {
-        if self.peek() == Some(b'-') {
-            self.at += 1;
-        }
-        let mut digits = 0;
-        while self.peek().is_some_and(|c| c.is_ascii_digit()) {
-            self.at += 1;
-            digits += 1;
-        }
-        if digits == 0 {
-            return Err(format!("expected digits at byte {}", self.at));
-        }
-        if self.peek() == Some(b'.') {
-            self.at += 1;
-            let mut frac = 0;
-            while self.peek().is_some_and(|c| c.is_ascii_digit()) {
-                self.at += 1;
-                frac += 1;
-            }
-            if frac == 0 {
-                return Err(format!("expected fraction digits at byte {}", self.at));
-            }
-        }
-        if matches!(self.peek(), Some(b'e') | Some(b'E')) {
-            self.at += 1;
-            if matches!(self.peek(), Some(b'+') | Some(b'-')) {
-                self.at += 1;
-            }
-            let mut exp = 0;
-            while self.peek().is_some_and(|c| c.is_ascii_digit()) {
-                self.at += 1;
-                exp += 1;
-            }
-            if exp == 0 {
-                return Err(format!("expected exponent digits at byte {}", self.at));
-            }
-        }
-        Ok(())
-    }
+    json::parse_json(s).map(drop)
 }
 
 #[cfg(test)]

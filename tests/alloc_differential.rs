@@ -42,11 +42,6 @@ fn allocated_code_matches_source_on_every_suite_and_experiment() {
                     r.func.name,
                     stats.regs_used
                 );
-                assert!(
-                    r.timings.alloc_ns > 0,
-                    "{} / {exp:?}: allocation stage was not clocked",
-                    suite.name
-                );
             }
             functions += results.len();
             cells += 1;
