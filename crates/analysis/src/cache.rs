@@ -22,10 +22,13 @@
 //!   assignment, so pinning passes keep the cache hot. This is the
 //!   paper's own observation for `Program_pinning`: analyses are computed
 //!   once and stay valid across all merges.
-//! * In debug builds every access fingerprints the function's structure
-//!   and panics on a mismatch with the epoch's first access, so a missing
+//! * In debug builds every access compares the function's structure with
+//!   the epoch's first access and panics on a mismatch, so a missing
 //!   `invalidate` is caught at the offending call site rather than as a
-//!   silently stale answer.
+//!   silently stale answer. The structure is fingerprinted only when the
+//!   function's [edit stamp](Function::edit_stamp) has moved since the
+//!   last comparison: an unmoved stamp means no `&mut` access happened,
+//!   so the fingerprint cannot have changed.
 
 use crate::liveness::{DefMap, LiveAtDefs, Liveness};
 use crate::loops::LoopInfo;
@@ -73,9 +76,9 @@ pub struct AnalysisCache {
     lad: Option<Rc<LiveAtDefs>>,
     loops: Option<Rc<LoopInfo>>,
     /// Structural fingerprint of the function at the first access of this
-    /// epoch; compared on every access in debug builds and in deferred
-    /// staleness mode.
-    fingerprint: Option<u64>,
+    /// epoch, and the edit stamp it was last compared at; checked on
+    /// every access in debug builds and in deferred staleness mode.
+    fingerprint: Option<(u64, (u64, u64))>,
     /// Deferred staleness mode: record [`StaleAnalysis`] and self-heal
     /// instead of panicking (and keep checking in release builds).
     deferred: bool,
@@ -172,15 +175,20 @@ impl AnalysisCache {
 
     /// Staleness check: the function's structure must match the first
     /// access of this epoch. Runs in debug builds always and in release
-    /// builds when deferred mode is on.
+    /// builds when deferred mode is on; fingerprints only when the edit
+    /// stamp has moved since the last comparison.
     fn check_revision(&mut self, f: &Function) {
         if !self.deferred && !cfg!(debug_assertions) {
             return;
         }
+        let stamp = f.edit_stamp();
+        if self.fingerprint.is_some_and(|(_, seen)| seen == stamp) {
+            return;
+        }
         let fp = fingerprint(f);
         match self.fingerprint {
-            None => self.fingerprint = Some(fp),
-            Some(expected) if expected == fp => {}
+            None => self.fingerprint = Some((fp, stamp)),
+            Some((expected, _)) if expected == fp => self.fingerprint = Some((fp, stamp)),
             Some(_) if self.deferred => {
                 if self.stale.is_none() {
                     self.stale = Some(StaleAnalysis {
@@ -189,7 +197,7 @@ impl AnalysisCache {
                     });
                 }
                 self.invalidate();
-                self.fingerprint = Some(fp);
+                self.fingerprint = Some((fp, stamp));
             }
             Some(_) => panic!(
                 "AnalysisCache: function mutated without invalidate() \
@@ -416,6 +424,30 @@ exit:
         cache.invalidate();
         let _ = cache.liveness(&f);
         assert!(cache.take_stale().is_none());
+    }
+
+    #[test]
+    fn deferred_mode_sees_operand_rewrites_but_not_pin_writes() {
+        let mut f = sample();
+        let mut cache = AnalysisCache::new();
+        cache.set_deferred_staleness(true);
+        let _ = cache.liveness(&f);
+        let var = |f: &Function, name: &str| f.vars().find(|&v| f.var(v).name == name).unwrap();
+        let i = var(&f, "i");
+        let r = f.resources.new_virt("r");
+        f.set_pin(i, Some(r));
+        let _ = cache.liveness(&f);
+        assert!(cache.take_stale().is_none(), "a pin write is no code edit");
+        // `ret %i` becomes `ret %n`, with no invalidate().
+        let n = var(&f, "n");
+        let exit = f.blocks().last().unwrap();
+        let ret = f.terminator(exit).unwrap();
+        f.inst_mut(ret).uses[0].var = n;
+        let _ = cache.liveness(&f);
+        let diag = cache
+            .take_stale()
+            .expect("operand rewrite must be recorded");
+        assert!(diag.stale.contains(&"liveness"), "{diag}");
     }
 
     #[test]

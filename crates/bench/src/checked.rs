@@ -489,8 +489,9 @@ fn collect_report(suite: &Suite, exp: Experiment, outcomes: Vec<CheckedOutcome>)
 /// paths. Equal `(n, seed_base)` yield byte-identical suites.
 pub fn fuzz_suite(n: usize, seed_base: u64) -> Suite {
     // Slightly smaller than the SPECint-like default: the checked mode
-    // re-verifies and re-executes after every pass, so per-function cost
-    // is ~10× a plain run and the population is large.
+    // re-verifies and re-executes after every pass that edits code, so
+    // with allocation a function costs about 1.3–1.6× a plain allocated
+    // run, and the population is large.
     let cfg = crate::suites::synth::SynthConfig {
         max_depth: 2,
         body_len: 4,

@@ -195,17 +195,36 @@ pub fn apply_alloc_with(r: &mut RunResult, opts: &AllocOptions) {
 /// # Errors
 /// Returns the first diverging input.
 pub fn verify(src: &Function, result: &Function, inputs: &[Vec<i64>]) -> Result<(), VerifyError> {
-    tossa_trace::span("interp_verify", || verify_inner(src, result, inputs))
+    verify_with_fuel(src, result, inputs, FUEL)
 }
 
-fn verify_inner(src: &Function, result: &Function, inputs: &[Vec<i64>]) -> Result<(), VerifyError> {
+/// [`verify`] with `fuel` interpreter steps per execution.
+///
+/// # Errors
+/// Returns the first diverging input, or the first input on which
+/// either side traps (running out of fuel included).
+pub fn verify_with_fuel(
+    src: &Function,
+    result: &Function,
+    inputs: &[Vec<i64>],
+    fuel: u64,
+) -> Result<(), VerifyError> {
+    tossa_trace::span("interp_verify", || verify_inner(src, result, inputs, fuel))
+}
+
+fn verify_inner(
+    src: &Function,
+    result: &Function,
+    inputs: &[Vec<i64>],
+    fuel: u64,
+) -> Result<(), VerifyError> {
     for ins in inputs {
-        let want = interp::run(src, ins, FUEL).map_err(|e| VerifyError {
+        let want = interp::run(src, ins, fuel).map_err(|e| VerifyError {
             function: src.name.clone(),
             inputs: ins.clone(),
             message: format!("source traps: {e}"),
         })?;
-        let got = interp::run(result, ins, FUEL).map_err(|e| VerifyError {
+        let got = interp::run(result, ins, fuel).map_err(|e| VerifyError {
             function: src.name.clone(),
             inputs: ins.clone(),
             message: format!("translated code traps: {e}"),

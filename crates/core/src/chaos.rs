@@ -174,8 +174,8 @@ fn merge_interfering_webs(f: &mut Function, rng: &mut SplitMix64) -> bool {
         return false;
     };
     let r = f.resources.new_virt("chaos_web");
-    f.var_mut(x).pin = Some(r);
-    f.var_mut(y).pin = Some(r);
+    f.set_pin(x, Some(r));
+    f.set_pin(y, Some(r));
     true
 }
 

@@ -18,10 +18,17 @@
 //! The guard returns structured [`VerifyError`]s instead of panicking, so
 //! a suite runner can degrade gracefully (fall back to the naive
 //! translation) and keep a per-function diagnostic report.
+//!
+//! A guard checks each program once. It remembers the
+//! [edit stamp](Function::edit_stamp) of the last program that passed
+//! the structural checks and the differential runs; when the next check
+//! sees the same stamp, only pins can have changed since, so it re-runs
+//! only what pins can break: `check_pinning`, for [`IrForm::PinnedSsa`].
 
 use crate::error::VerifyError;
 use crate::interfere::{EnvHandles, InterferenceMode};
 use crate::pinning::check_pinning;
+use std::cell::{Cell, RefCell};
 use tossa_analysis::AnalysisCache;
 use tossa_ir::interp::{self, Trap};
 use tossa_ir::Function;
@@ -39,22 +46,35 @@ pub enum IrForm {
     NonSsa,
 }
 
+impl IrForm {
+    /// The form with pins ignored: what the checks other than
+    /// `check_pinning` verify.
+    fn pin_free(self) -> IrForm {
+        match self {
+            IrForm::PinnedSsa => IrForm::Ssa,
+            form => form,
+        }
+    }
+}
+
 /// Checks the structural invariants of `form` on `f`, without running the
 /// interpreter.
 ///
 /// # Errors
 /// Returns the first violated invariant.
 pub fn check_form(f: &Function, form: IrForm) -> Result<(), VerifyError> {
+    check_structure(f, form)?;
+    if form == IrForm::PinnedSsa {
+        check_pins(f, &mut AnalysisCache::new())?;
+    }
+    Ok(())
+}
+
+/// The pin-free structural checks: `validate`, then `verify_ssa` or the
+/// residual-φ check.
+fn check_structure(f: &Function, form: IrForm) -> Result<(), VerifyError> {
     f.validate()?;
-    match form {
-        IrForm::Ssa => verify_ssa(f)?,
-        IrForm::PinnedSsa => {
-            verify_ssa(f)?;
-            let mut cache = AnalysisCache::new();
-            let handles = EnvHandles::from_cache(f, &mut cache);
-            let env = handles.env(f, InterferenceMode::Exact);
-            check_pinning(f, &env)?;
-        }
+    match form.pin_free() {
         IrForm::NonSsa => {
             for b in f.blocks() {
                 if f.phis(b).next().is_some() {
@@ -62,7 +82,17 @@ pub fn check_form(f: &Function, form: IrForm) -> Result<(), VerifyError> {
                 }
             }
         }
+        _ => verify_ssa(f)?,
     }
+    Ok(())
+}
+
+/// The Fig. 4 pin check under the exact interference model, with its
+/// analyses taken from `cache`.
+fn check_pins(f: &Function, cache: &mut AnalysisCache) -> Result<(), VerifyError> {
+    let handles = EnvHandles::from_cache(f, cache);
+    let env = handles.env(f, InterferenceMode::Exact);
+    check_pinning(f, &env)?;
     Ok(())
 }
 
@@ -90,6 +120,12 @@ pub struct PassGuard {
     inputs: Vec<Vec<i64>>,
     expected: Vec<Result<Vec<i64>, Trap>>,
     fuel: u64,
+    /// Edit stamp and pin-free form of the last program that passed the
+    /// structural checks and the differential runs.
+    passed: Cell<Option<((u64, u64), IrForm)>>,
+    /// `check_pinning`'s analyses, and the edit stamp they were computed
+    /// at.
+    pin_analyses: RefCell<(Option<(u64, u64)>, AnalysisCache)>,
 }
 
 impl PassGuard {
@@ -100,6 +136,8 @@ impl PassGuard {
             inputs: inputs.to_vec(),
             expected: inputs.iter().map(|ins| run_outputs(f, ins, fuel)).collect(),
             fuel,
+            passed: Cell::new(None),
+            pin_analyses: RefCell::new((None, AnalysisCache::new())),
         }
     }
 
@@ -110,11 +148,42 @@ impl PassGuard {
     /// equivalent (e.g. both run out of fuel); a trap only on the
     /// post-pass side is an error, as is any output mismatch.
     ///
+    /// A program whose edit stamp and pin-free form match the last one
+    /// that passed is not re-verified: only `check_pinning` runs again,
+    /// for [`IrForm::PinnedSsa`]. The order of the checks, and so the
+    /// first error reported, is that of a full check.
+    ///
     /// # Errors
     /// Returns the first violated invariant or diverging input.
     pub fn check(&self, f: &Function, form: IrForm) -> Result<(), VerifyError> {
-        tossa_trace::span("verify_structural", || check_form(f, form))?;
-        tossa_trace::span("verify_differential", || self.check_differential(f))
+        let key = (f.edit_stamp(), form.pin_free());
+        let unchanged = self.passed.get() == Some(key);
+        tossa_trace::span("verify_structural", || -> Result<(), VerifyError> {
+            if !unchanged {
+                check_structure(f, form)?;
+            }
+            if form == IrForm::PinnedSsa {
+                self.check_pins(f)?;
+            }
+            Ok(())
+        })?;
+        if !unchanged {
+            tossa_trace::span("verify_differential", || self.check_differential(f))?;
+            self.passed.set(Some(key));
+        }
+        Ok(())
+    }
+
+    /// [`check_pins`] on the guard's own cache, invalidated whenever the
+    /// edit stamp has moved.
+    fn check_pins(&self, f: &Function) -> Result<(), VerifyError> {
+        let mut slot = self.pin_analyses.borrow_mut();
+        let (seen, cache) = &mut *slot;
+        if *seen != Some(f.edit_stamp()) {
+            cache.invalidate();
+            *seen = Some(f.edit_stamp());
+        }
+        check_pins(f, cache)
     }
 
     fn check_differential(&self, f: &Function) -> Result<(), VerifyError> {
@@ -154,6 +223,7 @@ mod tests {
     use tossa_ir::machine::Machine;
     use tossa_ir::parse::parse_function;
     use tossa_ir::Opcode;
+    use tossa_trace::Counter;
 
     fn parse(text: &str) -> Function {
         parse_function(text, &Machine::dsp32()).unwrap()
@@ -242,6 +312,44 @@ mod tests {
         assert!(matches!(e, VerifyError::Pin(_)), "{e}");
         // The same function is fine when pins are ignored.
         check_form(&f, IrForm::Ssa).unwrap();
+    }
+
+    #[test]
+    fn an_edit_after_a_passing_check_is_checked_again() {
+        let mut f = parse("func @g {\nentry:\n  %a = input\n  %s = addi %a, 1\n  ret %s\n}");
+        let guard = PassGuard::before(&f, &[vec![10]], 10_000);
+        guard.check(&f, IrForm::Ssa).unwrap();
+        // The same function, edited in place: its stamp moves, so the
+        // guard must interpret it again.
+        let (_, i) = f
+            .all_insts()
+            .find(|&(_, i)| f.inst(i).opcode == Opcode::AddImm)
+            .unwrap();
+        *f.inst_mut(i).imm = 2;
+        let e = guard.check(&f, IrForm::Ssa).unwrap_err();
+        assert!(matches!(e, VerifyError::Divergence { .. }), "{e}");
+    }
+
+    #[test]
+    fn a_pin_only_edit_is_checked_for_pins_alone() {
+        let mut f =
+            parse("func @pin {\nentry:\n  %a, %b = input\n  %s = add %a, %b\n  ret %s, %a\n}");
+        let guard = PassGuard::before(&f, &[vec![1, 2], vec![3, 4]], 10_000);
+        let (first, counters) =
+            tossa_trace::capture_counters(|| guard.check(&f, IrForm::PinnedSsa));
+        first.unwrap();
+        assert!(counters.get(Counter::InterpSteps) > 0);
+        // Fig. 4 case 1, written through the stamp-neutral setter.
+        let r = f.resources.new_virt("bad");
+        for name in ["a", "b"] {
+            let v = f.vars().find(|&v| f.var(v).name == name).unwrap();
+            f.set_pin(v, Some(r));
+        }
+        let (second, counters) =
+            tossa_trace::capture_counters(|| guard.check(&f, IrForm::PinnedSsa));
+        assert_eq!(counters.get(Counter::InterpSteps), 0);
+        let e = second.unwrap_err();
+        assert!(matches!(e, VerifyError::Pin(_)), "{e}");
     }
 
     #[test]

@@ -283,16 +283,17 @@ fn program_pinning_inner(
         };
         for bb in f.blocks().collect::<Vec<_>>() {
             for i in f.block_insts(bb).collect::<Vec<_>>() {
+                let ndefs = f.inst(i).defs.len();
                 for k in 0..f.inst(i).uses.len() {
                     if let Some(p) = f.inst(i).uses[k].pin {
-                        f.inst_mut(i).uses[k].pin = Some(resolve(p));
+                        f.set_operand_pin(i, ndefs + k, Some(resolve(p)));
                     }
                 }
             }
         }
         for v in f.vars().collect::<Vec<_>>() {
             if let Some(p) = f.var(v).pin {
-                f.var_mut(v).pin = Some(resolve(p));
+                f.set_pin(v, Some(resolve(p)));
             }
         }
     }
@@ -338,7 +339,7 @@ fn merge_component(
                 // Absorb the whole resource.
                 if let Some(vars) = members.remove(&r) {
                     for x in vars {
-                        f.var_mut(x).pin = Some(reference);
+                        f.set_pin(x, Some(reference));
                         provenance::record(|| provenance::Kind::Pin {
                             var: var_str(f, x),
                             resource: res_str(f, reference),
@@ -350,7 +351,7 @@ fn merge_component(
                 alias.insert(r, reference);
             }
             RVertex::Bare(x) => {
-                f.var_mut(x).pin = Some(reference);
+                f.set_pin(x, Some(reference));
                 provenance::record(|| provenance::Kind::Pin {
                     var: var_str(f, x),
                     resource: res_str(f, reference),

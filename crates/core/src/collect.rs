@@ -52,7 +52,7 @@ pub fn pin_register_web(f: &mut Function, reg: PhysReg) -> usize {
         let in_web =
             data.reg == Some(reg) || data.origin.is_some_and(|o| f.var(o).reg == Some(reg));
         if in_web && data.pin.is_none() {
-            f.var_mut(v).pin = Some(r);
+            f.set_pin(v, Some(r));
             record_pin(f, v, r, "sp");
             n += 1;
         }
@@ -111,10 +111,11 @@ fn pinning_abi_inner(f: &mut Function) -> usize {
             }
             Opcode::Call => {
                 let uses = f.inst(i).uses.to_vec();
+                let ndefs = f.inst(i).defs.len();
                 for (k, u) in uses.iter().enumerate() {
                     let Some(&reg) = arg_regs.get(k) else { break };
                     let r = phys_resource(f, reg);
-                    f.inst_mut(i).uses[k].pin = Some(r);
+                    f.set_operand_pin(i, ndefs + k, Some(r));
                     record_pin(f, u.var, r, "abi:call-arg");
                     n += 1;
                 }
@@ -124,10 +125,11 @@ fn pinning_abi_inner(f: &mut Function) -> usize {
             }
             Opcode::Ret => {
                 let uses = f.inst(i).uses.to_vec();
+                let ndefs = f.inst(i).defs.len();
                 for (k, u) in uses.iter().enumerate() {
                     let Some(&reg) = arg_regs.get(k) else { break };
                     let r = phys_resource(f, reg);
-                    f.inst_mut(i).uses[k].pin = Some(r);
+                    f.set_operand_pin(i, ndefs + k, Some(r));
                     record_pin(f, u.var, r, "abi:ret");
                     n += 1;
                 }
@@ -160,14 +162,14 @@ fn pin_hard_def(
     let d = f.inst(i).defs[k].var;
     match f.var(d).pin {
         None => {
-            f.var_mut(d).pin = Some(r);
+            f.set_pin(d, Some(r));
             record_pin(f, d, r, site);
             1
         }
         Some(existing) if existing == r => 0,
         Some(_) => {
             let fresh = f.new_var(format!("{}_abi", f.var(d).name));
-            f.var_mut(fresh).pin = Some(r);
+            f.set_pin(fresh, Some(r));
             f.inst_mut(i).defs[k].var = fresh;
             record_pin(f, fresh, r, site);
             let pos = f
@@ -209,12 +211,13 @@ fn pin_two_operand(f: &mut Function, i: tossa_ir::Inst) -> usize {
     };
     let mut n = 0;
     if f.var(def_var).pin != Some(r) {
-        f.var_mut(def_var).pin = Some(r);
+        f.set_pin(def_var, Some(r));
         record_pin(f, def_var, r, "abi:two-operand");
         n += 1;
     }
     if f.inst(i).uses[tied].pin != Some(r) {
-        f.inst_mut(i).uses[tied].pin = Some(r);
+        let ndefs = f.inst(i).defs.len();
+        f.set_operand_pin(i, ndefs + tied, Some(r));
         n += 1;
     }
     n
@@ -293,7 +296,7 @@ fn pinning_cssa_inner(f: &mut Function) -> usize {
         };
         for &v in &members {
             if f.var(v).pin.is_none() {
-                f.var_mut(v).pin = Some(r);
+                f.set_pin(v, Some(r));
                 record_pin(f, v, r, "cssa");
                 pinned += 1;
             }

@@ -190,7 +190,7 @@ fn apply_groups(f: &mut Function, groups: &[Vec<Var>]) {
             f.resources.new_virt(name)
         });
         for &v in g {
-            f.var_mut(v).pin = Some(r);
+            f.set_pin(v, Some(r));
         }
     }
 }

@@ -15,6 +15,7 @@ use crate::machine::{Machine, PhysReg};
 use crate::opcode::Opcode;
 use crate::resources::ResourceTable;
 use std::fmt;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Per-variable metadata.
 #[derive(Clone, Debug)]
@@ -77,6 +78,34 @@ struct InstSlot {
     blocks: PoolRange,
 }
 
+/// The edit stamp behind [`Function::edit_stamp`]: an identity no other
+/// function shares, and a count of `&mut` accesses.
+#[derive(Debug)]
+struct EditStamp {
+    id: u64,
+    count: u64,
+}
+
+impl EditStamp {
+    fn fresh() -> EditStamp {
+        // Relaxed: ids need only be distinct, which any atomic RMW
+        // guarantees; they publish no other data.
+        static NEXT_ID: AtomicU64 = AtomicU64::new(0);
+        EditStamp {
+            id: NEXT_ID.fetch_add(1, Ordering::Relaxed),
+            count: 0,
+        }
+    }
+}
+
+/// A clone is a different program to anyone holding the original's
+/// stamp, so it starts a fresh identity.
+impl Clone for EditStamp {
+    fn clone(&self) -> EditStamp {
+        EditStamp::fresh()
+    }
+}
+
 /// A function of the linear IR.
 ///
 /// Instructions live in a flat arena ([`Inst`] ids index dense slots);
@@ -88,12 +117,15 @@ struct InstSlot {
 pub struct Function {
     /// Function name.
     pub name: String,
-    /// Entry block.
+    /// Entry block. Never written after construction.
     pub entry: Block,
-    /// The machine this function targets.
+    /// The machine this function targets. Never written after
+    /// construction.
     pub machine: Machine,
-    /// Renaming resources of this function.
+    /// Renaming resources of this function. Pinning interns resources
+    /// here; neither the analyses nor the interpreter read them.
     pub resources: ResourceTable,
+    stamp: EditStamp,
     blocks: EntityVec<Block, BlockData>,
     insts: EntityVec<Inst, InstSlot>,
     vars: EntityVec<Var, VarData>,
@@ -118,6 +150,7 @@ impl Function {
             entry,
             machine,
             resources: ResourceTable::new(),
+            stamp: EditStamp::fresh(),
             blocks,
             insts: EntityVec::new(),
             vars: EntityVec::new(),
@@ -127,10 +160,48 @@ impl Function {
         }
     }
 
+    /// The edit stamp: `(identity, count)`. The identity is fresh on
+    /// [`Function::new`] and on `clone`; the count moves on every `&mut
+    /// self` method except the pin setters [`Function::set_pin`] and
+    /// [`Function::set_operand_pin`]. An unchanged stamp therefore means
+    /// this very function has seen no edit but pin writes, and pins are
+    /// read by neither the analyses nor the interpreter. Facts derived
+    /// from those inputs (the analysis cache's staleness fingerprint,
+    /// the checked pipeline's verification) stay valid while it holds.
+    /// The public fields are outside the stamp: `entry` and `machine`
+    /// are never written after construction, `resources` only grows as
+    /// pins are interned, and `name` is a label.
+    pub fn edit_stamp(&self) -> (u64, u64) {
+        (self.stamp.id, self.stamp.count)
+    }
+
+    #[inline]
+    fn edited(&mut self) {
+        self.stamp.count += 1;
+    }
+
+    /// Pins the definition of `v` to `pin` (or unpins it), leaving the
+    /// edit stamp alone: pins are no analysis or interpreter input.
+    pub fn set_pin(&mut self, v: Var, pin: Option<Resource>) {
+        self.vars[v].pin = pin;
+    }
+
+    /// Pins operand `pos` of `i` (counted among defs then uses) to `pin`
+    /// (or unpins it), leaving the edit stamp alone.
+    ///
+    /// # Panics
+    /// Panics if `pos` is out of range.
+    pub fn set_operand_pin(&mut self, i: Inst, pos: usize, pin: Option<Resource>) {
+        let ops = self.insts[i].ops;
+        assert!(pos < ops.len as usize, "operand index out of range");
+        self.op_pool[ops.start as usize + pos].pin = pin;
+    }
+
     // ---- variables ------------------------------------------------------
 
     /// Creates a fresh variable with the given display name.
     pub fn new_var(&mut self, name: impl Into<String>) -> Var {
+        self.edited();
         self.vars.push(VarData {
             name: name.into(),
             pin: None,
@@ -142,6 +213,7 @@ impl Function {
     /// Creates a fresh variable that is an SSA version of `origin`
     /// (inherits its display name).
     pub fn new_var_version(&mut self, origin: Var) -> Var {
+        self.edited();
         let name = self.vars[origin].name.clone();
         let root = self.vars[origin].origin.unwrap_or(origin);
         self.vars.push(VarData {
@@ -164,6 +236,7 @@ impl Function {
 
     /// Mutable variable metadata.
     pub fn var_mut(&mut self, v: Var) -> &mut VarData {
+        self.edited();
         &mut self.vars[v]
     }
 
@@ -177,6 +250,7 @@ impl Function {
 
     /// Creates a new empty block.
     pub fn add_block(&mut self, name: impl Into<String>) -> Block {
+        self.edited();
         self.blocks.push(BlockData {
             name: name.into(),
             insts: Vec::new(),
@@ -195,6 +269,7 @@ impl Function {
 
     /// Mutable block metadata.
     pub fn block_mut(&mut self, b: Block) -> &mut BlockData {
+        self.edited();
         &mut self.blocks[b]
     }
 
@@ -256,6 +331,7 @@ impl Function {
 
     /// Appends an instruction to a block and returns its id.
     pub fn push_inst(&mut self, block: Block, data: InstData) -> Inst {
+        self.edited();
         let slot = self.flatten(data);
         let id = self.insts.push(slot);
         self.blocks[block].insts.push(id);
@@ -267,6 +343,7 @@ impl Function {
     /// # Panics
     /// Panics if `index > block.insts.len()`.
     pub fn insert_inst(&mut self, block: Block, index: usize, data: InstData) -> Inst {
+        self.edited();
         let slot = self.flatten(data);
         let id = self.insts.push(slot);
         self.blocks[block].insts.insert(index, id);
@@ -275,6 +352,7 @@ impl Function {
 
     /// Allocates an instruction in the arena without placing it in a block.
     pub fn alloc_inst(&mut self, data: InstData) -> Inst {
+        self.edited();
         let slot = self.flatten(data);
         self.insts.push(slot)
     }
@@ -282,6 +360,7 @@ impl Function {
     /// Replaces the payload of `i` in place (fresh pool ranges are
     /// appended; the old ones are abandoned).
     pub fn replace_inst(&mut self, i: Inst, data: InstData) {
+        self.edited();
         let slot = self.flatten(data);
         self.insts[i] = slot;
     }
@@ -316,6 +395,7 @@ impl Function {
     /// A mutable view for in-place payload edits.
     #[inline]
     pub fn inst_mut(&mut self, i: Inst) -> InstMut<'_> {
+        self.edited();
         let s = &mut self.insts[i];
         let ops = &mut self.op_pool[s.ops.range()];
         let (defs, uses) = ops.split_at_mut(s.ndefs as usize);
@@ -361,6 +441,7 @@ impl Function {
     /// # Panics
     /// Panics if `i` is not a φ or `k` is out of range.
     pub fn phi_remove_arg(&mut self, i: Inst, k: usize) {
+        self.edited();
         let s = &mut self.insts[i];
         assert!(s.opcode.is_phi(), "phi_remove_arg on non-phi");
         let nuses = s.ops.len as usize - s.ndefs as usize;
@@ -422,6 +503,7 @@ impl Function {
     /// Removes `inst` from `block`'s instruction list (the arena slot
     /// remains allocated). Returns true if it was present.
     pub fn remove_inst(&mut self, block: Block, inst: Inst) -> bool {
+        self.edited();
         let list = &mut self.blocks[block].insts;
         match list.iter().position(|&i| i == inst) {
             Some(pos) => {
@@ -436,6 +518,7 @@ impl Function {
 
     /// Rewrites every operand variable through `map`.
     pub fn rewrite_vars(&mut self, mut map: impl FnMut(Var) -> Var) {
+        self.edited();
         for b in 0..self.blocks.len() {
             for k in 0..self.blocks[Block::new(b)].insts.len() {
                 let i = self.blocks[Block::new(b)].insts[k];
@@ -660,23 +743,8 @@ impl Function {
 pub fn pin_var_to_reg(f: &mut Function, v: Var, reg: PhysReg) -> Resource {
     let name = f.machine.reg_name(reg).to_string();
     let r = f.resources.phys(reg, &name);
-    f.var_mut(v).pin = Some(r);
+    f.set_pin(v, Some(r));
     r
-}
-
-/// Convenience: pins an operand occurrence. `pos` addresses the operand
-/// among defs-then-uses.
-///
-/// # Panics
-/// Panics if `pos` is out of range.
-pub fn pin_operand(f: &mut Function, inst: Inst, pos: usize, res: Resource) {
-    let data = f.inst_mut(inst);
-    let ndefs = data.defs.len();
-    if pos < ndefs {
-        data.defs[pos].pin = Some(res);
-    } else {
-        data.uses[pos - ndefs].pin = Some(res);
-    }
 }
 
 impl fmt::Display for Operand {
@@ -797,8 +865,106 @@ mod tests {
         assert_eq!(f.var(v).pin, Some(r));
         assert_eq!(f.resources.as_phys(r), Some(f.machine.abi.ret_reg));
         let inst = f.block_insts(f.entry).nth(1).unwrap();
-        pin_operand(&mut f, inst, 1, r); // the use of the mov
+        f.set_operand_pin(inst, 1, Some(r)); // the use of the mov
         assert_eq!(f.inst(inst).uses[0].pin, Some(r));
+    }
+
+    /// Runs `edit` and asserts it moved the count but kept the identity.
+    fn moves_stamp(f: &mut Function, what: &str, edit: impl FnOnce(&mut Function)) {
+        let before = f.edit_stamp();
+        edit(f);
+        let after = f.edit_stamp();
+        assert_eq!(after.0, before.0, "{what} changed the identity");
+        assert_ne!(after.1, before.1, "{what} did not move the edit stamp");
+    }
+
+    #[test]
+    fn every_mut_method_moves_the_edit_stamp() {
+        let mut f = tiny();
+        let entry = f.entry;
+        let a = Var::new(0);
+        let first = f.block_insts(entry).next().unwrap();
+        let make = |v: Var| {
+            InstData::new(Opcode::Make)
+                .with_defs(vec![v.into()])
+                .with_imm(7)
+        };
+        moves_stamp(&mut f, "new_var", |f| {
+            f.new_var("c");
+        });
+        moves_stamp(&mut f, "new_var_version", |f| {
+            f.new_var_version(a);
+        });
+        moves_stamp(&mut f, "var_mut", |f| {
+            f.var_mut(a);
+        });
+        let mut l = entry;
+        moves_stamp(&mut f, "add_block", |f| l = f.add_block("l"));
+        moves_stamp(&mut f, "block_mut", |f| {
+            f.block_mut(entry);
+        });
+        moves_stamp(&mut f, "push_inst", |f| {
+            f.push_inst(l, InstData::new(Opcode::Ret));
+        });
+        moves_stamp(&mut f, "insert_inst", |f| {
+            f.insert_inst(entry, 0, make(a));
+        });
+        moves_stamp(&mut f, "alloc_inst", |f| {
+            f.alloc_inst(make(a));
+        });
+        moves_stamp(&mut f, "replace_inst", |f| f.replace_inst(first, make(a)));
+        moves_stamp(&mut f, "inst_mut", |f| {
+            f.inst_mut(first);
+        });
+        moves_stamp(&mut f, "rewrite_vars", |f| f.rewrite_vars(|v| v));
+        moves_stamp(&mut f, "remove_inst", |f| {
+            f.remove_inst(entry, first);
+        });
+        let x = f.new_var("x");
+        let m = f.add_block("m");
+        let phi = f.push_inst(m, InstData::phi(x, vec![(entry, a), (l, a)]));
+        moves_stamp(&mut f, "phi_remove_arg", |f| f.phi_remove_arg(phi, 0));
+    }
+
+    #[test]
+    fn pin_writes_and_reads_keep_the_edit_stamp() {
+        let mut f = tiny();
+        let a = Var::new(0);
+        let mov = f.block_insts(f.entry).nth(1).unwrap();
+        let before = f.edit_stamp();
+        let r = f.resources.new_virt("r");
+        f.set_pin(a, Some(r));
+        f.set_operand_pin(mov, 1, Some(r));
+        f.set_operand_pin(mov, 0, Some(r));
+        let reg = f.machine.abi.ret_reg;
+        pin_var_to_reg(&mut f, a, reg);
+        assert_eq!(f.inst(mov).defs[0].pin, Some(r));
+        assert_eq!(f.inst(mov).uses[0].pin, Some(r));
+        f.validate().unwrap();
+        let _ = (f.count_moves(), f.def_sites(), f.to_string());
+        let _ = (
+            f.var(a),
+            f.inst(mov),
+            f.succs(f.entry),
+            f.first_non_phi(f.entry),
+        );
+        assert_eq!(f.edit_stamp(), before);
+        f.set_pin(a, None);
+        assert_eq!(f.var(a).pin, None);
+        assert_eq!(f.edit_stamp(), before);
+    }
+
+    #[test]
+    fn clones_get_a_fresh_identity() {
+        let f = tiny();
+        let g = f.clone();
+        let h = f.clone();
+        assert_ne!(g.edit_stamp().0, f.edit_stamp().0);
+        assert_ne!(h.edit_stamp().0, g.edit_stamp().0);
+        assert_ne!(
+            Function::new("t", Machine::dsp32()).edit_stamp().0,
+            f.edit_stamp().0
+        );
     }
 
     #[test]

@@ -208,7 +208,7 @@ impl<'a> Parser<'a> {
                 let op = self.operand(&tok)?;
                 if let Some(pin) = op.pin {
                     // Def pin = variable pinning.
-                    self.func.var_mut(op.var).pin = Some(pin);
+                    self.func.set_pin(op.var, Some(pin));
                 }
                 inst.defs.push(Operand::new(op.var));
             }

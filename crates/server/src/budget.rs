@@ -4,9 +4,11 @@
 //!
 //! * **fuel** — the interpreter step budget every differential
 //!   execution runs under (threaded into
-//!   `tossa_bench::checked::CheckedOptions::fuel`); exhaustion surfaces
-//!   as a structured `verify.trap` error inside the pipeline, so it
-//!   descends the ladder rather than hanging the worker;
+//!   `tossa_bench::checked::CheckedOptions::fuel`, and the budget of the
+//!   output seal after the attempt); exhaustion surfaces as a structured
+//!   `verify.trap` error inside the pipeline, so it descends the ladder
+//!   rather than hanging the worker, and as `verified: false` in the
+//!   seal;
 //! * **deadline** — a wall-clock bound enforced *observationally* by
 //!   the [`watchdog`](crate::watchdog): because fuel already bounds
 //!   every loop in the pipeline, a job always terminates, and the

@@ -678,9 +678,12 @@ fn process_job(ctx: &Ctx, job: &Job) -> JobReport {
         }
         // Independent post-hoc differential check of the code actually
         // being returned (the pipeline's own guards already verified
-        // it; this is the service's output-side seal).
+        // it; this is the service's output-side seal), under the same
+        // fuel budget as the guards.
         let verify_started = Instant::now();
-        let verified = runner::verify(&bf.func, &outcome.func, &bf.inputs).is_ok();
+        let verified =
+            runner::verify_with_fuel(&bf.func, &outcome.func, &bf.inputs, config.budget.fuel)
+                .is_ok();
         m.stage_latency(Stage::Verify)
             .record(verify_started.elapsed().as_nanos() as u64);
         return JobReport {
@@ -748,6 +751,38 @@ mod tests {
     }
 
     const ADD: &str = "func @add {\nentry:\n  %a, %b = input\n  %c = add %a, %b\n  ret %c\n}";
+
+    /// Counts up to its input: a few interpreter steps per iteration.
+    const COUNT: &str = "func @count {\nentry:\n  %n = input\n  %i = make 0\n  jump head\n\
+        head:\n  %c = cmplt %i, %n\n  br %c, body, exit\n\
+        body:\n  %i = addi %i, 1\n  jump head\nexit:\n  ret %i\n}";
+
+    /// The report of one `COUNT` job on input 75 under `fuel`.
+    fn count_job_report(fuel: u64) -> JobReport {
+        let mut j = job(1, COUNT);
+        j.req.inputs = vec![vec![75]];
+        let config = ServiceConfig {
+            workers: 1,
+            budget: Budget {
+                fuel,
+                ..Budget::default()
+            },
+            ..ServiceConfig::default()
+        };
+        let (mut reports, _) = run_batch(config, vec![j]);
+        reports.pop().unwrap()
+    }
+
+    #[test]
+    fn output_seal_runs_under_the_job_fuel() {
+        // About 300 steps: past a 50-step budget, well inside 10 000.
+        let starved = count_job_report(50);
+        assert_eq!(starved.outcome, JobOutcome::Completed);
+        assert!(!starved.verified, "the seal ran past the job's fuel");
+        let fed = count_job_report(10_000);
+        assert_eq!(fed.rung, Rung::Checked);
+        assert!(fed.verified);
+    }
 
     #[test]
     fn clean_job_completes_checked_with_code_and_counters() {

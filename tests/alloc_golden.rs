@@ -1,4 +1,5 @@
-//! Byte-identity pin for the register allocator and the SSA front end.
+//! Byte-identity pin for the register allocator, the SSA front end and
+//! the checked pipeline.
 //!
 //! Two populations are compiled end to end (front end, experiment
 //! pipeline, `allocate`), and each allocated function's printed text
@@ -9,6 +10,13 @@
 //! books must leave every position, victim, round, temporary name,
 //! variable id and statistic as it was.
 //!
+//! The checked path (`run_checked` with allocation, the service's
+//! compile) is pinned the same way over the same two populations and
+//! over the four hand-written suites under all ten experiments, so the
+//! Sreedhar and `pinningCSSA` paths are covered too: each outcome's
+//! printed code, its move count and whether it reported an error. How
+//! often the guards re-verify must not change what they return.
+//!
 //! FNV-1a rather than `DefaultHasher`: the standard hasher's algorithm
 //! is unspecified and may change between toolchains, which would move
 //! the digest without any change to the allocator.
@@ -17,9 +25,10 @@
 //! value printed in the failure message and say in the change why the
 //! output moved.
 
+use tossa::bench::checked::{fuzz_suite, run_checked, CheckedOptions};
 use tossa::bench::runner::{apply_alloc, run_experiment};
 use tossa::bench::suites::synth::{generate_function, SynthConfig};
-use tossa::bench::suites::BenchFunction;
+use tossa::bench::suites::{kernels, paper_examples, vocoder, BenchFunction};
 use tossa::core::coalesce::CoalesceOptions;
 use tossa::core::Experiment;
 
@@ -42,6 +51,21 @@ const PRESSURE_DIGEST: u64 = 0x0584_4a3b_7790_fb9f;
 /// Digest of the first 300 functions of `fuzz_suite(3000, 0)` under
 /// `Lφ,ABI+C` (the benchmark's `small` workload).
 const FUZZ_DIGEST: u64 = 0x33bf_1fcc_5b34_149a;
+
+/// Checked-path digest of `pressure` seeds `0..300` under `Lφ+C`.
+const CHECKED_PRESSURE_DIGEST: u64 = 0x606a_f714_daff_cf8f;
+
+/// Checked-path digest of `fuzz_suite(300, 0)` under `Lφ,ABI+C`.
+const CHECKED_FUZZ_DIGEST: u64 = 0xa777_00c2_d5c0_6669;
+
+/// Checked-path digests of the hand-written suites, each over all ten
+/// experiments in `Experiment::all()` order.
+const CHECKED_SUITE_DIGESTS: [(&str, u64); 4] = [
+    ("VALcc1", 0xc32a_cae7_71e8_57d0),
+    ("VALcc2", 0x3ed0_7f38_ffcb_23e0),
+    ("example1-8", 0xf04b_e8eb_24ed_f5d9),
+    ("LAI Large", 0x0be8_05b4_a58f_b4de),
+];
 
 /// 64-bit FNV-1a.
 struct Fnv1a(u64);
@@ -72,10 +96,31 @@ fn digest<'a>(population: impl Iterator<Item = &'a BenchFunction>, exp: Experime
     h.0
 }
 
+fn checked_digest<'a>(
+    population: impl Iterator<Item = &'a BenchFunction>,
+    exps: &[Experiment],
+) -> u64 {
+    let opts = CoalesceOptions::default();
+    let copts = CheckedOptions {
+        alloc: true,
+        ..CheckedOptions::default()
+    };
+    let population: Vec<&BenchFunction> = population.collect();
+    let mut h = Fnv1a::new();
+    for &exp in exps {
+        for bf in &population {
+            let o = run_checked(bf, exp, &opts, &copts);
+            h.write(o.func.to_string().as_bytes());
+            h.write(format!("moves {} error {}\n", o.moves, o.error.is_some()).as_bytes());
+        }
+    }
+    h.0
+}
+
 fn check(name: &str, got: u64, want: u64) {
     assert_eq!(
         got, want,
-        "{name}: allocated code or AllocStats changed (digest {got:#018x}, pinned {want:#018x})"
+        "{name}: output changed (digest {got:#018x}, pinned {want:#018x})"
     );
 }
 
@@ -101,4 +146,43 @@ fn fuzz_population_allocates_byte_identically() {
         digest(suite.functions.iter(), Experiment::LphiAbiC),
         FUZZ_DIGEST,
     );
+}
+
+#[test]
+fn pressure_family_checked_path_is_byte_identical() {
+    let funcs: Vec<BenchFunction> = (0..N as u64)
+        .map(|seed| generate_function(seed, &PRESSURE))
+        .collect();
+    check(
+        "checked: pressure seeds 0..300, Lφ+C",
+        checked_digest(funcs.iter(), &[Experiment::LphiC]),
+        CHECKED_PRESSURE_DIGEST,
+    );
+}
+
+#[test]
+fn fuzz_population_checked_path_is_byte_identical() {
+    let suite = fuzz_suite(N, 0);
+    check(
+        "checked: fuzz_suite(300, 0), Lφ,ABI+C",
+        checked_digest(suite.functions.iter(), &[Experiment::LphiAbiC]),
+        CHECKED_FUZZ_DIGEST,
+    );
+}
+
+#[test]
+fn hand_written_suites_checked_path_is_byte_identical() {
+    let suites = [
+        kernels::valcc1(),
+        kernels::valcc2(),
+        paper_examples::examples(),
+        vocoder::lai_large(),
+    ];
+    for (funcs, (name, want)) in suites.iter().zip(CHECKED_SUITE_DIGESTS) {
+        check(
+            &format!("checked: {name} × all experiments"),
+            checked_digest(funcs.iter(), Experiment::all()),
+            want,
+        );
+    }
 }
