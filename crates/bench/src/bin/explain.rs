@@ -32,6 +32,11 @@
 //!   every flipped decision; exits 0 on identical decisions, 1 on any
 //!   difference.
 //!
+//! Any other argument, a value flag without its value, a `--spec` that
+//! is not a number, or `--spill-everywhere` / `--hull` without
+//! `--alloc` (they would change nothing) prints the usage line and
+//! exits 2 before anything runs.
+//!
 //! The human report groups each function's records by kind and ends
 //! with a pruning summary attributing every killed affinity edge to an
 //! interference class with its concrete witness pair.
@@ -45,6 +50,34 @@ use tossa_regalloc::{AllocOptions, IntervalPrecision, SpillPolicy};
 use tossa_trace::json::{parse_json, Json};
 use tossa_trace::provenance::{records_json, Kind, Record, Verdict};
 use tossa_trace::{escape_json, validate_json};
+
+const USAGE: &str =
+    "usage: explain [--suite NAME] [--experiment NAME] [--function NAME] [--naive] \
+[--alloc [--spill-everywhere] [--hull]] [--spec N] [--json FILE] [--quiet]
+       explain --diff A.json B.json";
+
+/// Checks a report run's command line — every argument known, every
+/// value flag followed by its value, the allocator knobs only with
+/// `--alloc` — and returns the `--spec` scale.
+fn check_args(args: &[String]) -> Result<usize, String> {
+    let mut it = args.iter();
+    while let Some(a) = it.next() {
+        match a.as_str() {
+            "--suite" | "--experiment" | "--function" | "--spec" | "--json" => {
+                it.next().ok_or_else(|| format!("{a} wants a value"))?;
+            }
+            "--naive" | "--alloc" | "--spill-everywhere" | "--hull" | "--quiet" => {}
+            other => return Err(format!("unknown argument {other:?}")),
+        }
+    }
+    let has = |name: &str| args.iter().any(|a| a == name);
+    for knob in ["--spill-everywhere", "--hull"] {
+        if has(knob) && !has("--alloc") {
+            return Err(format!("{knob} needs --alloc"));
+        }
+    }
+    spec_arg(args)
+}
 
 fn parse_experiment(name: &str) -> Option<Experiment> {
     Experiment::all()
@@ -385,13 +418,18 @@ fn main() {
             .cloned()
     };
 
-    if let Some(p) = args.iter().position(|a| a == "--diff") {
-        let (Some(a), Some(b)) = (args.get(p + 1), args.get(p + 2)) else {
-            eprintln!("usage: explain --diff A.json B.json");
-            std::process::exit(2);
-        };
-        std::process::exit(diff(a, b));
+    let usage_error = |e: String| -> ! {
+        eprintln!("explain: {e}\n{USAGE}");
+        std::process::exit(2);
+    };
+
+    if flag("--diff") {
+        match args.as_slice() {
+            [d, a, b] if d == "--diff" => std::process::exit(diff(a, b)),
+            _ => usage_error("--diff takes exactly two dumps".into()),
+        }
     }
+    let spec_scale = check_args(&args).unwrap_or_else(|e| usage_error(e));
 
     let suite = value("--suite").unwrap_or_else(|| "VALcc1".into());
     let exp_name = value("--experiment").unwrap_or_else(|| "LphiAbiC".into());
@@ -416,10 +454,6 @@ fn main() {
         ..CoalesceOptions::default()
     };
     let mode = if naive { "pessimistic" } else { "exact" };
-    let spec_scale = spec_arg(&args).unwrap_or_else(|e| {
-        eprintln!("explain: {e}");
-        std::process::exit(2);
-    });
     let only = value("--function");
     let alloc_opts = flag("--alloc").then(|| AllocOptions {
         spill_policy: if flag("--spill-everywhere") {

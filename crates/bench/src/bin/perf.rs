@@ -1,13 +1,15 @@
-//! Emits the machine-readable trajectory (`BENCH_pr<N>.json`): the full
-//! suite × experiment matrix with move counts, weighted counts,
-//! allocation statistics and per-cell trace counters. The document is
-//! deterministic — two runs at one `--spec` write the same bytes — and
-//! every function of every cell is allocated and verified.
+//! Emits the machine-readable trajectory: the full suite × experiment
+//! matrix with move counts, weighted counts, allocation statistics and
+//! per-cell trace counters. The document is deterministic — two runs at
+//! one `--spec` write the same bytes — and every function of every cell
+//! is allocated and verified. At the default scale it is the checked-in
+//! `BENCH_pr10.json`, byte for byte; a change that moves a cell on
+//! purpose rewrites that file with `perf --out BENCH_pr10.json`.
 //!
 //! Usage: `perf --out FILE [--spec N] [--trace [DIR]]`
 //!
 //! * `--out FILE` — where to write the trajectory (required, so a bare
-//!   run never overwrites a checked-in `BENCH_*.json` baseline);
+//!   run never overwrites the checked-in baseline);
 //! * `--spec N`   — scale of the SPECint-like synthetic population
 //!   (default 40);
 //! * `--trace [DIR]` — additionally run the focus suites (kernels +

@@ -12,9 +12,9 @@
 //!   verification plus differential execution, graceful degradation to
 //!   the naive translation, and the per-function error report;
 //! * [`reduce`] — delta-debugging reducer for failing fuzz cases;
-//! * [`tables`] — renderers for Tables 1–5;
-//! * [`trajectory`] — the machine-readable `BENCH_pr<N>.json`
-//!   trajectory emitter (deterministic cells only; timing lives in the
+//! * [`tables`] — renderers for Tables 1–6;
+//! * [`trajectory`] — the machine-readable trajectory emitter behind
+//!   `BENCH_pr10.json` (deterministic cells only; timing lives in the
 //!   repository benchmark, `benchmark/`).
 //!
 //! Regenerate every table with:

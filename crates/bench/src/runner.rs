@@ -178,9 +178,9 @@ pub fn apply_alloc(r: &mut RunResult) {
 }
 
 /// [`apply_alloc`] with explicit allocator options — the policy
-/// comparison hook (`explain --spill-everywhere`, the spill-regression
-/// gate) that pits the PR4 spill-everywhere policy against the
-/// cost-driven default on identical pipeline output.
+/// comparison hook (`explain --spill-everywhere`,
+/// `tests/alloc_differential.rs`) that pits the PR4 spill-everywhere
+/// policy against the cost-driven default on identical pipeline output.
 pub fn apply_alloc_with(r: &mut RunResult, opts: &AllocOptions) {
     let stats = tossa_trace::span("alloc_stage", || {
         allocate(&mut r.func, opts)

@@ -5,14 +5,12 @@
 //! renders rows in the paper's format: the first experiment column is an
 //! absolute count, subsequent columns are signed deltas relative to it.
 
-use crate::runner::{run_suite, run_suite_each_allocated_with, run_suite_matrix, SuiteResult};
+use crate::runner::{run_suite, run_suite_matrix, SuiteResult};
 use crate::suites::Suite;
 use std::fmt::Write as _;
 use tossa_core::coalesce::CoalesceOptions;
 use tossa_core::interfere::InterferenceMode;
 use tossa_core::Experiment;
-use tossa_regalloc::AllocOptions;
-use tossa_trace::json::{parse_json, Json};
 
 fn delta(base: i64, value: i64) -> String {
     let d = value - base;
@@ -178,144 +176,6 @@ pub fn table6(suites: &[Suite], verify: bool) -> String {
     out
 }
 
-/// The experiment columns of Table 6, in the paper's order.
-pub const TABLE6_EXPERIMENTS: [Experiment; 4] = [
-    Experiment::LphiAbiC,
-    Experiment::SphiLabiC,
-    Experiment::LabiC,
-    Experiment::CAbi,
-];
-
-/// Per-suite, per-experiment post-allocation spill+move totals for the
-/// Table 6 experiment set, run under an explicit allocator configuration
-/// (the printed [`table6`] always uses the default policy). This is the
-/// source for the CI spill-regression gate: the baseline side is
-/// generated once with `SpillPolicy::Everywhere` (the PR 4 allocator)
-/// and checked in; the fresh side runs the current default.
-pub fn table6_totals(
-    suites: &[Suite],
-    verify: bool,
-    alloc_opts: &AllocOptions,
-) -> Vec<(String, Vec<(&'static str, u64)>)> {
-    let opts = CoalesceOptions::default();
-    suites
-        .iter()
-        .map(|s| {
-            let cols = TABLE6_EXPERIMENTS
-                .iter()
-                .map(|&exp| {
-                    let total: usize =
-                        run_suite_each_allocated_with(s, exp, &opts, alloc_opts, verify)
-                            .iter()
-                            .map(|r| r.alloc.as_ref().map_or(0, |a| a.spill_move_total()))
-                            .sum();
-                    (exp.label(), total as u64)
-                })
-                .collect();
-            (s.name.to_string(), cols)
-        })
-        .collect()
-}
-
-/// Renders [`table6_totals`] output as the checked-in baseline document
-/// (`tables table6 --write-baseline FILE`).
-pub fn table6_baseline_json(
-    spec_scale: usize,
-    policy: &str,
-    totals: &[(String, Vec<(&'static str, u64)>)],
-) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "{{");
-    let _ = writeln!(out, "  \"schema\": \"tossa-table6-baseline/1\",");
-    let _ = writeln!(out, "  \"policy\": \"{policy}\",");
-    let _ = writeln!(out, "  \"spec_scale\": {spec_scale},");
-    let _ = writeln!(out, "  \"suites\": [");
-    for (i, (suite, cols)) in totals.iter().enumerate() {
-        let cells: Vec<String> = cols
-            .iter()
-            .map(|(label, v)| format!("\"{label}\": {v}"))
-            .collect();
-        let comma = if i + 1 < totals.len() { "," } else { "" };
-        let _ = writeln!(
-            out,
-            "    {{ \"suite\": \"{suite}\", \"totals\": {{ {} }} }}{comma}",
-            cells.join(", ")
-        );
-    }
-    let _ = writeln!(out, "  ]");
-    let _ = writeln!(out, "}}");
-    out
-}
-
-/// Compares fresh Table 6 totals against a checked-in baseline document.
-/// Returns the per-cell report on success; the list of regressed or
-/// structurally missing cells on failure. The gate is one-sided: a fresh
-/// total may only *meet or beat* the baseline — the whole point of the
-/// cost-driven spiller is that the PR 4 numbers are a ceiling.
-///
-/// # Errors
-/// The `Err` list names every cell whose fresh total exceeds the
-/// baseline, plus any baseline cell the fresh run no longer produces.
-pub fn table6_gate(
-    baseline_text: &str,
-    fresh_spec: usize,
-    totals: &[(String, Vec<(&'static str, u64)>)],
-) -> Result<String, Vec<String>> {
-    let doc = match parse_json(baseline_text) {
-        Ok(d) => d,
-        Err(e) => return Err(vec![format!("baseline does not parse: {e}")]),
-    };
-    let mut failures = Vec::new();
-    if doc.get("schema").and_then(Json::as_str) != Some("tossa-table6-baseline/1") {
-        failures.push("baseline is not a tossa-table6-baseline/1 document".into());
-    }
-    let recorded_spec = doc
-        .get("spec_scale")
-        .and_then(Json::as_u64)
-        .unwrap_or(u64::MAX) as usize;
-    if recorded_spec != fresh_spec {
-        failures.push(format!(
-            "spec-scale mismatch: baseline recorded {recorded_spec}, fresh run used {fresh_spec} \
-             — totals are only comparable at the same synthetic-population scale"
-        ));
-    }
-    if !failures.is_empty() {
-        return Err(failures);
-    }
-    let mut report = String::new();
-    for s in doc.get("suites").and_then(Json::as_arr).unwrap_or_default() {
-        let suite = s.get("suite").and_then(Json::as_str).unwrap_or("?");
-        let Some((_, fresh_cols)) = totals.iter().find(|(name, _)| name == suite) else {
-            failures.push(format!("{suite}: suite missing from the fresh run"));
-            continue;
-        };
-        let base_cols = s.get("totals").and_then(Json::as_obj).unwrap_or_default();
-        for (label, base) in base_cols {
-            let Some(base) = base.as_u64() else { continue };
-            match fresh_cols.iter().find(|(l, _)| l == label) {
-                Some(&(_, fresh)) if fresh <= base => {
-                    let _ = writeln!(
-                        report,
-                        "  {suite}/{label}: {fresh} <= baseline {base} ({})",
-                        if fresh < base { "improved" } else { "held" }
-                    );
-                }
-                Some(&(_, fresh)) => failures.push(format!(
-                    "{suite}/{label}: spill+move total {fresh} exceeds the PR4 baseline {base}"
-                )),
-                None => failures.push(format!(
-                    "{suite}/{label}: experiment missing from the fresh run"
-                )),
-            }
-        }
-    }
-    if failures.is_empty() {
-        Ok(report)
-    } else {
-        Err(failures)
-    }
-}
-
 /// Table 5: weighted (`5^depth`) move counts for the coalescer variants
 /// `base`, `depth`, `opt`, `pess` (all on `Lφ,ABI`).
 pub fn table5(suites: &[Suite], verify: bool) -> String {
@@ -377,6 +237,23 @@ pub fn table5(suites: &[Suite], verify: bool) -> String {
     out
 }
 
+/// Tables 1–6 in order, each followed by a blank line: what
+/// `tables all` prints, and the checked-in `tables_output.txt` at
+/// SPECint scale 40 with verification on.
+pub fn all(suites: &[Suite], verify: bool) -> String {
+    [
+        table1(),
+        table2(suites, verify),
+        table3(suites, verify),
+        table4(suites, verify),
+        table5(suites, verify),
+        table6(suites, verify),
+    ]
+    .iter()
+    .map(|t| format!("{t}\n"))
+    .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -411,31 +288,6 @@ mod tests {
         let t = table6(&small_suites(), true);
         assert!(t.contains("example1-8"), "{t}");
         assert!(t.contains("spill+move"), "{t}");
-    }
-
-    #[test]
-    fn table6_gate_holds_and_catches_regressions() {
-        let suites = small_suites();
-        let totals = table6_totals(&suites, true, &AllocOptions::default());
-        assert!(totals[0].1.iter().all(|&(_, v)| v > 0), "{totals:?}");
-        let baseline = table6_baseline_json(2, "cost-driven", &totals);
-        table6_gate(&baseline, 2, &totals).expect("self-comparison is clean");
-        // A mismatched synthetic-population scale is not comparable.
-        table6_gate(&baseline, 3, &totals).expect_err("spec mismatch must fail");
-        // Tighten every cell below the fresh totals: the gate must name
-        // the regressed cells.
-        let (label, v) = totals[0].1[0];
-        let doctored = baseline.replace(
-            &format!("\"{label}\": {v}"),
-            &format!("\"{label}\": {}", v - 1),
-        );
-        let failures = table6_gate(&doctored, 2, &totals).expect_err("regression must fail");
-        assert!(
-            failures
-                .iter()
-                .any(|f| f.contains("exceeds the PR4 baseline")),
-            "{failures:?}"
-        );
     }
 
     #[test]

@@ -1,12 +1,14 @@
-//! Machine-readable trajectory: `BENCH_pr<N>.json` emission.
+//! Machine-readable trajectory: the document `perf` writes and the
+//! checked-in `BENCH_pr10.json` holds.
 //!
 //! Each record is one (suite × experiment) cell of the paper's tables
 //! with its deterministic fields only — move counts, allocation
 //! statistics and trace counters — so the document is a pure function
 //! of the source tree and the `--spec` scale: two runs write the same
-//! bytes, and successive PRs compare cell for cell (`bench-diff`).
-//! Timing lives in the repository benchmark (`benchmark/`), which
-//! repeats its runs and pairs them.
+//! bytes. `tests/baseline.rs` compares a fresh document at scale 40
+//! with `BENCH_pr10.json` byte for byte, and `bench-diff` names the
+//! cells where two documents differ. Timing lives in the repository
+//! benchmark (`benchmark/`), which repeats its runs and pairs them.
 //!
 //! The JSON is hand-rolled — the build has no serde — but the shape is
 //! stable:
@@ -27,8 +29,8 @@
 //! v6 over v5: the clocks are gone — the top-level `unix_time`,
 //! `threads`, `mode`, `throughput` and `end_to_end_wall_ns`, the
 //! per-suite `front_end_ns`, and the per-cell `wall_ns` and `stages`.
-//! Per-cell deterministic fields are unchanged since v3, so documents
-//! of every version compare cell for cell.
+//! The `counters` object lists every [`tossa_trace::Counter`], in
+//! declaration order.
 
 use crate::runner::{prepare_suite_counted, run_suite_each_prepared_counted, SuiteResult};
 use crate::suites::Suite;
@@ -109,7 +111,7 @@ pub fn measure(suites: &[Suite]) -> Trajectory {
 }
 
 impl Trajectory {
-    /// Renders the trajectory as the `BENCH_pr<N>.json` document.
+    /// Renders the trajectory as a `tossa-bench-trajectory/6` document.
     pub fn to_json(&self) -> String {
         let mut out = String::new();
         out.push_str("{\n");

@@ -1,7 +1,7 @@
 //! The trajectory tools end to end: `perf` writes a byte-reproducible
-//! document and refuses arguments it does not understand, and
-//! `bench-diff` exits 0 on identical deterministic cells, 2 on drift
-//! (naming the cell), and 3 on bad usage.
+//! document, `bench-diff` exits 0 on identical deterministic cells, 2 on
+//! drift in any field (naming the cell), and 3 on bad usage, and `perf`,
+//! `tables` and `explain` refuse arguments they do not understand.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -9,6 +9,8 @@ use std::sync::OnceLock;
 
 const PERF: &str = env!("CARGO_BIN_EXE_perf");
 const BENCH_DIFF: &str = env!("CARGO_BIN_EXE_bench-diff");
+const TABLES: &str = env!("CARGO_BIN_EXE_tables");
+const EXPLAIN: &str = env!("CARGO_BIN_EXE_explain");
 
 fn baseline() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_pr10.json")
@@ -98,8 +100,41 @@ fn perf_refuses_unknown_flags_and_a_malformed_spec() {
     }
 }
 
+/// `tables` and `explain` reject each argument list with their usage
+/// line and exit 2, having printed nothing on stdout.
 #[test]
-fn fresh_run_is_identical_to_the_v5_baseline() {
+fn tables_and_explain_refuse_unknown_arguments() {
+    for (bin, name, args) in [
+        (TABLES, "tables", &["table6", "--bogus"][..]),
+        (TABLES, "tables", &["table6", "--gate", "x.json"][..]),
+        (TABLES, "tables", &["table7"][..]),
+        (TABLES, "tables", &["--spec", "x"][..]),
+        (EXPLAIN, "explain", &["--bogus"][..]),
+        (EXPLAIN, "explain", &["--spill-everywhere"][..]),
+        (EXPLAIN, "explain", &["--hull", "--quiet"][..]),
+        (EXPLAIN, "explain", &["--suite"][..]),
+        (EXPLAIN, "explain", &["--spec", "x"][..]),
+        (EXPLAIN, "explain", &["--diff", "a.json"][..]),
+    ] {
+        let o = Command::new(bin)
+            .args(args)
+            .output()
+            .unwrap_or_else(|e| panic!("running {name}: {e}"));
+        assert_eq!(o.status.code(), Some(2), "{name} {args:?}: {o:?}");
+        assert!(
+            String::from_utf8_lossy(&o.stderr).contains(&format!("usage: {name}")),
+            "{name} {args:?} must print its usage line"
+        );
+        assert!(
+            o.stdout.is_empty(),
+            "{name} {args:?} printed: {}",
+            stdout(&o)
+        );
+    }
+}
+
+#[test]
+fn fresh_run_is_identical_to_the_baseline() {
     let path = edited("fresh-copy.json", str::to_string);
     let o = run(BENCH_DIFF, &[&baseline(), &path]);
     assert_eq!(o.status.code(), Some(0), "{}", stdout(&o));
@@ -141,17 +176,15 @@ fn a_missing_cell_is_drift_naming_the_cell() {
 }
 
 #[test]
-fn a_cache_counter_shift_is_advisory() {
+fn a_cache_counter_shift_is_drift_naming_the_field() {
     let path = edited("cache.json", |d| bump_first(d, "analysis_cache_hits"));
     let o = run(BENCH_DIFF, &[&baseline(), &path]);
-    assert_eq!(o.status.code(), Some(0), "{}", stdout(&o));
-    let text = stdout(&o);
+    assert_eq!(o.status.code(), Some(2), "{}", stdout(&o));
     assert!(
-        text.contains("advisory cache-policy counter shifts"),
-        "{text}"
+        stdout(&o).contains("VALcc1/LphiC: counter.analysis_cache_hits "),
+        "{}",
+        stdout(&o)
     );
-    assert!(text.contains("VALcc1/LphiC: counter.analysis_cache_hits "));
-    assert!(text.contains("deterministic cells: identical"));
 }
 
 #[test]

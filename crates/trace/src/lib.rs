@@ -114,10 +114,6 @@ pub enum Counter {
     AllocReloads,
     /// Spill stores (`spillst`) the allocator inserted.
     AllocStores,
-    /// Always 0: the allocator has one engine and no fallback. Kept so
-    /// the counter schema of every checked-in trajectory cell stays
-    /// unchanged.
-    AllocFallbacks,
     /// `mov`s still present after register allocation (self-moves under
     /// the assignment excluded).
     AllocMovesAfter,
@@ -125,7 +121,7 @@ pub enum Counter {
 
 impl Counter {
     /// Number of counters (the [`CounterSet`] array length).
-    pub const COUNT: usize = 36;
+    pub const COUNT: usize = 35;
 
     /// Every counter, in declaration (= export) order.
     pub const ALL: [Counter; Counter::COUNT] = [
@@ -163,7 +159,6 @@ impl Counter {
         Counter::AllocSpilledVars,
         Counter::AllocReloads,
         Counter::AllocStores,
-        Counter::AllocFallbacks,
         Counter::AllocMovesAfter,
     ];
 
@@ -204,7 +199,6 @@ impl Counter {
             Counter::AllocSpilledVars => "alloc_spilled_vars",
             Counter::AllocReloads => "alloc_reloads",
             Counter::AllocStores => "alloc_stores",
-            Counter::AllocFallbacks => "alloc_fallbacks",
             Counter::AllocMovesAfter => "alloc_moves_after",
         }
     }

@@ -3,11 +3,12 @@
 //!
 //! The pipeline counters in [`crate::Counter`] answer "what did this
 //! compile do" — they are deterministic, captured thread-locally, and
-//! pinned cell-by-cell in the `BENCH_pr*.json` trajectories. A
-//! long-running *service* needs a different instrument: "what is this
-//! process doing right now, and how is it distributed" — queue depths,
-//! latency percentiles, budget-consumption histograms — written from
-//! every worker thread at once and read while the writers keep going.
+//! compared cell by cell against the checked-in `BENCH_pr10.json`
+//! trajectory. A long-running *service* needs a different instrument:
+//! "what is this process doing right now, and how is it distributed" —
+//! queue depths, latency percentiles, budget-consumption histograms —
+//! written from every worker thread at once and read while the writers
+//! keep going.
 //!
 //! This module provides that instrument with the same constraints as
 //! the rest of the crate: **no dependencies**, and **no locks on the

@@ -1,15 +1,15 @@
 //! Job-outcome counters for the long-running compile service.
 //!
 //! The pipeline counters in [`crate::Counter`] are *translation* facts:
-//! they are deterministic for a given input and pinned cell-by-cell in
-//! the `BENCH_pr*.json` trajectories, so the set is closed — adding a
-//! field would read as deterministic drift to `bench-diff`. Service
-//! outcomes (how many jobs completed, degraded, were shed, hit a
-//! budget) are a different dimension: they depend on scheduling, chaos
-//! injection, and load, and they aggregate across worker threads of one
-//! process rather than inside one single-threaded capture. They
-//! therefore live in their own closed enum with their own export
-//! schema, `tossa-job-counters/1`.
+//! they are deterministic for a given input and compared cell by cell
+//! against the checked-in `BENCH_pr10.json` trajectory, so the set is
+//! closed — adding a field would read as deterministic drift to
+//! `bench-diff`. Service outcomes (how many jobs completed, degraded,
+//! were shed, hit a budget) are a different dimension: they depend on
+//! scheduling, chaos injection, and load, and they aggregate across
+//! worker threads of one process rather than inside one single-threaded
+//! capture. They therefore live in their own closed enum with their own
+//! export schema, `tossa-job-counters/1`.
 //!
 //! Two containers:
 //!
