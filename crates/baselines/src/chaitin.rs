@@ -8,8 +8,12 @@
 //! vertices (cheap edge union) and rewriting the program; rounds repeat
 //! until a fixpoint, since coalescing shortens live ranges and can unlock
 //! further coalescing.
+//!
+//! The coalescer only ever asks about move operands, so each round's
+//! graph is one bit matrix over those variables
+//! ([`InterferenceGraph::build_among`]): `m ≤ 2·moves` rows of `m` bits.
+//! The round's merge aliases are a `Vec` indexed by variable.
 
-use std::collections::HashMap;
 use tossa_analysis::{AnalysisCache, BitSet, InterferenceGraph};
 use tossa_ir::ids::Var;
 use tossa_ir::Function;
@@ -83,11 +87,12 @@ fn aggressive_coalesce_inner(f: &mut Function, cache: &mut AnalysisCache) -> Coa
             movevars.insert(f.inst(i).uses[0].var);
         }
         let mut graph = InterferenceGraph::build_among(f, &cfg, &live, &movevars);
-        // Alias map for merges performed this round.
-        let mut alias: HashMap<Var, Var> = HashMap::new();
-        fn resolve(alias: &HashMap<Var, Var>, mut v: Var) -> Var {
-            while let Some(&n) = alias.get(&v) {
-                v = n;
+        // Merges performed this round: `alias[v]` is the variable `v` was
+        // merged into, or `v` itself.
+        let mut alias: Vec<Var> = f.vars().collect();
+        fn resolve(alias: &[Var], mut v: Var) -> Var {
+            while alias[v.index()] != v {
+                v = alias[v.index()];
             }
             v
         }
@@ -109,7 +114,7 @@ fn aggressive_coalesce_inner(f: &mut Function, cache: &mut AnalysisCache) -> Coa
             }
             let (keep, gone) = survivor(f, d, s);
             graph.merge(keep, gone);
-            alias.insert(gone, keep);
+            alias[gone.index()] = keep;
             merged_this_round += 1;
         }
         if merged_this_round == 0 {
@@ -118,12 +123,13 @@ fn aggressive_coalesce_inner(f: &mut Function, cache: &mut AnalysisCache) -> Coa
         stats.coalesced += merged_this_round;
         f.rewrite_vars(|v| resolve(&alias, v));
         cache.invalidate_instructions();
-        // Delete the now-trivial self-moves.
-        for b in f.blocks().collect::<Vec<_>>() {
-            for i in f.block_insts(b).collect::<Vec<_>>() {
-                if f.inst(i).is_self_move() {
-                    f.remove_inst(b, i);
-                }
+        // Delete the now-trivial self-moves, with one pass over each
+        // block that has any.
+        for b in f.blocks() {
+            if f.block_insts(b).any(|i| f.inst(i).is_self_move()) {
+                let mut list = std::mem::take(&mut f.block_mut(b).insts);
+                list.retain(|&i| !f.inst(i).is_self_move());
+                f.block_mut(b).insts = list;
             }
         }
         // Early fixpoint: merging only ever *shortens* live ranges, so a

@@ -3,8 +3,9 @@
 //! naive out-of-SSA translation (§5, Table 4 discussion); this is the
 //! dead-code part.
 
-use tossa_analysis::AnalysisCache;
-use tossa_ir::ids::Inst;
+use tossa_analysis::bitset::{pooled, recycle};
+use tossa_analysis::{AnalysisCache, BitSet};
+use tossa_ir::ids::{Inst, Var};
 use tossa_ir::Function;
 
 /// Removes instructions without side effects whose definitions are all
@@ -18,15 +19,16 @@ pub fn dead_code_elim(f: &mut Function) -> usize {
 /// memoized.
 pub fn dead_code_elim_cached(f: &mut Function, cache: &mut AnalysisCache) -> usize {
     let mut removed = 0;
+    let mut cursor: BitSet<Var> = pooled(f.num_vars());
+    let mut dead: Vec<Inst> = Vec::new();
     loop {
         let live = cache.liveness(f);
         let mut removed_this_round = 0;
-        for b in f.blocks().collect::<Vec<_>>() {
-            let insts: Vec<Inst> = f.block_insts(b).collect();
-            let mut cursor = live.live_exit(f, b);
+        for b in f.blocks() {
+            live.live_exit_into(f, b, &mut cursor);
             // Walk backwards tracking per-point liveness.
-            let mut dead: Vec<Inst> = Vec::new();
-            for &i in insts.iter().rev() {
+            dead.clear();
+            for &i in f.block(b).insts.iter().rev() {
                 let inst = f.inst(i);
                 let is_dead = !inst.opcode.has_side_effects()
                     && !inst.is_terminator()
@@ -43,9 +45,12 @@ pub fn dead_code_elim_cached(f: &mut Function, cache: &mut AnalysisCache) -> usi
                     cursor.insert(u.var);
                 }
             }
-            for i in dead {
-                f.remove_inst(b, i);
-                removed_this_round += 1;
+            // One pass over the block drops all of its dead code.
+            if !dead.is_empty() {
+                removed_this_round += dead.len();
+                let mut list = std::mem::take(&mut f.block_mut(b).insts);
+                list.retain(|i| !dead.contains(i));
+                f.block_mut(b).insts = list;
             }
         }
         if removed_this_round == 0 {
@@ -54,6 +59,7 @@ pub fn dead_code_elim_cached(f: &mut Function, cache: &mut AnalysisCache) -> usi
         cache.invalidate_instructions();
         removed += removed_this_round;
     }
+    recycle(cursor);
     removed
 }
 

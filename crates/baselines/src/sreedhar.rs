@@ -17,7 +17,6 @@
 //! interference the heuristic left behind, so the output is always
 //! genuinely conventional.
 
-use std::collections::{BTreeSet, HashMap};
 use std::rc::Rc;
 use tossa_analysis::{AnalysisCache, DefMap, LiveAtDefs, Liveness};
 use tossa_ir::ids::{Block, Inst, Var};
@@ -75,22 +74,25 @@ fn interferes(a: &Analyses, x: Var, y: Var) -> bool {
         || (sx.block == sy.block && sx.is_phi && sy.is_phi)
 }
 
-/// φ-congruence classes maintained with union-find + member lists.
+/// φ-congruence classes maintained with union-find + member lists:
+/// `members[r]` lists the class whose root is `r`, and stays empty for a
+/// class of one.
 struct Classes {
     parent: Vec<usize>,
-    members: HashMap<usize, Vec<Var>>,
+    members: Vec<Vec<Var>>,
 }
 
 impl Classes {
     fn new(n: usize) -> Classes {
         Classes {
             parent: (0..n).collect(),
-            members: HashMap::new(),
+            members: vec![Vec::new(); n],
         }
     }
     fn grow(&mut self, n: usize) {
         while self.parent.len() < n {
             self.parent.push(self.parent.len());
+            self.members.push(Vec::new());
         }
     }
     fn find(&mut self, v: Var) -> usize {
@@ -106,26 +108,31 @@ impl Classes {
         }
         r
     }
-    fn members_of(&mut self, v: Var) -> Vec<Var> {
+    /// Appends the members of `v`'s class to `out`.
+    fn push_members(&mut self, v: Var, out: &mut Vec<Var>) {
         let r = self.find(v);
-        self.members.get(&r).cloned().unwrap_or_else(|| vec![v])
+        if self.members[r].is_empty() {
+            out.push(v);
+        } else {
+            out.extend_from_slice(&self.members[r]);
+        }
     }
     fn union(&mut self, a: Var, b: Var) {
         let (ra, rb) = (self.find(a), self.find(b));
         if ra == rb {
             return;
         }
-        let ma = self
-            .members
-            .remove(&ra)
-            .unwrap_or_else(|| vec![Var::new(ra)]);
-        let mut mb = self
-            .members
-            .remove(&rb)
-            .unwrap_or_else(|| vec![Var::new(rb)]);
-        mb.extend(ma);
+        let ma = std::mem::take(&mut self.members[ra]);
+        let mb = &mut self.members[rb];
+        if mb.is_empty() {
+            mb.push(Var::new(rb));
+        }
+        if ma.is_empty() {
+            mb.push(Var::new(ra));
+        } else {
+            mb.extend(ma);
+        }
         self.parent[ra] = rb;
-        self.members.insert(rb, mb);
     }
 }
 
@@ -174,8 +181,19 @@ fn to_cssa_inner(f: &mut Function, cache: &mut AnalysisCache) -> CssaStats {
             resources.push((u.var, inst.phi_preds[k], Some(k)));
         }
 
-        // Pairwise interference of congruence classes -> candidates.
-        let mut candidates: BTreeSet<usize> = BTreeSet::new(); // index into resources
+        // Each resource's congruence class, as a range of `class_vars`.
+        // No class changes before the copies go in, so each is read once.
+        let mut class_vars: Vec<Var> = Vec::new();
+        let mut class_of: Vec<std::ops::Range<usize>> = Vec::with_capacity(resources.len());
+        for &(x, _, _) in &resources {
+            let start = class_vars.len();
+            classes.push_members(x, &mut class_vars);
+            class_of.push(start..class_vars.len());
+        }
+
+        // Pairwise interference of congruence classes -> candidates,
+        // flagged by position in `resources`.
+        let mut candidates = vec![false; resources.len()];
         let mut unresolved: Vec<(usize, usize)> = Vec::new();
         for i in 0..resources.len() {
             for j in i + 1..resources.len() {
@@ -184,8 +202,8 @@ fn to_cssa_inner(f: &mut Function, cache: &mut AnalysisCache) -> CssaStats {
                 if xi == xj {
                     continue;
                 }
-                let ci = classes.members_of(xi);
-                let cj = classes.members_of(xj);
+                let ci = &class_vars[class_of[i].clone()];
+                let cj = &class_vars[class_of[j].clone()];
                 let class_interf = ci
                     .iter()
                     .any(|&a| cj.iter().any(|&b| interferes(&analyses, a, b)));
@@ -196,15 +214,11 @@ fn to_cssa_inner(f: &mut Function, cache: &mut AnalysisCache) -> CssaStats {
                 let ci_live_out_lj = ci.iter().any(|&a| analyses.live.live_out(lj).contains(a));
                 let cj_live_out_li = cj.iter().any(|&a| analyses.live.live_out(li).contains(a));
                 match (ci_live_out_lj, cj_live_out_li) {
-                    (true, false) => {
-                        candidates.insert(i);
-                    }
-                    (false, true) => {
-                        candidates.insert(j);
-                    }
+                    (true, false) => candidates[i] = true,
+                    (false, true) => candidates[j] = true,
                     (true, true) => {
-                        candidates.insert(i);
-                        candidates.insert(j);
+                        candidates[i] = true;
+                        candidates[j] = true;
                     }
                     (false, false) => unresolved.push((i, j)),
                 }
@@ -212,37 +226,34 @@ fn to_cssa_inner(f: &mut Function, cache: &mut AnalysisCache) -> CssaStats {
         }
         // Process the unresolved resources: repeatedly take the resource
         // with the most unresolved neighbours.
+        let mut count: Vec<usize> = Vec::new();
         loop {
-            unresolved.retain(|&(i, j)| !candidates.contains(&i) && !candidates.contains(&j));
+            unresolved.retain(|&(i, j)| !candidates[i] && !candidates[j]);
             if unresolved.is_empty() {
                 break;
             }
-            let mut count: HashMap<usize, usize> = HashMap::new();
+            count.clear();
+            count.resize(resources.len(), 0);
             for &(i, j) in &unresolved {
-                *count.entry(i).or_insert(0) += 1;
-                *count.entry(j).or_insert(0) += 1;
+                count[i] += 1;
+                count[j] += 1;
             }
-            let pick = *count
-                .iter()
-                .max_by_key(|&(&i, &c)| {
+            let pick = (0..resources.len())
+                .filter(|&i| count[i] > 0)
+                .max_by_key(|&i| {
                     // Prefer splitting resources that are allowed to split.
                     let splittable = !avoid_split(f, resources[i].0);
-                    (splittable, c, std::cmp::Reverse(i))
+                    (splittable, count[i], std::cmp::Reverse(i))
                 })
-                .map(|(i, _)| i)
                 .expect("non-empty");
-            candidates.insert(pick);
+            candidates[pick] = true;
         }
-
-        // Never split a dedicated-register web if any alternative exists:
-        // swap such candidates for their pair partners where possible.
-        let final_candidates: Vec<usize> = candidates.iter().copied().collect();
 
         // Insert the copies.
-        if !final_candidates.is_empty() {
+        if candidates.contains(&true) {
             cache.invalidate_instructions();
         }
-        for idx in final_candidates {
+        for idx in (0..resources.len()).filter(|&i| candidates[i]) {
             let (x, l, arg_slot) = resources[idx];
             match arg_slot {
                 Some(k) => {
@@ -309,17 +320,19 @@ fn safety_pass(f: &mut Function, cache: &mut AnalysisCache) -> usize {
         // The check is cached per union-find root; in the common case —
         // the Method III heuristic left nothing behind — no web
         // interferes and the loop below never materializes a `without`.
-        let mut web_conflict: HashMap<usize, bool> = HashMap::new();
+        let mut web_conflict: Vec<Option<bool>> = vec![None; f.num_vars()];
         let mut fix: Option<(Inst, usize)> = None; // (phi, arg slot to split)
+        let mut whole_web: Vec<Var> = Vec::new();
         'outer: for &p in &phis {
             let inst = f.inst(p);
             let d = inst.defs[0].var;
             let root = all.find(d);
-            let whole_web = all.members_of(d);
+            whole_web.clear();
+            all.push_members(d, &mut whole_web);
             if whole_web.len() < 2 {
                 continue;
             }
-            let conflicts = *web_conflict.entry(root).or_insert_with(|| {
+            let conflicts = *web_conflict[root].get_or_insert_with(|| {
                 whole_web.iter().enumerate().any(|(i, &a)| {
                     whole_web[i + 1..]
                         .iter()
@@ -343,9 +356,12 @@ fn safety_pass(f: &mut Function, cache: &mut AnalysisCache) -> usize {
                 }
             }
             let mut webs: Vec<(Option<usize>, Vec<Var>)> = Vec::new();
-            webs.push((None, without.members_of(d)));
-            for (k, u) in inst.uses.iter().enumerate() {
-                webs.push((Some(k), without.members_of(u.var)));
+            let sides = std::iter::once((None, d))
+                .chain(inst.uses.iter().enumerate().map(|(k, u)| (Some(k), u.var)));
+            for (slot, v) in sides {
+                let mut web = Vec::new();
+                without.push_members(v, &mut web);
+                webs.push((slot, web));
             }
             for i in 0..webs.len() {
                 for j in i + 1..webs.len() {
@@ -410,18 +426,14 @@ pub fn sreedhar_out_of_ssa_cached(f: &mut Function, cache: &mut AnalysisCache) -
     }
     // Rename members to a representative, preferring one that carries a
     // register identity so dedicated-register webs keep their register.
-    let mut rep: HashMap<usize, Var> = HashMap::new();
-    for v in f.vars().collect::<Vec<_>>() {
-        let r = classes.find(v);
-        let entry = rep.entry(r).or_insert(Var::new(r));
+    // `rep[r]` is the representative of the class rooted at `r`.
+    let mut rep: Vec<Var> = f.vars().collect();
+    for v in f.vars() {
         if f.var(v).reg.is_some() {
-            *entry = v;
+            rep[classes.find(v)] = v;
         }
     }
-    f.rewrite_vars(|v| {
-        let r = classes.find(v);
-        rep.get(&r).copied().unwrap_or(Var::new(r))
-    });
+    f.rewrite_vars(|v| rep[classes.find(v)]);
     // Delete φs (now self-referential).
     for b in f.blocks().collect::<Vec<_>>() {
         for phi in f.phis(b).collect::<Vec<_>>() {
@@ -466,7 +478,8 @@ mod tests {
             if !inst.is_phi() {
                 continue;
             }
-            let members = classes.members_of(inst.defs[0].var);
+            let mut members = Vec::new();
+            classes.push_members(inst.defs[0].var, &mut members);
             for (a_idx, &a) in members.iter().enumerate() {
                 for &b in &members[a_idx + 1..] {
                     assert!(

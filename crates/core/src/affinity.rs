@@ -9,8 +9,7 @@
 //! edges until no two vertices of a connected component interfere.
 
 use crate::interfere::{resource_interfere_reason, InterfereReason, InterferenceEnv, ResourceSet};
-use std::collections::HashMap;
-use tossa_ir::ids::{Block, Resource, Var};
+use tossa_ir::ids::{Block, EntityVec, Resource, Var};
 use tossa_ir::Function;
 
 /// A vertex of the affinity graph: an already-pinned resource or an
@@ -21,6 +20,35 @@ pub enum RVertex {
     Res(Resource),
     /// An unpinned variable.
     Bare(Var),
+}
+
+impl RVertex {
+    /// A dense id for the vertex: resources and variables interleaved,
+    /// so a table indexed by it grows with the larger of the two id
+    /// ranges and needs neither size up front.
+    fn dense(self) -> usize {
+        match self {
+            RVertex::Res(r) => 2 * r.index(),
+            RVertex::Bare(v) => 2 * v.index() + 1,
+        }
+    }
+}
+
+/// Looks up `v` in a table of positions indexed by [`RVertex::dense`]
+/// (`u32::MAX` = absent), first registering it at position `next` when
+/// it is absent. Returns the position and whether it was new.
+fn dense_position(table: &mut Vec<u32>, v: RVertex, next: usize) -> (usize, bool) {
+    let d = v.dense();
+    if d >= table.len() {
+        table.resize(d + 1, u32::MAX);
+    }
+    match table[d] {
+        u32::MAX => {
+            table[d] = next as u32;
+            (next, true)
+        }
+        k => (k as usize, false),
+    }
 }
 
 /// `Resource_def(v)` (paper §3): the resource of `v`'s definition.
@@ -43,7 +71,8 @@ pub fn resource_def(f: &Function, v: Var) -> RVertex {
 #[derive(Clone, Debug, Default)]
 pub struct AffinityGraph {
     verts: Vec<RVertex>,
-    index: HashMap<RVertex, usize>,
+    /// Position of each vertex in `verts`, by [`RVertex::dense`].
+    index: Vec<u32>,
     /// Edge multiplicities, sorted by ordered vertex index pair.
     edges: Vec<(EdgeKey, u32)>,
     /// Buffered insertions, merged into `edges` on flush.
@@ -52,12 +81,10 @@ pub struct AffinityGraph {
 
 impl AffinityGraph {
     fn vertex(&mut self, v: RVertex) -> usize {
-        if let Some(&i) = self.index.get(&v) {
-            return i;
+        let (i, new) = dense_position(&mut self.index, v, self.verts.len());
+        if new {
+            self.verts.push(v);
         }
-        let i = self.verts.len();
-        self.verts.push(v);
-        self.index.insert(v, i);
         i
     }
 
@@ -124,12 +151,6 @@ impl AffinityGraph {
 
     fn assert_flushed(&self) {
         debug_assert!(self.pending.is_empty(), "AffinityGraph read before flush()");
-    }
-
-    /// The sorted edge keys (allocated snapshot, for removal loops).
-    fn edge_keys(&self) -> Vec<EdgeKey> {
-        self.assert_flushed();
-        self.edges.iter().map(|&(k, _)| k).collect()
     }
 
     /// Multiplicity of the edge with `key`, if present.
@@ -218,13 +239,21 @@ pub fn create_affinity_graph(
 
 /// Pairwise resource-interference oracle over graph vertices, memoized
 /// for the duration of one block's pruning (no merges happen meanwhile).
+///
+/// Vertices are numbered in the order the oracle first meets them; every
+/// table below is indexed by that number.
 pub struct VertexInterference<'a> {
     env: &'a InterferenceEnv<'a>,
-    members: &'a HashMap<Resource, Vec<Var>>,
-    cache: HashMap<(RVertex, RVertex), Option<InterfereReason>>,
-    /// Per-vertex resource set and its `killed_within`, computed once per
-    /// oracle lifetime (membership is frozen while a block is pruned).
-    per_vertex: HashMap<RVertex, (ResourceSet, Vec<Var>)>,
+    members: &'a EntityVec<Resource, Vec<Var>>,
+    /// Oracle number of each vertex met so far, by [`RVertex::dense`].
+    number: Vec<u32>,
+    /// Per-vertex resource set and its `killed_within`, computed when
+    /// the vertex is first met (membership is frozen while a block is
+    /// pruned).
+    per_vertex: Vec<(ResourceSet, Vec<Var>)>,
+    /// Memoized verdicts as a lower triangle: the pair `i > j` sits at
+    /// `i·(i−1)/2 + j`; `None` = not asked yet.
+    cache: Vec<Option<Option<InterfereReason>>>,
     /// Query/hit tallies, kept as plain integers on the hot path and
     /// flushed to the trace sink once, when the oracle is dropped.
     queries: u64,
@@ -242,13 +271,14 @@ impl<'a> VertexInterference<'a> {
     /// Creates the oracle over the current membership map.
     pub fn new(
         env: &'a InterferenceEnv<'a>,
-        members: &'a HashMap<Resource, Vec<Var>>,
+        members: &'a EntityVec<Resource, Vec<Var>>,
     ) -> VertexInterference<'a> {
         VertexInterference {
             env,
             members,
-            cache: HashMap::new(),
-            per_vertex: HashMap::new(),
+            number: Vec::new(),
+            per_vertex: Vec::new(),
+            cache: Vec::new(),
             queries: 0,
             hits: 0,
         }
@@ -258,20 +288,25 @@ impl<'a> VertexInterference<'a> {
     pub fn set_of(&self, v: RVertex) -> ResourceSet {
         match v {
             RVertex::Res(r) => ResourceSet {
-                members: self.members.get(&r).cloned().unwrap_or_default(),
+                members: self.members.get(r).cloned().unwrap_or_default(),
                 is_phys: self.env.f.resources.as_phys(r).is_some(),
             },
             RVertex::Bare(v) => ResourceSet::singleton(v),
         }
     }
 
-    /// Memoizes the vertex's resource set and killed-within list.
-    fn ensure_vertex(&mut self, v: RVertex) {
-        if !self.per_vertex.contains_key(&v) {
+    /// The vertex's oracle number; a vertex met for the first time gets
+    /// the next one, its resource set and killed-within list, and a row
+    /// of unasked pairs.
+    fn number_of(&mut self, v: RVertex) -> usize {
+        let (i, new) = dense_position(&mut self.number, v, self.per_vertex.len());
+        if new {
             let s = self.set_of(v);
             let k = s.killed_within(self.env);
-            self.per_vertex.insert(v, (s, k));
+            self.per_vertex.push((s, k));
+            self.cache.resize(self.cache.len() + i, None);
         }
+        i
     }
 
     /// Whether two vertices' resources interfere (`Resource_interfere`).
@@ -287,17 +322,17 @@ impl<'a> VertexInterference<'a> {
             return None;
         }
         self.queries += 1;
-        let key = if vkey(a) < vkey(b) { (a, b) } else { (b, a) };
-        if let Some(&v) = self.cache.get(&key) {
+        let (ia, ib) = (self.number_of(a), self.number_of(b));
+        let (hi, lo) = (ia.max(ib), ia.min(ib));
+        let slot = hi * (hi - 1) / 2 + lo;
+        if let Some(v) = self.cache[slot] {
             self.hits += 1;
             return v;
         }
-        self.ensure_vertex(a);
-        self.ensure_vertex(b);
-        let (sa, ka) = &self.per_vertex[&a];
-        let (sb, kb) = &self.per_vertex[&b];
+        let (sa, ka) = &self.per_vertex[ia];
+        let (sb, kb) = &self.per_vertex[ib];
         let r = resource_interfere_reason(self.env, sa, sb, ka, kb);
-        self.cache.insert(key, r);
+        self.cache[slot] = Some(r);
         r
     }
 }
@@ -337,13 +372,14 @@ pub fn initial_pruning(
     oracle: &mut VertexInterference<'_>,
 ) -> Vec<PrunedEdge> {
     g.flush();
-    let verts = g.verts.clone();
-    let keys = g.edge_keys();
     let mut pruned = Vec::new();
-    for key in keys {
-        let (a, b) = (verts[key.0], verts[key.1]);
+    // Edges in key order; a removal shifts the next one into place.
+    let mut k = 0;
+    while k < g.edges.len() {
+        let ((ia, ib), weight) = g.edges[k];
+        let (a, b) = (g.verts[ia], g.verts[ib]);
         if let Some(reason) = oracle.interfere_reason(a, b) {
-            let weight = g.remove_edge(key).expect("edge present");
+            g.edges.remove(k);
             pruned.push(PrunedEdge {
                 a,
                 b,
@@ -351,6 +387,8 @@ pub fn initial_pruning(
                 offenders: (a, b),
                 reason,
             });
+        } else {
+            k += 1;
         }
     }
     pruned
@@ -379,15 +417,13 @@ pub fn bipartite_pruning(
     let mut deleted = Vec::new();
     loop {
         // Find an interfering pair inside one connected component.
-        let comps = components(g);
+        let comps = component_indices(g);
         let mut offender: Option<(usize, usize, InterfereReason)> = None;
         'find: for comp in &comps {
             for (i, &a) in comp.iter().enumerate() {
                 for &b in &comp[i + 1..] {
-                    if let Some(reason) = oracle.interfere_reason(a, b) {
-                        let ia = verts.iter().position(|&v| v == a).expect("vertex");
-                        let ib = verts.iter().position(|&v| v == b).expect("vertex");
-                        offender = Some((ia, ib, reason));
+                    if let Some(reason) = oracle.interfere_reason(verts[a], verts[b]) {
+                        offender = Some((a, b, reason));
                         break 'find;
                     }
                 }
@@ -397,34 +433,31 @@ pub fn bipartite_pruning(
             break;
         };
 
-        // True weights of all current edges. Each edge's first
-        // interfering far-pair is kept as its provenance witness (found
-        // during the same oracle pass — no extra queries).
-        let keys = g.edge_keys();
-        let mut weight: HashMap<EdgeKey, i64> = keys.iter().map(|&k| (k, 0)).collect();
-        let mut culprit: HashMap<EdgeKey, (usize, usize, InterfereReason)> = HashMap::new();
-        for (i, &e1) in keys.iter().enumerate() {
-            for &e2 in &keys[i + 1..] {
-                let Some((ka, far_a, kb, far_b)) = share_vertex(e1, e2) else {
+        // True weights of all current edges, by edge position. Each
+        // edge's first interfering far-pair is kept as its provenance
+        // witness (found during the same oracle pass — no extra queries).
+        let edges = &g.edges;
+        let mut weight: Vec<i64> = vec![0; edges.len()];
+        let mut culprit: Vec<Option<(usize, usize, InterfereReason)>> = vec![None; edges.len()];
+        for (i, &(e1, m1)) in edges.iter().enumerate() {
+            for (j, &(e2, m2)) in edges.iter().enumerate().skip(i + 1) {
+                let Some((far_a, far_b)) = share_vertex(e1, e2) else {
                     continue;
                 };
                 if let Some(reason) = oracle.interfere_reason(verts[far_a], verts[far_b]) {
-                    let ma = g.weight_of(ka).expect("edge") as i64;
-                    let mb = g.weight_of(kb).expect("edge") as i64;
-                    *weight.get_mut(&ka).expect("edge") += mb;
-                    *weight.get_mut(&kb).expect("edge") += ma;
-                    culprit.entry(ka).or_insert((far_a, far_b, reason));
-                    culprit.entry(kb).or_insert((far_a, far_b, reason));
+                    weight[i] += i64::from(m2);
+                    weight[j] += i64::from(m1);
+                    culprit[i].get_or_insert((far_a, far_b, reason));
+                    culprit[j].get_or_insert((far_a, far_b, reason));
                 }
             }
         }
-        let (&best, &w) = weight
-            .iter()
-            .max_by_key(|&(k, &w)| (w, std::cmp::Reverse(*k)))
+        let best = (0..edges.len())
+            .max_by_key(|&p| (weight[p], std::cmp::Reverse(edges[p].0)))
             .expect("component with an interfering pair has edges");
-        let cut = if w > 0 {
-            let (fa, fb, reason) = culprit[&best];
-            (best, verts[fa], verts[fb], reason)
+        let cut = if weight[best] > 0 {
+            let (fa, fb, reason) = culprit[best].expect("a positive weight has a witness");
+            (edges[best].0, verts[fa], verts[fb], reason)
         } else {
             // The offenders interfere at distance > 2: cut the lightest
             // edge on a path between them.
@@ -488,8 +521,8 @@ fn edge_path(g: &AffinityGraph, from: usize, to: usize) -> Option<Vec<EdgeKey>> 
 }
 
 /// If `e1` and `e2` share exactly one vertex, returns
-/// `(e1, far end of e1, e2, far end of e2)`.
-fn share_vertex(e1: EdgeKey, e2: EdgeKey) -> Option<(EdgeKey, usize, EdgeKey, usize)> {
+/// `(far end of e1, far end of e2)`.
+fn share_vertex(e1: EdgeKey, e2: EdgeKey) -> Option<(usize, usize)> {
     let (a1, b1) = e1;
     let (a2, b2) = e2;
     let (far1, far2) = if a1 == a2 && b1 != b2 {
@@ -503,12 +536,20 @@ fn share_vertex(e1: EdgeKey, e2: EdgeKey) -> Option<(EdgeKey, usize, EdgeKey, us
     } else {
         return None;
     };
-    Some((e1, far1, e2, far2))
+    Some((far1, far2))
 }
 
-/// Connected components of the pruned graph (vertex index lists);
-/// singletons are omitted.
+/// Connected components of the pruned graph; singletons are omitted.
 pub fn components(g: &AffinityGraph) -> Vec<Vec<RVertex>> {
+    component_indices(g)
+        .into_iter()
+        .map(|c| c.into_iter().map(|i| g.verts[i]).collect())
+        .collect()
+}
+
+/// [`components`] as lists of vertex positions, each in increasing
+/// order; the components are ordered by their least [`vkey`].
+fn component_indices(g: &AffinityGraph) -> Vec<Vec<usize>> {
     let n = g.verts.len();
     let mut parent: Vec<usize> = (0..n).collect();
     fn find(parent: &mut [usize], x: usize) -> usize {
@@ -530,13 +571,13 @@ pub fn components(g: &AffinityGraph) -> Vec<Vec<RVertex>> {
             parent[ra] = rb;
         }
     }
-    let mut groups: HashMap<usize, Vec<RVertex>> = HashMap::new();
+    let mut groups: Vec<Vec<usize>> = vec![Vec::new(); n];
     for i in 0..n {
         let r = find(&mut parent, i);
-        groups.entry(r).or_default().push(g.verts[i]);
+        groups[r].push(i);
     }
-    let mut out: Vec<Vec<RVertex>> = groups.into_values().filter(|g| g.len() > 1).collect();
-    out.sort_by_key(|c| c.iter().map(|&v| vkey(v)).min());
+    let mut out: Vec<Vec<usize>> = groups.into_iter().filter(|c| c.len() > 1).collect();
+    out.sort_by_key(|c| c.iter().map(|&i| vkey(g.verts[i])).min());
     out
 }
 

@@ -13,9 +13,8 @@ use crate::affinity::{
 };
 use crate::interfere::{InterferenceEnv, InterferenceMode};
 use crate::pinning::resource_members;
-use std::collections::HashMap;
 use tossa_analysis::{AnalysisCache, DefMap};
-use tossa_ir::ids::{Block, Resource, Var};
+use tossa_ir::ids::{Block, EntityVec, Resource, Var};
 use tossa_ir::print::{res_str, var_str};
 use tossa_ir::Function;
 use tossa_trace::provenance;
@@ -144,7 +143,8 @@ fn program_pinning_inner(
     // Merged (virtual) resources become aliases of the reference; operand
     // pins are rewritten once at the end (§3.5: "the update of pinning
     // can be performed only once, just before the mark phase").
-    let mut alias: HashMap<Resource, Resource> = HashMap::new();
+    let mut alias: EntityVec<Resource, Option<Resource>> =
+        EntityVec::filled(f.resources.len(), None);
 
     let depth_of_def =
         |defs: &DefMap, v: Var| -> u32 { defs.site(v).map(|s| loops.depth(s.block)).unwrap_or(0) };
@@ -180,17 +180,15 @@ fn program_pinning_inner(
                 // variable), so it offers no gain. The killed set of a
                 // resource is memoized for the block (several φ arguments
                 // often share one resource).
-                let killed_memo: std::cell::RefCell<HashMap<Resource, Vec<Var>>> =
-                    std::cell::RefCell::new(HashMap::new());
+                let killed_memo: std::cell::RefCell<EntityVec<Resource, Option<Vec<Var>>>> =
+                    std::cell::RefCell::new(EntityVec::filled(f.resources.len(), None));
                 let avoidable = |v: Var| {
                     if !opts.refine_gain {
                         return true;
                     }
                     match f.var(v).pin {
-                        Some(r) => !killed_memo
-                            .borrow_mut()
-                            .entry(r)
-                            .or_insert_with(|| {
+                        Some(r) => !killed_memo.borrow_mut()[r]
+                            .get_or_insert_with(|| {
                                 crate::pinning::resource_set(f, &members, r).killed_within(&env)
                             })
                             .contains(&v),
@@ -251,13 +249,7 @@ fn program_pinning_inner(
                 provenance::record(|| {
                     let into = match va {
                         RVertex::Bare(x) => f.var(x).pin,
-                        RVertex::Res(r) => {
-                            let mut r = r;
-                            while let Some(&n) = alias.get(&r) {
-                                r = n;
-                            }
-                            Some(r)
-                        }
+                        RVertex::Res(r) => Some(resolve(&alias, r)),
                     };
                     provenance::Kind::Edge {
                         block: f.block(b).name.clone(),
@@ -274,31 +266,34 @@ fn program_pinning_inner(
     }
 
     // Final pinning update: resolve merged resources in operand pins.
-    if !alias.is_empty() {
-        let resolve = |mut r: Resource| {
-            while let Some(&n) = alias.get(&r) {
-                r = n;
-            }
-            r
-        };
-        for bb in f.blocks().collect::<Vec<_>>() {
-            for i in f.block_insts(bb).collect::<Vec<_>>() {
+    if alias.values().any(Option::is_some) {
+        for bb in f.blocks() {
+            for pos in 0..f.block(bb).insts.len() {
+                let i = f.block(bb).insts[pos];
                 let ndefs = f.inst(i).defs.len();
                 for k in 0..f.inst(i).uses.len() {
                     if let Some(p) = f.inst(i).uses[k].pin {
-                        f.set_operand_pin(i, ndefs + k, Some(resolve(p)));
+                        f.set_operand_pin(i, ndefs + k, Some(resolve(&alias, p)));
                     }
                 }
             }
         }
-        for v in f.vars().collect::<Vec<_>>() {
+        for v in f.vars() {
             if let Some(p) = f.var(v).pin {
-                f.set_pin(v, Some(resolve(p)));
+                f.set_pin(v, Some(resolve(&alias, p)));
             }
         }
     }
     stats.flush_trace();
     stats
+}
+
+/// The reference resource `r` was merged into (`r` itself if none).
+fn resolve(alias: &EntityVec<Resource, Option<Resource>>, mut r: Resource) -> Resource {
+    while let Some(n) = alias[r] {
+        r = n;
+    }
+    r
 }
 
 /// `PrunedGraph_pinning` (§3.5): merges one connected component onto its
@@ -307,8 +302,8 @@ fn program_pinning_inner(
 /// resource, else a fresh one. Returns the number of newly pinned defs.
 fn merge_component(
     f: &mut Function,
-    members: &mut HashMap<Resource, Vec<Var>>,
-    alias: &mut HashMap<Resource, Resource>,
+    members: &mut EntityVec<Resource, Vec<Var>>,
+    alias: &mut EntityVec<Resource, Option<Resource>>,
     comp: &[RVertex],
 ) -> usize {
     // Pick the reference resource.
@@ -330,25 +325,25 @@ fn merge_component(
             .unwrap_or_else(|| "coalesced".to_string());
         f.resources.new_virt(name)
     });
+    members.grow_to(f.resources.len(), Vec::new());
+    alias.grow_to(f.resources.len(), None);
 
     let mut pinned = 0;
-    let mut new_members: Vec<Var> = members.get(&reference).cloned().unwrap_or_default();
+    let mut new_members: Vec<Var> = std::mem::take(&mut members[reference]);
     for &v in comp {
         match v {
             RVertex::Res(r) if r != reference => {
                 // Absorb the whole resource.
-                if let Some(vars) = members.remove(&r) {
-                    for x in vars {
-                        f.set_pin(x, Some(reference));
-                        provenance::record(|| provenance::Kind::Pin {
-                            var: var_str(f, x),
-                            resource: res_str(f, reference),
-                            cause: "coalesce".into(),
-                        });
-                        new_members.push(x);
-                    }
+                for x in std::mem::take(&mut members[r]) {
+                    f.set_pin(x, Some(reference));
+                    provenance::record(|| provenance::Kind::Pin {
+                        var: var_str(f, x),
+                        resource: res_str(f, reference),
+                        cause: "coalesce".into(),
+                    });
+                    new_members.push(x);
                 }
-                alias.insert(r, reference);
+                alias[r] = Some(reference);
             }
             RVertex::Bare(x) => {
                 f.set_pin(x, Some(reference));
@@ -363,7 +358,7 @@ fn merge_component(
             _ => {}
         }
     }
-    members.insert(reference, new_members);
+    members[reference] = new_members;
     pinned
 }
 

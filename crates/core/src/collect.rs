@@ -3,7 +3,6 @@
 //! fallback that materializes constraints with local moves when pinning
 //! is disabled.
 
-use std::collections::HashMap;
 use tossa_ir::ids::{Resource, Var};
 use tossa_ir::instr::InstData;
 use tossa_ir::machine::PhysReg;
@@ -267,8 +266,8 @@ fn pinning_cssa_inner(f: &mut Function) -> usize {
             }
         }
     }
-    // One resource per class that contains a φ.
-    let mut class_res: HashMap<usize, Resource> = HashMap::new();
+    // One resource per class that contains a φ, indexed by class root.
+    let mut class_res: Vec<Option<Resource>> = vec![None; n];
     let mut pinned = 0;
     for (_, i) in f.all_insts().collect::<Vec<_>>() {
         if !f.inst(i).is_phi() {
@@ -282,15 +281,15 @@ fn pinning_cssa_inner(f: &mut Function) -> usize {
         };
         let root = find(&mut parent, members[0].index());
         // Reuse any existing pin of the class (e.g. SP), else fresh.
-        let r = match class_res.get(&root) {
-            Some(&r) => r,
+        let r = match class_res[root] {
+            Some(r) => r,
             None => {
                 let existing = members.iter().find_map(|&v| f.var(v).pin);
                 let r = existing.unwrap_or_else(|| {
                     let name = f.var(members[0]).name.clone();
                     f.resources.new_virt(name)
                 });
-                class_res.insert(root, r);
+                class_res[root] = Some(r);
                 r
             }
         };
@@ -326,10 +325,11 @@ fn naive_abi_inner(f: &mut Function) -> usize {
     let arg_regs: Vec<PhysReg> = f.machine.abi.arg_regs.clone();
     let ptr_regs: Vec<PhysReg> = f.machine.abi.ptr_arg_regs.clone();
     let ret_reg = f.machine.abi.ret_reg;
-    let mut reg_vars: HashMap<PhysReg, Var> = HashMap::new();
-    for v in f.vars().collect::<Vec<_>>() {
+    // The variable standing for each register, indexed by register.
+    let mut reg_vars: Vec<Option<Var>> = vec![None; f.machine.num_regs()];
+    for v in f.vars() {
         if let Some(reg) = f.var(v).reg {
-            reg_vars.insert(reg, v);
+            reg_vars[reg.index()] = Some(v);
         }
     }
     let mut moves = 0;
@@ -446,14 +446,14 @@ fn insert_parallel(
     seq.len()
 }
 
-fn reg_var(f: &mut Function, reg_vars: &mut HashMap<PhysReg, Var>, reg: PhysReg) -> Var {
-    if let Some(&v) = reg_vars.get(&reg) {
+fn reg_var(f: &mut Function, reg_vars: &mut [Option<Var>], reg: PhysReg) -> Var {
+    if let Some(v) = reg_vars[reg.index()] {
         return v;
     }
     let name = f.machine.reg_name(reg).to_string();
     let v = f.new_var(name);
     f.var_mut(v).reg = Some(reg);
-    reg_vars.insert(reg, v);
+    reg_vars[reg.index()] = Some(v);
     v
 }
 

@@ -2,9 +2,8 @@
 //! Fig. 4).
 
 use crate::interfere::{InterferenceEnv, ResourceSet};
-use std::collections::HashMap;
 use std::fmt;
-use tossa_ir::ids::{Resource, Var};
+use tossa_ir::ids::{EntityVec, Resource, Var};
 use tossa_ir::Function;
 
 /// An incorrect pinning (one of Fig. 4's forbidden cases).
@@ -24,12 +23,14 @@ impl std::error::Error for PinError {}
 
 /// Collects, for every resource, the variables whose *definition* is
 /// pinned to it (§3: "we identify the notion of resource with the set of
-/// variables pinned to it").
-pub fn resource_members(f: &Function) -> HashMap<Resource, Vec<Var>> {
-    let mut members: HashMap<Resource, Vec<Var>> = HashMap::new();
+/// variables pinned to it"), in variable order; one entry per resource of
+/// `f`, empty when nothing is pinned to it.
+pub fn resource_members(f: &Function) -> EntityVec<Resource, Vec<Var>> {
+    let mut members: EntityVec<Resource, Vec<Var>> =
+        EntityVec::filled(f.resources.len(), Vec::new());
     for v in f.vars() {
         if let Some(r) = f.var(v).pin {
-            members.entry(r).or_default().push(v);
+            members[r].push(v);
         }
     }
     members
@@ -38,11 +39,11 @@ pub fn resource_members(f: &Function) -> HashMap<Resource, Vec<Var>> {
 /// Builds the [`ResourceSet`] view of resource `r`.
 pub fn resource_set(
     f: &Function,
-    members: &HashMap<Resource, Vec<Var>>,
+    members: &EntityVec<Resource, Vec<Var>>,
     r: Resource,
 ) -> ResourceSet {
     ResourceSet {
-        members: members.get(&r).cloned().unwrap_or_default(),
+        members: members.get(r).cloned().unwrap_or_default(),
         is_phys: f.resources.as_phys(r).is_some(),
     }
 }
@@ -137,15 +138,16 @@ pub fn check_pinning(f: &Function, env: &InterferenceEnv<'_>) -> Result<(), PinE
             }
         }
     }
-    // Case 6 / Fig. 2: strong interference inside one resource.
+    // Case 6 / Fig. 2: strong interference inside one resource, checked
+    // in resource order so the first violation reported is stable.
     let members = resource_members(f);
-    for (r, vars) in &members {
+    for (r, vars) in members.iter() {
         for (k, &x) in vars.iter().enumerate() {
             for &y in &vars[k + 1..] {
                 if env.strongly_interfere(x, y) {
                     return err(format!(
                         "case 6: {x} and {y} pinned to {} strongly interfere",
-                        f.resources.name(*r)
+                        f.resources.name(r)
                     ));
                 }
             }
@@ -281,6 +283,39 @@ r:
     }
 
     #[test]
+    fn case6_blames_the_same_pair_on_every_call() {
+        // Two Class-3 violations: x/y pinned to $r and x2/y2 to $s (the
+        // φ arguments disagree in the shared predecessor). Resources are
+        // checked in index order, so $r's pair is reported every time.
+        let s = setup(
+            "func @two {
+entry:
+  %a = make 1
+  %b = make 2
+  %c = input
+  br %c, m1, m2
+m1:
+  %x!$r = phi [entry: %a]
+  %x2!$s = phi [entry: %b]
+  ret %x, %x2
+m2:
+  %y!$r = phi [entry: %b]
+  %y2!$s = phi [entry: %a]
+  ret %y, %y2
+}",
+        );
+        let first = check_pinning(&s.f, &s.env()).unwrap_err();
+        assert!(first.message.starts_with("case 6"), "{first}");
+        assert!(
+            first.message.ends_with("pinned to r strongly interfere"),
+            "{first}"
+        );
+        for _ in 1..32 {
+            assert_eq!(check_pinning(&s.f, &s.env()).unwrap_err(), first);
+        }
+    }
+
+    #[test]
     fn members_map_collects_def_pins() {
         let s = setup(
             "func @m {
@@ -292,9 +327,9 @@ entry:
 }",
         );
         let members = resource_members(&s.f);
-        assert_eq!(members.len(), 2);
+        assert_eq!(members.values().filter(|m| !m.is_empty()).count(), 2);
         let r0 = s.f.resources.by_name("R0").unwrap();
-        assert_eq!(members[&r0].len(), 2);
+        assert_eq!(members[r0].len(), 2);
         let set = resource_set(&s.f, &members, r0);
         assert!(set.is_phys);
         assert_eq!(set.members.len(), 2);

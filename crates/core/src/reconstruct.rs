@@ -26,7 +26,6 @@
 //! (non-SSA) machine code.
 
 use crate::error::ReconstructError;
-use std::collections::{BTreeSet, HashMap};
 use tossa_ir::ids::{Block, EntityVec, Inst, Resource, Var};
 use tossa_ir::instr::InstData;
 use tossa_ir::parallel_copy::{sequentialize, sequentialize_checked};
@@ -76,11 +75,11 @@ impl ReconstructStats {
 /// of edges split.
 pub fn split_edges_for_phis(f: &mut Function) -> usize {
     let mut split = 0;
-    for b in f.blocks().collect::<Vec<_>>() {
-        let succs: Vec<Block> = f.succs(b).to_vec();
-        if succs.len() < 2 {
+    for b in f.blocks() {
+        if f.succs(b).len() < 2 {
             continue;
         }
+        let succs: Vec<Block> = f.succs(b).to_vec();
         for (slot, s) in succs.iter().copied().enumerate() {
             if f.phis(s).next().is_none() {
                 continue;
@@ -116,13 +115,6 @@ fn meet(a: u32, b: u32) -> u32 {
     }
 }
 
-/// A slot whose occupant is tracked by the must-analysis.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-enum Slot {
-    Res(Resource),
-    PhiVar(Var),
-}
-
 /// Owns the slot numbering and per-variable home slots; does not borrow
 /// the function (which is mutated during rewriting).
 ///
@@ -136,31 +128,23 @@ struct Engine {
 
 impl Engine {
     fn new(f: &Function) -> Engine {
-        let mut slot_index: HashMap<Slot, usize> = HashMap::new();
-        for r in f.resources.iter() {
-            let n = slot_index.len();
-            debug_assert_eq!(n, r.index());
-            slot_index.insert(Slot::Res(r), n);
-        }
-        for (_, i) in f.all_insts() {
-            let inst = f.inst(i);
-            if inst.is_phi() {
-                let x = inst.defs[0].var;
-                if f.var(x).pin.is_none() {
-                    let n = slot_index.len();
-                    slot_index.entry(Slot::PhiVar(x)).or_insert(n);
-                }
-            }
-        }
         let mut home: EntityVec<Var, Option<usize>> = EntityVec::filled(f.num_vars(), None);
         for v in f.vars() {
             if let Some(r) = f.var(v).pin {
                 home[v] = Some(r.index());
-            } else if let Some(&s) = slot_index.get(&Slot::PhiVar(v)) {
-                home[v] = Some(s);
             }
         }
-        let nslots = slot_index.len();
+        let mut nslots = f.resources.len();
+        for (_, i) in f.all_insts() {
+            let inst = f.inst(i);
+            if inst.is_phi() {
+                let x = inst.defs[0].var;
+                if f.var(x).pin.is_none() && home[x].is_none() {
+                    home[x] = Some(nslots);
+                    nslots += 1;
+                }
+            }
+        }
         Engine { nslots, home }
     }
 
@@ -215,11 +199,12 @@ impl Engine {
     /// worklist fixpoint over reverse postorder. Meets are monotone
     /// (⊥ → value → ⊤), so reprocessing only the blocks whose input
     /// actually changed reaches the same fixpoint as the naive
-    /// all-blocks iteration, without its per-round clones.
-    fn in_states(&self, f: &Function, rpo: &[Block]) -> EntityVec<Block, Vec<u32>> {
-        let nb = f.num_blocks();
-        let mut ins: EntityVec<Block, Vec<u32>> = EntityVec::filled(nb, vec![BOT; self.nslots]);
-        ins[f.entry] = vec![TOP; self.nslots];
+    /// all-blocks iteration, without its per-round clones. The states
+    /// are one table of `nslots` entries per block ([`Engine::in_state`]).
+    fn in_states(&self, f: &Function, rpo: &[Block]) -> Vec<u32> {
+        let (nb, n) = (f.num_blocks(), self.nslots);
+        let mut ins = vec![BOT; nb * n];
+        ins[f.entry.index() * n..][..n].fill(TOP);
         let mut on_list = vec![false; nb];
         let mut worklist: std::collections::VecDeque<Block> = rpo.iter().copied().collect();
         for &b in rpo {
@@ -229,7 +214,7 @@ impl Engine {
         let mut edge = vec![BOT; self.nslots];
         while let Some(b) = worklist.pop_front() {
             on_list[b.index()] = false;
-            state.clone_from(&ins[b]);
+            state.copy_from_slice(self.in_state(&ins, b));
             for i in f.block_insts(b) {
                 self.transfer_inst(f, i, &mut state);
             }
@@ -237,7 +222,7 @@ impl Engine {
                 edge.clone_from(&state);
                 self.transfer_edge(f, s, &mut edge);
                 let mut changed = false;
-                let tgt = &mut ins[s];
+                let tgt = &mut ins[s.index() * n..][..n];
                 for (slot, &v) in edge.iter().enumerate() {
                     let m = meet(tgt[slot], v);
                     if m != tgt[slot] {
@@ -252,6 +237,11 @@ impl Engine {
             }
         }
         ins
+    }
+
+    /// Block `b`'s row of an [`Engine::in_states`] table.
+    fn in_state<'a>(&self, ins: &'a [u32], b: Block) -> &'a [u32] {
+        &ins[b.index() * self.nslots..][..self.nslots]
     }
 
     /// Slots written (in parallel) just before instruction `i` executes:
@@ -290,6 +280,14 @@ impl Engine {
                 }
             }
         }
+    }
+}
+
+/// Records `cause` for the copy into `dst`, replacing an earlier one.
+fn set_cause(causes: &mut Vec<(Var, String)>, dst: Var, cause: String) {
+    match causes.iter_mut().find(|(v, _)| *v == dst) {
+        Some(e) => e.1 = cause,
+        None => causes.push((dst, cause)),
     }
 }
 
@@ -350,12 +348,13 @@ fn translate_inner(f: &mut Function, checked: bool) -> Result<ReconstructStats, 
     }
 
     // ---- mark phase: find killed variables ------------------------------
-    let mut needs_repair: BTreeSet<Var> = BTreeSet::new();
+    let mut needs_repair: EntityVec<Var, bool> = EntityVec::filled(f.num_vars(), false);
     let mut cur: Vec<u32> = Vec::new();
     let mut insts: Vec<Inst> = Vec::new();
     let mut group: Vec<(usize, u32)> = Vec::new();
     for &b in &rpo {
-        cur.clone_from(&ins[b]);
+        cur.clear();
+        cur.extend_from_slice(engine.in_state(&ins, b));
         insts.clear();
         insts.extend(f.block_insts(b));
         for pos in 0..insts.len() {
@@ -375,14 +374,14 @@ fn translate_inner(f: &mut Function, checked: bool) -> Result<ReconstructStats, 
                             && cur[engine.res_slot(s)] != val(u.var)
                             && !engine.available(&cur, u.var)
                         {
-                            needs_repair.insert(u.var);
+                            needs_repair[u.var] = true;
                         }
                     }
                     None => {
                         if let Some(slot) = engine.home(u.var) {
                             let clobbered = gw_get(&group, slot).is_some_and(|w| w != val(u.var));
                             if has_def[u.var.index()] && (cur[slot] != val(u.var) || clobbered) {
-                                needs_repair.insert(u.var);
+                                needs_repair[u.var] = true;
                             }
                         }
                     }
@@ -404,7 +403,7 @@ fn translate_inner(f: &mut Function, checked: bool) -> Result<ReconstructStats, 
                             }
                         }
                         if has_def[arg.var.index()] && !engine.available(&cur, arg.var) {
-                            needs_repair.insert(arg.var);
+                            needs_repair[arg.var] = true;
                         }
                     }
                 }
@@ -426,7 +425,7 @@ fn translate_inner(f: &mut Function, checked: bool) -> Result<ReconstructStats, 
         res_var.push(v);
     }
     let mut repair_var: Vec<Option<Var>> = vec![None; f.num_vars()];
-    for &v in &needs_repair {
+    for v in needs_repair.keys().filter(|&v| needs_repair[v]) {
         let name = format!("{}_rep", f.var(v).name);
         let rv = f.new_var(name);
         repair_var[v.index()] = Some(rv);
@@ -459,7 +458,8 @@ fn translate_inner(f: &mut Function, checked: bool) -> Result<ReconstructStats, 
     let mut renamed_defs: Vec<Var> = Vec::new();
     let mut group_slots: Vec<(usize, u32)> = Vec::new();
     for &b in &rpo {
-        cur.clone_from(&ins[b]);
+        cur.clear();
+        cur.extend_from_slice(engine.in_state(&ins, b));
         insts.clear();
         insts.extend(f.block_insts(b));
         let mut new_list: Vec<Inst> = Vec::with_capacity(insts.len());
@@ -495,9 +495,10 @@ fn translate_inner(f: &mut Function, checked: bool) -> Result<ReconstructStats, 
             // Build the parallel copy group preceding this instruction.
             // `copy_cause` attributes each destination to the constraint
             // that demanded the copy (keyed by destination: a well-formed
-            // parallel copy writes each destination once).
+            // parallel copy writes each destination once; a later entry
+            // for the same destination replaces the earlier one).
             let mut group: Vec<(Var, Var)> = Vec::new();
-            let mut copy_cause: HashMap<Var, String> = HashMap::new();
+            let mut copy_cause: Vec<(Var, String)> = Vec::new();
             for k in 0..f.inst(i).uses.len() {
                 let u = f.inst(i).uses[k];
                 if let Some(s) = u.pin {
@@ -507,7 +508,11 @@ fn translate_inner(f: &mut Function, checked: bool) -> Result<ReconstructStats, 
                     let src = read_loc(f, &cur, u.var);
                     group.push((res_var[s.index()], src));
                     if tossa_trace::verbose() {
-                        copy_cause.insert(res_var[s.index()], format!("abi:{}", res_str(f, s)));
+                        set_cause(
+                            &mut copy_cause,
+                            res_var[s.index()],
+                            format!("abi:{}", res_str(f, s)),
+                        );
                     }
                 }
             }
@@ -519,7 +524,8 @@ fn translate_inner(f: &mut Function, checked: bool) -> Result<ReconstructStats, 
                 stats.phi_copies += edge.len();
                 if tossa_trace::verbose() {
                     for &(dst, _, succ) in &edge {
-                        copy_cause.insert(
+                        set_cause(
+                            &mut copy_cause,
                             dst,
                             format!("phi-edge:{}->{}", f.block(b).name, f.block(succ).name),
                         );
@@ -555,9 +561,9 @@ fn translate_inner(f: &mut Function, checked: bool) -> Result<ReconstructStats, 
                             "cycle".to_string()
                         } else {
                             copy_cause
-                                .get(&d)
-                                .cloned()
-                                .unwrap_or_else(|| "parallel-copy".to_string())
+                                .iter()
+                                .find(|(v, _)| *v == d)
+                                .map_or_else(|| "parallel-copy".to_string(), |(_, c)| c.clone())
                         };
                         provenance::record(|| provenance::Kind::Copy {
                             dst: var_str(f, d),
@@ -638,7 +644,7 @@ fn translate_inner(f: &mut Function, checked: bool) -> Result<ReconstructStats, 
     // Unreachable blocks never execute: reduce them to a bare return so
     // no φ or pin survives anywhere.
     let reachable = tossa_ir::cfg::reachable(f);
-    for b in f.blocks().collect::<Vec<_>>() {
+    for b in f.blocks() {
         if !reachable[b.index()] {
             f.block_mut(b).insts.clear();
             f.push_inst(b, InstData::new(Opcode::Ret));
@@ -646,7 +652,7 @@ fn translate_inner(f: &mut Function, checked: bool) -> Result<ReconstructStats, 
     }
 
     // Erase pins.
-    for v in f.vars().collect::<Vec<_>>() {
+    for v in f.vars() {
         f.var_mut(v).pin = None;
     }
     Ok(stats)

@@ -158,12 +158,13 @@ pub fn verify_cssa(f: &Function) -> Result<(), SsaError> {
             }
         }
     }
-    let mut classes: std::collections::HashMap<usize, Vec<Var>> = std::collections::HashMap::new();
+    // Members by class root; classes are checked in root order, so the
+    // pair reported is the same on every call.
+    let mut classes: Vec<Vec<Var>> = vec![Vec::new(); n];
     for v in f.vars() {
         let r = find(&mut parent, v.index());
-        classes.entry(r).or_default().push(v);
+        classes[r].push(v);
     }
-    classes.retain(|_, members| members.len() >= 2);
 
     let cfg = Cfg::compute(f);
     let live = Liveness::compute(f, &cfg);
@@ -180,7 +181,7 @@ pub fn verify_cssa(f: &Function) -> Result<(), SsaError> {
             || lad.after_def(x).is_some_and(|s| s.contains(y))
             || (sx.block == sy.block && sx.is_phi && sy.is_phi)
     };
-    for members in classes.values() {
+    for members in classes.iter().filter(|m| m.len() >= 2) {
         for (k, &x) in members.iter().enumerate() {
             for &y in &members[k + 1..] {
                 if interferes(x, y) {
@@ -354,6 +355,51 @@ exit:
         );
         let e = verify_cssa(&f).unwrap_err();
         assert!(e.message.contains("not CSSA"), "{e}");
+    }
+
+    #[test]
+    fn cssa_blames_the_same_class_on_every_call() {
+        // Two lost-copy classes, {one, x, x2} and {zero, y, y2}: each
+        // loop's φ value stays live past the next iteration's def.
+        // Classes are checked in root order, so x's is reported every
+        // time.
+        let f = parse(
+            "func @lost2 {
+entry:
+  %one = make 1
+  %n = input
+  jump h1
+h1:
+  %x = phi [entry: %one], [h1: %x2]
+  %x2 = addi %x, 1
+  %c = cmplt %x2, %x
+  br %c, h1, mid
+mid:
+  %zero = make 0
+  jump h2
+h2:
+  %y = phi [mid: %zero], [h2: %y2]
+  %y2 = addi %y, 1
+  %d = cmplt %y2, %y
+  br %d, h2, exit
+exit:
+  %s = add %x, %y
+  ret %s, %n
+}",
+        );
+        let var = |name: &str| f.vars().find(|&v| f.var(v).name == name).unwrap();
+        let first = verify_cssa(&f).unwrap_err();
+        assert_eq!(
+            first.message,
+            format!(
+                "not CSSA: φ-congruence class members {} and {} interfere",
+                var("x"),
+                var("x2")
+            )
+        );
+        for _ in 1..32 {
+            assert_eq!(verify_cssa(&f).unwrap_err().message, first.message);
+        }
     }
 
     #[test]

@@ -77,14 +77,23 @@ impl Json {
     }
 }
 
+/// Deepest nesting of arrays and objects [`parse_json`] accepts. The
+/// parser recurses once per level, so without a bound one line of
+/// brackets overflows the stack of the thread reading it (and aborts the
+/// process); every document the workspace reads nests fewer than 10
+/// levels.
+const MAX_DEPTH: usize = 128;
+
 /// Parses one JSON document into a [`Json`] tree.
 ///
 /// # Errors
-/// Returns a byte offset and description of the first syntax error.
+/// Returns a byte offset and description of the first syntax error, or
+/// of the first array or object nested deeper than 128 levels.
 pub fn parse_json(s: &str) -> Result<Json, String> {
     let mut p = P {
         b: s.as_bytes(),
         at: 0,
+        depth: 0,
     };
     p.ws();
     let v = p.value()?;
@@ -98,6 +107,8 @@ pub fn parse_json(s: &str) -> Result<Json, String> {
 struct P<'a> {
     b: &'a [u8],
     at: usize,
+    /// Arrays and objects open around the current position.
+    depth: usize,
 }
 
 impl P<'_> {
@@ -122,8 +133,20 @@ impl P<'_> {
 
     fn value(&mut self) -> Result<Json, String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{' | b'[') if self.depth == MAX_DEPTH => Err(format!(
+                "nesting deeper than {MAX_DEPTH} levels at byte {}",
+                self.at
+            )),
+            Some(c @ (b'{' | b'[')) => {
+                self.depth += 1;
+                let v = if c == b'{' {
+                    self.object()
+                } else {
+                    self.array()
+                };
+                self.depth -= 1;
+                v
+            }
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -340,6 +363,17 @@ mod tests {
         ] {
             assert!(parse_json(bad).is_err(), "accepted {bad:?}");
         }
+    }
+
+    #[test]
+    fn bounds_nesting_depth() {
+        let nested = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(parse_json(&nested(MAX_DEPTH)).is_ok());
+        let e = parse_json(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert!(e.contains("nesting deeper than 128"), "{e}");
+        // Far too deep to recurse through: refused, not a stack overflow.
+        assert!(parse_json(&"[".repeat(1_000_000)).is_err());
+        assert!(parse_json(&"{\"a\": ".repeat(1_000_000)).is_err());
     }
 
     #[test]
