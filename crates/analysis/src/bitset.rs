@@ -1,8 +1,9 @@
-//! A compact fixed-capacity bit set over entity ids, with a thread-local
-//! buffer pool so hot analyses reuse scratch rows instead of hitting the
-//! allocator once per block or per definition.
+//! Dense bit sets over entity ids. A [`BitSet`] owns its words; a
+//! [`BitRow`] borrows one row of a `BitMatrix`, the flat store the
+//! analyses keep their per-block and per-variable sets in: one buffer per
+//! result however many rows it has, so computing an analysis costs a few
+//! allocations rather than one per block or per definition.
 
-use std::cell::RefCell;
 use std::marker::PhantomData;
 use tossa_ir::ids::EntityId;
 
@@ -22,8 +23,7 @@ impl<K: EntityId> Clone for BitSet<K> {
     }
 
     /// Reuses `self`'s existing buffer when its capacity suffices, so
-    /// `clone_from` in a loop (the live cursor of a backward scan)
-    /// allocates at most once.
+    /// `clone_from` in a loop allocates at most once.
     fn clone_from(&mut self, source: &Self) {
         self.words.clone_from(&source.words);
     }
@@ -57,10 +57,9 @@ impl<K: EntityId> BitSet<K> {
         old & (1 << b) != 0
     }
 
-    /// Membership test.
+    /// Membership test (false for an id beyond the capacity).
     pub fn contains(&self, k: K) -> bool {
-        let (w, b) = (k.index() / 64, k.index() % 64);
-        self.words.get(w).is_some_and(|&word| word & (1 << b) != 0)
+        self.row().contains(k)
     }
 
     /// In-place union; returns true if `self` changed.
@@ -69,22 +68,6 @@ impl<K: EntityId> BitSet<K> {
         let mut changed = false;
         for (a, &b) in self.words.iter_mut().zip(&other.words) {
             let new = *a | b;
-            changed |= new != *a;
-            *a = new;
-        }
-        changed
-    }
-
-    /// In-place `self |= other \ minus`, in one word-level pass; returns
-    /// true if `self` changed. This is the inner step of the liveness
-    /// worklist (`live_out(b) |= live_in(s) \ phi_defs(s)`), fused so the
-    /// hot loop allocates nothing and touches each word once.
-    pub fn union_with_minus(&mut self, other: &BitSet<K>, minus: &BitSet<K>) -> bool {
-        debug_assert_eq!(self.words.len(), other.words.len());
-        debug_assert_eq!(self.words.len(), minus.words.len());
-        let mut changed = false;
-        for ((a, &b), &m) in self.words.iter_mut().zip(&other.words).zip(&minus.words) {
-            let new = *a | (b & !m);
             changed |= new != *a;
             *a = new;
         }
@@ -105,22 +88,14 @@ impl<K: EntityId> BitSet<K> {
         }
     }
 
-    /// Whether the intersection with `other` is non-empty.
-    pub fn intersects(&self, other: &BitSet<K>) -> bool {
-        self.words
-            .iter()
-            .zip(&other.words)
-            .any(|(&a, &b)| a & b != 0)
-    }
-
     /// Number of members.
     pub fn count(&self) -> usize {
-        self.words.iter().map(|w| w.count_ones() as usize).sum()
+        self.row().count()
     }
 
     /// Whether the set is empty.
     pub fn is_empty(&self) -> bool {
-        self.words.iter().all(|&w| w == 0)
+        self.row().is_empty()
     }
 
     /// Removes all members.
@@ -130,6 +105,52 @@ impl<K: EntityId> BitSet<K> {
 
     /// Iterates over members in increasing index order.
     pub fn iter(&self) -> impl Iterator<Item = K> + '_ {
+        self.row().iter()
+    }
+
+    /// The set as a borrowed row.
+    pub fn row(&self) -> BitRow<'_, K> {
+        BitRow {
+            words: &self.words,
+            _marker: PhantomData,
+        }
+    }
+
+    /// Makes `self` a copy of `row`, capacity included, reusing its
+    /// buffer: the live cursor of a backward scan allocates at most once.
+    pub fn copy_from(&mut self, row: BitRow<'_, K>) {
+        self.words.clear();
+        self.words.extend_from_slice(row.words);
+    }
+}
+
+/// A borrowed, read-only bit set: a row of a `BitMatrix` or a whole
+/// [`BitSet`]. An id beyond the row's capacity is not a member.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub struct BitRow<'a, K: EntityId> {
+    words: &'a [u64],
+    _marker: PhantomData<K>,
+}
+
+impl<'a, K: EntityId> BitRow<'a, K> {
+    /// Membership test.
+    pub fn contains(self, k: K) -> bool {
+        let (w, b) = (k.index() / 64, k.index() % 64);
+        self.words.get(w).is_some_and(|&word| word & (1 << b) != 0)
+    }
+
+    /// Number of members.
+    pub fn count(self) -> usize {
+        self.words.iter().map(|w| w.count_ones() as usize).sum()
+    }
+
+    /// Whether the row is empty.
+    pub fn is_empty(self) -> bool {
+        self.words.iter().all(|&w| w == 0)
+    }
+
+    /// Iterates over members in increasing index order.
+    pub fn iter(self) -> impl Iterator<Item = K> + 'a {
         self.words.iter().enumerate().flat_map(|(wi, &w)| {
             let mut bits = w;
             std::iter::from_fn(move || {
@@ -144,69 +165,79 @@ impl<K: EntityId> BitSet<K> {
     }
 }
 
-/// A freelist of word buffers backing [`BitSet`]s. One pool per thread;
-/// draw sets with [`pooled`], return them with [`recycle`]. The analysis
-/// result types ([`crate::liveness::Liveness`],
-/// [`crate::liveness::LiveAtDefs`]) recycle their rows on drop, so each
-/// cache invalidate/recompute cycle reuses the previous epoch's buffers.
-#[derive(Default)]
-struct BitsetPool {
-    free: Vec<Vec<u64>>,
+/// Equal-width bit rows over `K`, stored back to back in one buffer and
+/// addressed by a dense row index (a block's or a variable's).
+#[derive(Clone, Debug)]
+pub(crate) struct BitMatrix<K: EntityId> {
+    /// `u64` words per row.
+    words: usize,
+    bits: Vec<u64>,
+    _marker: PhantomData<K>,
 }
 
-/// Upper bound on retained buffers, so a one-off huge run doesn't pin
-/// its scratch memory for the rest of the thread's life.
-const POOL_CAP: usize = 4096;
-
-impl BitsetPool {
-    fn acquire(&mut self, words: usize) -> Vec<u64> {
-        match self.free.pop() {
-            Some(mut w) => {
-                w.clear();
-                w.resize(words, 0);
-                w
-            }
-            None => vec![0; words],
+impl<K: EntityId> BitMatrix<K> {
+    /// `rows` empty rows, each with capacity for `len` entities.
+    pub(crate) fn new(rows: usize, len: usize) -> Self {
+        let words = len.div_ceil(64);
+        BitMatrix {
+            words,
+            bits: vec![0; rows * words],
+            _marker: PhantomData,
         }
     }
 
-    fn release(&mut self, w: Vec<u64>) {
-        if self.free.len() < POOL_CAP && w.capacity() > 0 {
-            self.free.push(w);
+    /// Row `r`.
+    pub(crate) fn row(&self, r: usize) -> BitRow<'_, K> {
+        BitRow {
+            words: &self.bits[r * self.words..(r + 1) * self.words],
+            _marker: PhantomData,
         }
     }
-}
 
-thread_local! {
-    static POOL: RefCell<BitsetPool> = RefCell::new(BitsetPool::default());
-}
+    fn row_mut(&mut self, r: usize) -> &mut [u64] {
+        &mut self.bits[r * self.words..(r + 1) * self.words]
+    }
 
-/// An empty set with capacity for `len` entities, drawing its backing
-/// buffer from the thread-local pool. Identical observable behavior to
-/// [`BitSet::new`].
-pub fn pooled<K: EntityId>(len: usize) -> BitSet<K> {
-    let words = len.div_ceil(64);
-    POOL.with(|p| BitSet {
-        words: p.borrow_mut().acquire(words),
-        _marker: PhantomData,
-    })
-}
+    /// Inserts `k` into row `r` (panics if `k` exceeds the row capacity).
+    pub(crate) fn insert(&mut self, r: usize, k: K) {
+        self.row_mut(r)[k.index() / 64] |= 1 << (k.index() % 64);
+    }
 
-/// Returns a set's buffer to the thread-local pool for later reuse.
-pub fn recycle<K: EntityId>(s: BitSet<K>) {
-    POOL.with(|p| p.borrow_mut().release(s.words));
-}
+    /// Overwrites row `r` with `src`, which must have the same width.
+    pub(crate) fn copy_row(&mut self, r: usize, src: BitRow<'_, K>) {
+        self.row_mut(r).copy_from_slice(src.words);
+    }
 
-/// Number of buffers currently retained by this thread's pool (for
-/// diagnostics and tests).
-pub fn pool_len() -> usize {
-    POOL.with(|p| p.borrow().free.len())
+    /// Row `r` `|= src \ minus`, in one word-level pass; returns true if
+    /// the row changed. This is the inner step of the liveness worklist
+    /// (`live_out(b) |= live_in(s) \ phi_defs(s)`), fused so the hot loop
+    /// allocates nothing and touches each word once.
+    pub(crate) fn union_minus(
+        &mut self,
+        r: usize,
+        src: BitRow<'_, K>,
+        minus: BitRow<'_, K>,
+    ) -> bool {
+        let mut changed = false;
+        for ((a, &b), &m) in self.row_mut(r).iter_mut().zip(src.words).zip(minus.words) {
+            let new = *a | (b & !m);
+            changed |= new != *a;
+            *a = new;
+        }
+        changed
+    }
 }
 
 impl<K: EntityId> std::fmt::Debug for BitSet<K>
 where
     K: std::fmt::Debug,
 {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        self.row().fmt(f)
+    }
+}
+
+impl<K: EntityId + std::fmt::Debug> std::fmt::Debug for BitRow<'_, K> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_set().entries(self.iter()).finish()
     }
@@ -255,35 +286,11 @@ mod tests {
     }
 
     #[test]
-    fn intersects() {
-        let mut a: BitSet<Var> = BitSet::new(100);
-        let mut b: BitSet<Var> = BitSet::new(100);
-        a.insert(Var::new(70));
-        assert!(!a.intersects(&b));
-        b.insert(Var::new(70));
-        assert!(a.intersects(&b));
-    }
-
-    #[test]
     fn out_of_range_contains_is_false() {
         let s: BitSet<Var> = BitSet::new(10);
         assert!(!s.contains(Var::new(1000)));
-    }
-
-    #[test]
-    fn pooled_sets_start_empty_and_buffers_round_trip() {
-        let mut a: BitSet<Var> = pooled(100);
-        assert!(a.is_empty());
-        a.insert(Var::new(42));
-        let before = pool_len();
-        recycle(a);
-        assert_eq!(pool_len(), before + 1);
-        // A recycled buffer comes back zeroed even at a different size.
-        let b: BitSet<Var> = pooled(500);
-        assert_eq!(pool_len(), before);
-        assert!(b.is_empty());
-        assert!(!b.contains(Var::new(42)));
-        recycle(b);
+        let m: BitMatrix<Var> = BitMatrix::new(3, 10);
+        assert!(!m.row(2).contains(Var::new(1000)));
     }
 
     #[test]
@@ -294,5 +301,31 @@ mod tests {
         src.insert(Var::new(130));
         dst.clone_from(&src);
         assert_eq!(dst, src);
+        let mut copy: BitSet<Var> = BitSet::new(0);
+        copy.copy_from(src.row());
+        assert_eq!(copy, src);
+    }
+
+    #[test]
+    fn matrix_rows_are_independent_sets() {
+        let mut m: BitMatrix<Var> = BitMatrix::new(3, 130);
+        m.insert(0, Var::new(129));
+        m.insert(1, Var::new(0));
+        m.insert(1, Var::new(64));
+        assert_eq!(m.row(0).iter().collect::<Vec<_>>(), [Var::new(129)]);
+        assert_eq!(m.row(1).count(), 2);
+        assert!(m.row(2).is_empty());
+        assert_ne!(m.row(0), m.row(1));
+
+        // row 2 |= row 1 \ row 0, then again with nothing new.
+        let mut minus: BitSet<Var> = BitSet::new(130);
+        minus.insert(Var::new(64));
+        let src = m.clone();
+        assert!(m.union_minus(2, src.row(1), minus.row()));
+        assert!(!m.union_minus(2, src.row(1), minus.row()));
+        assert_eq!(m.row(2).iter().collect::<Vec<_>>(), [Var::new(0)]);
+
+        m.copy_row(0, src.row(1));
+        assert_eq!(m.row(0), src.row(1));
     }
 }

@@ -10,7 +10,7 @@
 //! of the paper's own interference oracle. An edge test is one bit probe,
 //! an insertion two bit stores, and a merge walks one row.
 
-use crate::bitset::{pooled, recycle, BitSet};
+use crate::bitset::BitSet;
 use crate::liveness::Liveness;
 use tossa_ir::cfg::Cfg;
 use tossa_ir::ids::Var;
@@ -60,7 +60,7 @@ impl InterferenceGraph {
         among: &BitSet<Var>,
     ) -> InterferenceGraph {
         let mut g = InterferenceGraph::over(f.num_vars(), among);
-        let mut cursor: BitSet<Var> = pooled(f.num_vars());
+        let mut cursor: BitSet<Var> = BitSet::new(f.num_vars());
         for b in f.blocks() {
             live.live_exit_into(f, b, &mut cursor);
             cursor.intersect_with(among);
@@ -104,7 +104,6 @@ impl InterferenceGraph {
                 }
             }
         }
-        recycle(cursor);
         g
     }
 

@@ -3,7 +3,8 @@
 //! Program analyses shared by SSA construction, the out-of-SSA
 //! translators, and the coalescing algorithms:
 //!
-//! * [`bitset::BitSet`] — dense typed bit sets;
+//! * [`bitset::BitSet`] — dense typed bit sets, and the borrowed
+//!   [`bitset::BitRow`]s the analyses' flat results answer queries with;
 //! * [`domtree::DomTree`] — Cooper–Harvey–Kennedy dominators (plus a
 //!   naive O(n²) reference used by tests);
 //! * [`domfront::DomFrontiers`] — (iterated) dominance frontiers;

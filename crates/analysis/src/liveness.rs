@@ -9,124 +9,97 @@
 //!
 //! The same dataflow works for non-SSA code (no φs, multiple defs per
 //! variable), which the Chaitin-style coalescing baseline relies on.
+//!
+//! Results are flat bit matrices, one buffer per set family rather than
+//! one heap row per block or variable; queries borrow a [`BitRow`].
 
-use crate::bitset::{pooled, recycle, BitSet};
+use crate::bitset::{BitMatrix, BitRow, BitSet};
 use tossa_ir::cfg::Cfg;
 use tossa_ir::ids::{Block, EntityVec, Inst, Var};
 use tossa_ir::Function;
 
-/// Per-block live-in/live-out sets.
-///
-/// Rows are drawn from the thread-local bitset pool and recycled on
-/// drop, so each invalidate/recompute cycle of the analysis cache
-/// reuses the previous epoch's buffers instead of reallocating one
-/// `Vec<u64>` per block.
+/// Per-block live-in/live-out sets, each family one block-major matrix.
 #[derive(Clone, Debug)]
 pub struct Liveness {
-    live_in: EntityVec<Block, BitSet<Var>>,
-    live_out: EntityVec<Block, BitSet<Var>>,
+    live_in: BitMatrix<Var>,
+    live_out: BitMatrix<Var>,
 }
 
-impl Drop for Liveness {
-    fn drop(&mut self) {
-        for s in std::mem::take(&mut self.live_in).into_values() {
-            recycle(s);
-        }
-        for s in std::mem::take(&mut self.live_out).into_values() {
-            recycle(s);
-        }
-    }
-}
+/// Rows of [`Liveness::compute`]'s scratch matrix: mask `k` of block `b`
+/// is row `3b + k`, for its φ defs (which predecessors subtract from its
+/// live-in), its non-φ defs, and the φ arguments read at its *end*.
+const PHI_DEFS: usize = 0;
+const DEFS: usize = 1;
+const PHI_USES: usize = 2;
 
-/// `nb` pooled empty rows of capacity `nv`.
-fn pooled_rows(nb: usize, nv: usize) -> EntityVec<Block, BitSet<Var>> {
-    let mut rows = EntityVec::new();
-    for _ in 0..nb {
-        rows.push(pooled(nv));
-    }
-    rows
-}
-
-fn recycle_rows(rows: EntityVec<Block, BitSet<Var>>) {
-    for s in rows.into_values() {
-        recycle(s);
-    }
+fn mask(b: Block, k: usize) -> usize {
+    3 * b.index() + k
 }
 
 impl Liveness {
     /// Computes liveness with a postorder-seeded worklist.
     ///
-    /// Per block, three masks are precomputed once — upward-exposed uses,
-    /// non-φ defs, and the φ arguments read at the block's end — plus the
-    /// φ-def mask each successor subtracts. The fixpoint loop is then
-    /// pure word-level bitset arithmetic driven by `union_with_minus`'s
-    /// changed-bit: a block re-enters the worklist only when a successor's
-    /// live-in actually grew, instead of the whole-CFG round-robin sweeps
-    /// (with per-edge set clones and φ-def `remove`s) the reference
-    /// implementation does.
+    /// Per block, upward-exposed uses, non-φ defs and the φ arguments read
+    /// at the block's end are precomputed once, plus the φ-def mask each
+    /// successor subtracts. The fixpoint loop is then pure word-level
+    /// bitset arithmetic driven by `union_minus`'s changed-bit: a block
+    /// re-enters the worklist only when a successor's live-in actually
+    /// grew, instead of the whole-CFG round-robin sweeps (with per-edge
+    /// set clones and φ-def `remove`s) the reference implementation does.
     pub fn compute(f: &Function, cfg: &Cfg) -> Liveness {
         let nb = f.num_blocks();
         let nv = f.num_vars();
-        let mut live_in = pooled_rows(nb, nv);
-        let mut live_out = pooled_rows(nb, nv);
+        let mut live_in = BitMatrix::new(nb, nv);
+        let mut live_out = BitMatrix::new(nb, nv);
 
         // --- Precomputation (one pass over the instructions). ---
-        // All four masks are pooled scratch, recycled before returning.
-        // φ defs of each block (subtracted from its live-in by preds).
-        let mut phi_defs = pooled_rows(nb, nv);
-        // φ arguments read at the *end* of each block by successor φs.
-        let mut phi_uses = pooled_rows(nb, nv);
-        // Non-φ defs and upward-exposed uses of each block.
-        let mut def_set = pooled_rows(nb, nv);
-        let mut use_set = pooled_rows(nb, nv);
+        // Upward-exposed uses go straight into live-in, which they seed.
+        let mut masks = BitMatrix::new(3 * nb, nv);
         for b in f.blocks() {
             for i in f.block_insts(b) {
                 let inst = f.inst(i);
                 if inst.is_phi() {
-                    phi_defs[b].insert(inst.defs[0].var);
+                    masks.insert(mask(b, PHI_DEFS), inst.defs[0].var);
                     for (k, u) in inst.uses.iter().enumerate() {
-                        phi_uses[inst.phi_preds[k]].insert(u.var);
+                        masks.insert(mask(inst.phi_preds[k], PHI_USES), u.var);
                     }
                     continue;
                 }
                 // Uses read before defs are written: `%x = addi %x, 1`
                 // leaves `%x` upward-exposed.
                 for u in inst.uses {
-                    if !def_set[b].contains(u.var) {
-                        use_set[b].insert(u.var);
+                    if !masks.row(mask(b, DEFS)).contains(u.var) {
+                        live_in.insert(b.index(), u.var);
                     }
                 }
                 for d in inst.defs {
-                    def_set[b].insert(d.var);
+                    masks.insert(mask(b, DEFS), d.var);
                 }
             }
         }
 
-        // Seed live-in with the block-local contribution:
+        // Seed live-in with the rest of the block-local contribution:
         // use(b) ∪ (φ-uses-at-end(b) \ def(b)).
         for b in f.blocks() {
-            live_in[b].union_with(&use_set[b]);
-            live_in[b].union_with_minus(&phi_uses[b], &def_set[b]);
+            let (phi_uses, defs) = (masks.row(mask(b, PHI_USES)), masks.row(mask(b, DEFS)));
+            live_in.union_minus(b.index(), phi_uses, defs);
         }
 
         // --- Worklist on postorder (successors first for backward flow).
         // Unreachable blocks are appended so the result matches the
         // reference fixpoint set-for-set on every block.
         let mut on_list = vec![false; nb];
-        let mut in_order = vec![false; nb];
         let mut order: Vec<Block> = cfg.postorder().collect();
         for &b in &order {
-            in_order[b.index()] = true;
+            on_list[b.index()] = true;
         }
         for b in f.blocks() {
-            if !in_order[b.index()] {
+            if !on_list[b.index()] {
+                on_list[b.index()] = true;
                 order.push(b);
             }
         }
-        let mut work: std::collections::VecDeque<Block> = order.into_iter().collect();
-        for &b in &work {
-            on_list[b.index()] = true;
-        }
+        let mut work = std::collections::VecDeque::from(order);
         let mut pops: u64 = 0;
         while let Some(b) = work.pop_front() {
             pops += 1;
@@ -136,16 +109,16 @@ impl Liveness {
             // same fixpoint as recomputation from scratch.
             let mut out_grew = false;
             for &s in cfg.succs(b) {
-                let (out_b, in_s) = (&mut live_out[b], &live_in[s]);
-                out_grew |= out_b.union_with_minus(in_s, &phi_defs[s]);
+                let (in_s, phi_defs) = (live_in.row(s.index()), masks.row(mask(s, PHI_DEFS)));
+                out_grew |= live_out.union_minus(b.index(), in_s, phi_defs);
             }
             if !out_grew {
                 continue;
             }
             // live_in(b) |= live_out(b) \ def(b); the block-local part was
             // seeded above and never changes.
-            let (in_b, out_b) = (&mut live_in[b], &live_out[b]);
-            if in_b.union_with_minus(out_b, &def_set[b]) {
+            let (out_b, defs) = (live_out.row(b.index()), masks.row(mask(b, DEFS)));
+            if live_in.union_minus(b.index(), out_b, defs) {
                 for &p in cfg.preds(b) {
                     if !on_list[p.index()] {
                         on_list[p.index()] = true;
@@ -155,10 +128,6 @@ impl Liveness {
             }
         }
         tossa_trace::count(tossa_trace::Counter::LivenessIterations, pops);
-        recycle_rows(phi_defs);
-        recycle_rows(phi_uses);
-        recycle_rows(def_set);
-        recycle_rows(use_set);
         Liveness { live_in, live_out }
     }
 
@@ -169,19 +138,20 @@ impl Liveness {
     pub fn compute_reference(f: &Function, cfg: &Cfg) -> Liveness {
         let nb = f.num_blocks();
         let nv = f.num_vars();
-        let mut live_in: EntityVec<Block, BitSet<Var>> = EntityVec::filled(nb, BitSet::new(nv));
-        let mut live_out: EntityVec<Block, BitSet<Var>> = EntityVec::filled(nb, BitSet::new(nv));
+        let mut live_in = BitMatrix::new(nb, nv);
+        let mut live_out = BitMatrix::new(nb, nv);
 
         let mut changed = true;
         while changed {
             changed = false;
             // Backward iteration converges faster on postorder, but any
-            // order is correct; block creation order keeps this simple.
-            for b in f.blocks().rev_vec() {
+            // order is correct; reverse creation order keeps this simple.
+            for b in (0..nb).rev().map(Block::new) {
                 // live_out(b) = U_s (live_in(s) \ phi_defs(s))
                 let mut out = BitSet::new(nv);
                 for &s in cfg.succs(b) {
-                    let mut contrib = live_in[s].clone();
+                    let mut contrib = BitSet::new(nv);
+                    contrib.copy_from(live_in.row(s.index()));
                     for phi in f.phis(s) {
                         contrib.remove(f.inst(phi).defs[0].var);
                     }
@@ -190,16 +160,14 @@ impl Liveness {
                 // In-block transfer starts from the values read by the
                 // successors' φs at our end, plus live_out.
                 let mut cursor = out.clone();
-                for (_, arg) in phi_uses_at_end(f, b) {
-                    cursor.insert(arg);
-                }
+                insert_phi_uses_at_end(f, b, &mut cursor);
                 transfer_block(f, b, &mut cursor);
-                if out != live_out[b] {
-                    live_out[b] = out;
+                if out.row() != live_out.row(b.index()) {
+                    live_out.copy_row(b.index(), out.row());
                     changed = true;
                 }
-                if cursor != live_in[b] {
-                    live_in[b] = cursor;
+                if cursor.row() != live_in.row(b.index()) {
+                    live_in.copy_row(b.index(), cursor.row());
                     changed = true;
                 }
             }
@@ -209,23 +177,21 @@ impl Liveness {
 
     /// Values live at the entry of `b` (φ definitions of `b` included when
     /// they are used at or after `b`).
-    pub fn live_in(&self, b: Block) -> &BitSet<Var> {
-        &self.live_in[b]
+    pub fn live_in(&self, b: Block) -> BitRow<'_, Var> {
+        self.live_in.row(b.index())
     }
 
     /// Values live at the exit of `b`. φ uses flowing out of `b` are *not*
     /// included (paper convention); see [`Liveness::live_exit`].
-    pub fn live_out(&self, b: Block) -> &BitSet<Var> {
-        &self.live_out[b]
+    pub fn live_out(&self, b: Block) -> BitRow<'_, Var> {
+        self.live_out.row(b.index())
     }
 
     /// Values live at the end of `b` *including* the arguments read by the
     /// successors' φs (the starting point for in-block backward scans).
     pub fn live_exit(&self, f: &Function, b: Block) -> BitSet<Var> {
-        let mut s = self.live_out[b].clone();
-        for (_, arg) in phi_uses_at_end(f, b) {
-            s.insert(arg);
-        }
+        let mut s = BitSet::new(0);
+        self.live_exit_into(f, b, &mut s);
         s
     }
 
@@ -233,14 +199,8 @@ impl Liveness {
     /// buffer. Lets per-block backward scans (interference construction,
     /// live-at-defs) run a whole function on one allocation.
     pub fn live_exit_into(&self, f: &Function, b: Block, cursor: &mut BitSet<Var>) {
-        cursor.clone_from(&self.live_out[b]);
-        for &s in f.succs(b) {
-            for phi in f.phis(s) {
-                if let Some(op) = f.inst(phi).phi_arg_for(b) {
-                    cursor.insert(op.var);
-                }
-            }
-        }
+        cursor.copy_from(self.live_out(b));
+        insert_phi_uses_at_end(f, b, cursor);
     }
 }
 
@@ -263,19 +223,17 @@ fn transfer_block(f: &Function, b: Block, cursor: &mut BitSet<Var>) {
     }
 }
 
-/// The φ uses that semantically occur at the end of `b`: pairs of
-/// `(phi inst, argument var)` for every φ of every successor of `b` whose
-/// argument flows in from `b`.
-pub fn phi_uses_at_end(f: &Function, b: Block) -> Vec<(Inst, Var)> {
-    let mut out = Vec::new();
+/// Inserts into `cursor` the φ uses that semantically occur at the end
+/// of `b`: the argument flowing in from `b` of every φ of every
+/// successor of `b`.
+fn insert_phi_uses_at_end(f: &Function, b: Block, cursor: &mut BitSet<Var>) {
     for &s in f.succs(b) {
         for phi in f.phis(s) {
             if let Some(op) = f.inst(phi).phi_arg_for(b) {
-                out.push((phi, op.var));
+                cursor.insert(op.var);
             }
         }
     }
-    out
 }
 
 /// The unique definition site of each variable, for SSA-form functions.
@@ -336,31 +294,21 @@ impl DefMap {
 /// block's live-in.
 #[derive(Clone, Debug)]
 pub struct LiveAtDefs {
-    after: EntityVec<Var, Option<BitSet<Var>>>,
-}
-
-impl Drop for LiveAtDefs {
-    fn drop(&mut self) {
-        for s in std::mem::take(&mut self.after).into_values().flatten() {
-            recycle(s);
-        }
-    }
+    /// Row `v`: the variables live just after `v`'s definition.
+    after: BitMatrix<Var>,
+    /// The variables with a definition, whose rows are filled.
+    defined: BitSet<Var>,
 }
 
 impl LiveAtDefs {
     /// Computes the live-after-def set of every defined variable with one
-    /// backward scan per block. The per-def snapshots and the scan cursor
-    /// come from the bitset pool; snapshots go back to it when the result
-    /// is dropped.
+    /// backward scan per block, copying the scan cursor into the defined
+    /// variable's row at each definition.
     pub fn compute(f: &Function, live: &Liveness, defs: &DefMap) -> LiveAtDefs {
         let nv = f.num_vars();
-        let mut after: EntityVec<Var, Option<BitSet<Var>>> = EntityVec::filled(nv, None);
-        let mut cursor: BitSet<Var> = pooled(nv);
-        let snapshot = |src: &BitSet<Var>| {
-            let mut s = pooled(nv);
-            s.clone_from(src);
-            s
-        };
+        let mut after = BitMatrix::new(nv, nv);
+        let mut defined = BitSet::new(nv);
+        let mut cursor = BitSet::new(nv);
         for b in f.blocks() {
             live.live_exit_into(f, b, &mut cursor);
             for (pos, &i) in f.block(b).insts.iter().enumerate().rev() {
@@ -371,7 +319,8 @@ impl LiveAtDefs {
                 // `cursor` is currently the live set after inst i.
                 for d in inst.defs {
                     if defs.site(d.var).map(|s| (s.inst, s.pos)) == Some((i, pos)) {
-                        after[d.var] = Some(snapshot(&cursor));
+                        after.copy_row(d.var.index(), cursor.row());
+                        defined.insert(d.var);
                     }
                 }
                 for d in inst.defs {
@@ -385,30 +334,18 @@ impl LiveAtDefs {
             for phi in f.phis(b) {
                 let v = f.inst(phi).defs[0].var;
                 if defs.site(v).map(|s| s.inst) == Some(phi) {
-                    after[v] = Some(snapshot(live.live_in(b)));
+                    after.copy_row(v.index(), live.live_in(b));
+                    defined.insert(v);
                 }
             }
         }
-        recycle(cursor);
-        LiveAtDefs { after }
+        LiveAtDefs { after, defined }
     }
 
     /// The variables live just after the definition of `v` (`None` if `v`
-    /// has no definition).
-    pub fn after_def(&self, v: Var) -> Option<&BitSet<Var>> {
-        self.after.get(v).and_then(|o| o.as_ref())
-    }
-}
-
-trait RevBlocks {
-    fn rev_vec(self) -> Vec<Block>;
-}
-
-impl<I: Iterator<Item = Block>> RevBlocks for I {
-    fn rev_vec(self) -> Vec<Block> {
-        let mut v: Vec<Block> = self.collect();
-        v.reverse();
-        v
+    /// has no definition, or was created after the analysis ran).
+    pub fn after_def(&self, v: Var) -> Option<BitRow<'_, Var>> {
+        self.defined.contains(v).then(|| self.after.row(v.index()))
     }
 }
 
@@ -549,8 +486,8 @@ entry:
     }
 
     #[test]
-    fn phi_uses_at_end_lists_edge_args() {
-        let (f, _) = setup(
+    fn live_exit_adds_the_phi_args_read_at_the_end() {
+        let (f, cfg) = setup(
             "func @p {
 entry:
   %a = make 1
@@ -562,8 +499,10 @@ m:
   ret %x, %y
 }",
         );
-        let uses = phi_uses_at_end(&f, f.entry);
-        let names: Vec<&str> = uses.iter().map(|&(_, v)| f.var(v).name.as_str()).collect();
+        let live = Liveness::compute(&f, &cfg);
+        assert!(live.live_out(f.entry).is_empty());
+        let exit = live.live_exit(&f, f.entry);
+        let names: Vec<&str> = exit.iter().map(|v| f.var(v).name.as_str()).collect();
         assert_eq!(names, vec!["a", "b"]);
     }
 }

@@ -3,7 +3,6 @@
 //! naive out-of-SSA translation (§5, Table 4 discussion); this is the
 //! dead-code part.
 
-use tossa_analysis::bitset::{pooled, recycle};
 use tossa_analysis::{AnalysisCache, BitSet};
 use tossa_ir::ids::{Inst, Var};
 use tossa_ir::Function;
@@ -19,7 +18,7 @@ pub fn dead_code_elim(f: &mut Function) -> usize {
 /// memoized.
 pub fn dead_code_elim_cached(f: &mut Function, cache: &mut AnalysisCache) -> usize {
     let mut removed = 0;
-    let mut cursor: BitSet<Var> = pooled(f.num_vars());
+    let mut cursor: BitSet<Var> = BitSet::new(f.num_vars());
     let mut dead: Vec<Inst> = Vec::new();
     loop {
         let live = cache.liveness(f);
@@ -59,7 +58,6 @@ pub fn dead_code_elim_cached(f: &mut Function, cache: &mut AnalysisCache) -> usi
         cache.invalidate_instructions();
         removed += removed_this_round;
     }
-    recycle(cursor);
     removed
 }
 

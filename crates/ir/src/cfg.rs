@@ -1,8 +1,12 @@
 //! Control-flow graph utilities: predecessor/successor maps, traversal
 //! orders, reachability, and critical-edge splitting.
+//!
+//! [`Cfg`] stores both maps in compressed sparse row form: one offset
+//! array and one block array each, so a function's CFG is a handful of
+//! buffers rather than two `Vec`s per block.
 
 use crate::function::Function;
-use crate::ids::{Block, EntityVec};
+use crate::ids::Block;
 use crate::instr::InstData;
 use crate::opcode::Opcode;
 
@@ -11,8 +15,12 @@ use crate::opcode::Opcode;
 /// The maps are a snapshot: recompute after mutating the CFG.
 #[derive(Clone, Debug)]
 pub struct Cfg {
-    succs: EntityVec<Block, Vec<Block>>,
-    preds: EntityVec<Block, Vec<Block>>,
+    /// `succs(b)` is `succ[succ_at[b]..succ_at[b + 1]]`.
+    succ_at: Vec<usize>,
+    succ: Vec<Block>,
+    /// `preds(b)` is `pred[pred_at[b]..pred_at[b + 1]]`.
+    pred_at: Vec<usize>,
+    pred: Vec<Block>,
     rpo: Vec<Block>,
 }
 
@@ -20,16 +28,38 @@ impl Cfg {
     /// Computes the CFG of `f`.
     pub fn compute(f: &Function) -> Cfg {
         let n = f.num_blocks();
-        let mut succs: EntityVec<Block, Vec<Block>> = EntityVec::filled(n, Vec::new());
-        let mut preds: EntityVec<Block, Vec<Block>> = EntityVec::filled(n, Vec::new());
+        let mut succ_at = vec![0; n + 1];
+        // No terminator has more than two targets (`br`).
+        let mut succ = Vec::with_capacity(2 * n);
+        // Count each block's predecessors, then turn the counts into
+        // range ends; filling the ranges back to front from the last
+        // block leaves every `pred_at[b]` at its range start and each
+        // range in block creation order.
+        let mut pred_at = vec![0; n + 1];
         for b in f.blocks() {
             for &s in f.succs(b) {
-                succs[b].push(s);
-                preds[s].push(b);
+                succ.push(s);
+                pred_at[s.index()] += 1;
+            }
+            succ_at[b.index() + 1] = succ.len();
+        }
+        for k in 1..=n {
+            pred_at[k] += pred_at[k - 1];
+        }
+        let mut pred = vec![f.entry; succ.len()];
+        for b in (0..n).rev().map(Block::new) {
+            for &s in &succ[succ_at[b.index()]..succ_at[b.index() + 1]] {
+                pred_at[s.index()] -= 1;
+                pred[pred_at[s.index()]] = b;
             }
         }
-        let rpo = reverse_postorder(f);
-        Cfg { succs, preds, rpo }
+        Cfg {
+            succ_at,
+            succ,
+            pred_at,
+            pred,
+            rpo: reverse_postorder(f),
+        }
     }
 
     /// Blocks in reverse postorder, cached at construction so every
@@ -47,19 +77,19 @@ impl Cfg {
 
     /// Successors of `b` in terminator order (then/else for `br`).
     pub fn succs(&self, b: Block) -> &[Block] {
-        &self.succs[b]
+        &self.succ[self.succ_at[b.index()]..self.succ_at[b.index() + 1]]
     }
 
     /// Predecessors of `b` in block creation order. A block appears twice
     /// if both branch targets reach `b` (the validator forbids this for
     /// blocks with φs; split such edges first).
     pub fn preds(&self, b: Block) -> &[Block] {
-        &self.preds[b]
+        &self.pred[self.pred_at[b.index()]..self.pred_at[b.index() + 1]]
     }
 
     /// Number of blocks covered.
     pub fn num_blocks(&self) -> usize {
-        self.succs.len()
+        self.succ_at.len() - 1
     }
 }
 
@@ -70,7 +100,8 @@ pub fn postorder(f: &Function) -> Vec<Block> {
     let mut visited = vec![false; n];
     let mut out = Vec::with_capacity(n);
     // Iterative DFS carrying the next successor index.
-    let mut stack: Vec<(Block, usize)> = vec![(f.entry, 0)];
+    let mut stack: Vec<(Block, usize)> = Vec::with_capacity(n);
+    stack.push((f.entry, 0));
     visited[f.entry.index()] = true;
     while let Some(&mut (b, ref mut next)) = stack.last_mut() {
         let succs = f.succs(b);

@@ -52,7 +52,7 @@ use tossa_server::metrics::ServiceMetrics;
 use tossa_server::proto::experiment_from_key;
 use tossa_server::report::{JobReport, SoakSummary};
 use tossa_server::service::{CompileService, Job, ServiceConfig};
-use tossa_server::{parse_control, Budget, ChaosConfig, Control, JobRequest, ServiceAlloc};
+use tossa_server::{parse_line, Budget, ChaosConfig, Control, Frame, JobRequest, ServiceAlloc};
 use tossa_trace::service::JobCounterSet;
 
 #[global_allocator]
@@ -251,18 +251,18 @@ fn run_stdin(config: ServiceConfig, paths: &OutPaths) -> i32 {
         if line.trim().is_empty() {
             continue;
         }
-        match parse_control(&line) {
-            Some(Ok(Control::Stats)) => {
+        match parse_line(&line) {
+            Frame::Control(Ok(Control::Stats)) => {
                 let mut out = std::io::stdout().lock();
                 let _ = writeln!(out, "{}", service.stats_json());
             }
-            Some(Err(e)) => {
+            Frame::Control(Err(e)) => {
                 let report = service.refuse_frame(&e);
                 service.emit_report(report);
             }
-            None => {
+            Frame::Job(doc) => {
                 // Frame errors already produced a structured report.
-                let _ = service.submit_frame(&line);
+                let _ = service.submit_frame(&line, doc);
             }
         }
     }
@@ -314,17 +314,17 @@ fn serve_connection(stream: TcpStream, service: &CompileService, routes: &Routes
         if line.trim().is_empty() {
             continue;
         }
-        match parse_control(&line) {
-            Some(Ok(Control::Stats)) => {
+        match parse_line(&line) {
+            Frame::Control(Ok(Control::Stats)) => {
                 let mut s = lock_ignoring_poison(&sock);
                 let _ = writeln!(s, "{}", service.stats_json());
             }
-            Some(Err(e)) => {
+            Frame::Control(Err(e)) => {
                 let report = service.refuse_frame(&e);
                 let mut s = lock_ignoring_poison(&sock);
                 let _ = writeln!(s, "{}", report.to_json());
             }
-            None => match service.admit_frame(&line) {
+            Frame::Job(doc) => match service.admit_frame(&line, doc) {
                 Ok(req) => {
                     // Route *before* submit: the report (even a shed
                     // one) can race back before we return.

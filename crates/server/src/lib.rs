@@ -57,7 +57,7 @@ pub use chaos::{site_seed, ChaosConfig, Fault, ServiceFault};
 pub use flight::{FlightEvent, FlightRecorder, FLIGHT_STAGES};
 pub use ladder::{steps_are_contiguous, Ladder, LadderStep, Rung};
 pub use metrics::{QueueMetrics, ServiceMetrics};
-pub use proto::{parse_control, parse_frame, Control, FrameError, JobRequest};
+pub use proto::{job_from_json, parse_frame, parse_line, Control, Frame, FrameError, JobRequest};
 pub use queue::{BoundedQueue, PushOutcome};
 pub use report::{JobOutcome, JobReport, SoakSummary};
 pub use service::{run_batch, CompileService, Job, ServiceConfig};

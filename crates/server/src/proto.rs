@@ -30,8 +30,9 @@
 //! ```
 //!
 //! answered in-line with one `tossa-service-stats/1` snapshot of the
-//! live server's telemetry ([`parse_control`]). An unknown control
-//! verb is a structured [`FrameError::UnknownControl`] refusal.
+//! live server's telemetry. [`parse_line`] parses a line's JSON once and
+//! tells the two kinds apart; an unknown control verb is a structured
+//! [`FrameError::UnknownControl`] refusal.
 
 use tossa_core::Experiment;
 use tossa_ir::machine::Machine;
@@ -112,16 +113,31 @@ pub enum Control {
     Stats,
 }
 
-/// Classifies a line as a control frame. Returns `None` when the line
-/// is not one (not JSON, not an object, or no `"control"` key) — the
-/// caller then treats it as a job frame. A present-but-unknown control
-/// verb is a structured refusal, not a fall-through: silently
-/// reinterpreting a typoed query as a job frame would produce a
-/// confusing `frame.missing_func` reject.
-pub fn parse_control(line: &str) -> Option<Result<Control, FrameError>> {
-    let doc = parse_json(line).ok()?;
-    let verb = doc.get("control")?;
-    Some(match verb.as_str() {
+/// One protocol line, its JSON parsed once.
+#[derive(Clone, Debug, PartialEq)]
+pub enum Frame {
+    /// A control frame, or the refusal of an unknown control verb.
+    Control(Result<Control, FrameError>),
+    /// Anything else is a job frame: its JSON document, for
+    /// [`job_from_json`], or why the line is not JSON.
+    Job(Result<Json, FrameError>),
+}
+
+/// Parses a line's JSON and classifies it. A line is a control frame
+/// when it is a JSON object with a `"control"` key; anything else (not
+/// JSON, not an object, no `"control"` key) is a job frame. A
+/// present-but-unknown control verb is a structured refusal, not a
+/// fall-through: silently reinterpreting a typoed query as a job frame
+/// would produce a confusing `frame.missing_func` reject.
+pub fn parse_line(line: &str) -> Frame {
+    let doc = match parse_json(line) {
+        Ok(doc) => doc,
+        Err(e) => return Frame::Job(Err(FrameError::Json(e))),
+    };
+    let Some(verb) = doc.get("control") else {
+        return Frame::Job(Ok(doc));
+    };
+    Frame::Control(match verb.as_str() {
         Some("stats") => Ok(Control::Stats),
         Some(other) => Err(FrameError::UnknownControl(other.to_string())),
         None => Err(FrameError::UnknownControl(
@@ -181,7 +197,14 @@ fn parse_inputs(v: &Json) -> Result<Vec<Vec<i64>>, FrameError> {
 /// # Errors
 /// Any malformed aspect of the frame, as a structured [`FrameError`].
 pub fn parse_frame(line: &str, default_id: u64) -> Result<JobRequest, FrameError> {
-    let doc = parse_json(line).map_err(FrameError::Json)?;
+    job_from_json(&parse_json(line).map_err(FrameError::Json)?, default_id)
+}
+
+/// [`parse_frame`] for a line whose JSON is already parsed.
+///
+/// # Errors
+/// Any malformed aspect of the frame, as a structured [`FrameError`].
+pub fn job_from_json(doc: &Json, default_id: u64) -> Result<JobRequest, FrameError> {
     let id = doc.get("id").and_then(Json::as_u64).unwrap_or(default_id);
     let text = doc
         .get("func")
@@ -278,28 +301,72 @@ mod tests {
         assert_eq!(experiment_from_key("Bogus"), None);
     }
 
+    /// What a connection sees of a frame: a control verdict, or the
+    /// admitted request printed, or its refusal.
+    #[derive(Debug, PartialEq)]
+    enum Outcome {
+        Control(Result<Control, FrameError>),
+        Job(Result<String, FrameError>),
+    }
+
+    fn job_outcome(r: Result<JobRequest, FrameError>) -> Outcome {
+        Outcome::Job(r.map(|req| {
+            format!(
+                "{} {:?} {:?} {:?}\n{}",
+                req.id, req.experiment, req.inputs, req.inputs_seed, req.func
+            )
+        }))
+    }
+
+    /// The two-parse path `parse_line` replaces: a control check that
+    /// parses the line, then `parse_frame`, which parses it again.
+    fn two_parse_outcome(line: &str, id: u64) -> Outcome {
+        if let Ok(doc) = parse_json(line) {
+            if let Some(verb) = doc.get("control") {
+                return Outcome::Control(match verb.as_str() {
+                    Some("stats") => Ok(Control::Stats),
+                    Some(other) => Err(FrameError::UnknownControl(other.to_string())),
+                    None => Err(FrameError::UnknownControl(
+                        "non-string control value".to_string(),
+                    )),
+                });
+            }
+        }
+        job_outcome(parse_frame(line, id))
+    }
+
     #[test]
-    fn control_frames_classify_without_stealing_job_frames() {
-        assert_eq!(
-            parse_control("{\"control\": \"stats\"}"),
-            Some(Ok(Control::Stats))
-        );
-        // Unknown verbs refuse structurally rather than falling through.
-        let err = parse_control("{\"control\": \"bogus\"}")
-            .unwrap()
-            .unwrap_err();
-        assert_eq!(err.class_key(), "frame.unknown_control");
-        assert_eq!(
-            parse_control("{\"control\": 3}")
-                .unwrap()
-                .unwrap_err()
-                .class_key(),
-            "frame.unknown_control"
-        );
-        // Job frames, garbage, and non-objects are not control frames.
-        assert_eq!(parse_control(&frame_json("")), None);
-        assert_eq!(parse_control("not json"), None);
-        assert_eq!(parse_control("[1, 2]"), None);
+    fn one_parse_classifies_every_frame_class_like_two() {
+        let deep = format!("{}{}", "[".repeat(100_000), "]".repeat(100_000));
+        let cases: Vec<(String, &str)> = vec![
+            ("{\"control\": \"stats\"}".into(), "control"),
+            ("{\"control\": \"bogus\"}".into(), "frame.unknown_control"),
+            ("{\"control\": 3}".into(), "frame.unknown_control"),
+            ("not json".into(), "frame.json"),
+            ("[1, 2]".into(), "frame.missing_func"),
+            ("{\"id\": 1}".into(), "frame.missing_func"),
+            (
+                frame_json(", \"experiment\": \"NoSuch\""),
+                "frame.unknown_experiment",
+            ),
+            (frame_json(", \"inputs\": [\"x\"]"), "frame.bad_inputs"),
+            (frame_json(", \"id\": 9"), "job"),
+            (deep, "frame.json"),
+        ];
+        for (line, class) in cases {
+            let once = match parse_line(&line) {
+                Frame::Control(c) => Outcome::Control(c),
+                Frame::Job(doc) => job_outcome(doc.and_then(|d| job_from_json(&d, 5))),
+            };
+            let shown = &line[..line.len().min(40)];
+            assert_eq!(once, two_parse_outcome(&line, 5), "{shown}");
+            let got = match &once {
+                Outcome::Control(Ok(_)) => "control",
+                Outcome::Job(Ok(_)) => "job",
+                Outcome::Control(Err(e)) | Outcome::Job(Err(e)) => e.class_key(),
+            };
+            assert_eq!(got, class, "{shown}");
+        }
     }
 
     #[test]

@@ -31,7 +31,7 @@ use crate::budget::{AllocMeter, Budget};
 use crate::chaos::{site_seed, ChaosConfig, Fault, ServiceFault};
 use crate::ladder::{Ladder, Rung};
 use crate::metrics::{AttemptResult, ServiceMetrics, Stage};
-use crate::proto::{parse_frame, FrameError, JobRequest};
+use crate::proto::{job_from_json, parse_frame, FrameError, JobRequest};
 use crate::queue::{BoundedQueue, PushOutcome};
 use crate::report::{JobOutcome, JobReport};
 use crate::watchdog::Watchdog;
@@ -46,6 +46,7 @@ use tossa_core::coalesce::CoalesceOptions;
 use tossa_core::error::{TossaError, VerifyError};
 use tossa_core::Experiment;
 use tossa_ir::interp::Trap;
+use tossa_trace::json::Json;
 use tossa_trace::service::{JobCounter, JobCounterSet, SharedJobCounters};
 use tossa_trace::Counter;
 
@@ -251,24 +252,30 @@ impl CompileService {
         outcome
     }
 
-    /// Parses one frame line into an admissible request, applying
-    /// frame-level chaos and counting the refusal, but emitting **no**
-    /// report: callers that route responses per-connection (the TCP
-    /// front end) build the reject with
-    /// [`CompileService::frame_rejection`] and deliver it themselves.
-    /// The error carries the admission id assigned to the line.
-    pub fn admit_frame(&self, line: &str) -> Result<JobRequest, (u64, FrameError)> {
+    /// Turns one job frame line, whose JSON [`parse_line`] has parsed
+    /// into `doc`, into an admissible request, applying frame-level
+    /// chaos and counting the refusal, but emitting **no** report:
+    /// callers that route responses per-connection (the TCP front end)
+    /// build the reject with [`CompileService::frame_rejection`] and
+    /// deliver it themselves. The error carries the admission id
+    /// assigned to the line. Only a line the `MalformedFrame` fault
+    /// corrupts is parsed again, from its corrupted text.
+    ///
+    /// [`parse_line`]: crate::proto::parse_line
+    pub fn admit_frame(
+        &self,
+        line: &str,
+        doc: Result<Json, FrameError>,
+    ) -> Result<JobRequest, (u64, FrameError)> {
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        let corrupted;
-        let effective: &str = match self.ctx.config.chaos.and_then(|c| c.draw(id, 0)) {
+        let admitted = match self.ctx.config.chaos.and_then(|c| c.draw(id, 0)) {
             Some(Fault::Service(ServiceFault::MalformedFrame)) => {
                 self.ctx.counters.add(JobCounter::ServiceFaultsInjected, 1);
-                corrupted = corrupt_frame(line);
-                &corrupted
+                parse_frame(&corrupt_frame(line), id)
             }
-            _ => line,
+            _ => doc.and_then(|doc| job_from_json(&doc, id)),
         };
-        parse_frame(effective, id).map_err(|e| {
+        admitted.map_err(|e| {
             self.ctx.counters.add(JobCounter::FramesMalformed, 1);
             self.ctx
                 .metrics
@@ -303,11 +310,16 @@ impl CompileService {
         let _ = self.reports.send(report);
     }
 
-    /// Parses and submits one frame line. Malformed frames (including
-    /// chaos-corrupted ones) are refused with a `FrameRejected` report
-    /// — admission never panics and never silently drops a line.
-    pub fn submit_frame(&self, line: &str) -> Result<u64, FrameError> {
-        match self.admit_frame(line) {
+    /// Admits ([`CompileService::admit_frame`]) and submits one job
+    /// frame line. Malformed frames (including chaos-corrupted ones) are
+    /// refused with a `FrameRejected` report — admission never panics
+    /// and never silently drops a line.
+    pub fn submit_frame(
+        &self,
+        line: &str,
+        doc: Result<Json, FrameError>,
+    ) -> Result<u64, FrameError> {
+        match self.admit_frame(line, doc) {
             Ok(req) => {
                 let id = req.id;
                 self.submit(Job {
@@ -872,11 +884,13 @@ mod tests {
             workers: 1,
             ..ServiceConfig::default()
         });
-        assert!(service.submit_frame("this is not a frame").is_err());
+        let submit = |line: &str| match crate::proto::parse_line(line) {
+            crate::proto::Frame::Job(doc) => service.submit_frame(line, doc),
+            crate::proto::Frame::Control(c) => panic!("{line} is a control frame: {c:?}"),
+        };
+        assert!(submit("this is not a frame").is_err());
         let escaped = tossa_trace::escape_json(ADD);
-        service
-            .submit_frame(&format!("{{\"func\": \"{escaped}\"}}"))
-            .unwrap();
+        submit(&format!("{{\"func\": \"{escaped}\"}}")).unwrap();
         let counters = service.shutdown();
         let reports: Vec<JobReport> = rx.iter().collect();
         assert_eq!(reports.len(), 2);

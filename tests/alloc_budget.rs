@@ -3,8 +3,8 @@
 //!
 //! A counting `#[global_allocator]` wraps the system allocator. Each
 //! gate runs its sweep twice — once to warm lazily-initialized state
-//! (the thread-local bitset pool, runtime one-time setup), once counted —
-//! and the counted run must stay under a pinned allocation budget:
+//! (runtime one-time setup), once counted — and the counted run must
+//! stay under a pinned allocation budget:
 //!
 //! - the full pipeline (LΦ+ABI+C experiment plus register allocation)
 //!   over the `VALcc1` suite;
@@ -85,27 +85,31 @@ use tossa::regalloc::{allocate, AllocOptions};
 
 /// Allocation-event budget for one full pipeline sweep over `VALcc1`.
 ///
-/// Pinned at ~25% above the 24,049 events measured when the flat-IR
-/// storage landed; the pre-refactor pipeline exceeded it several times over.
-const BUDGET: u64 = 30_000;
+/// Pinned at ~25% above the 17,168 events measured once the CFG,
+/// liveness and live-after-def results were flat arrays (one buffer per
+/// result, not one heap row per block or variable). With those rows the
+/// sweep made 18,831, and 24,049 when the flat-IR storage landed; the
+/// pipeline before that exceeded this budget several times over.
+const BUDGET: u64 = 21_500;
 
 /// Allocation-event budget for `allocate` alone over `pressure` seeds
 /// `0..300` (`Lφ+C`).
 ///
-/// Pinned at ~20% above the events measured once the allocator's side
-/// tables were dense `Vec`s and its spill rewrites occurrence-local; the
-/// hash-map bookkeeping they replaced made 324,923.
-const ALLOCATE_BUDGET: u64 = 172_000;
+/// Pinned at ~20% above the 111,560 events measured once the analyses
+/// the spill rounds recompute were flat arrays; the per-block rows made
+/// 142,569, and the hash-map bookkeeping the allocator's dense side
+/// tables replaced made 324,923.
+const ALLOCATE_BUDGET: u64 = 134_000;
 
 /// Allocation-event budget for the paper's layers over the `tables`
 /// population (see [`paper_layers`]).
 ///
-/// Pinned at ~15% above the 294,855 events measured once those layers'
-/// side tables were dense `Vec`s, Chaitin's interference graph one bit
-/// matrix and dead code dropped with one pass per block; the hash tables,
-/// per-vertex hash sets and per-instruction removals they replaced made
-/// 444,276–444,295 (three runs).
-const PAPER_LAYERS_BUDGET: u64 = 340_000;
+/// Pinned at ~15% above the 237,566 events measured once the analyses
+/// those layers read were flat arrays; with one heap row per block or
+/// variable they made 294,855, and before their side tables were dense
+/// `Vec`s, Chaitin's interference graph one bit matrix and dead code
+/// dropped with one pass per block, 444,276–444,295 (three runs).
+const PAPER_LAYERS_BUDGET: u64 = 274_000;
 
 /// Runs `layer` with this thread's counting on.
 fn counting<R>(layer: impl FnOnce() -> R) -> R {
@@ -125,8 +129,8 @@ fn counted(mut sweep: impl FnMut()) -> u64 {
 /// calls it measures; returns the events the second run made inside
 /// them.
 fn counted_within(mut sweep: impl FnMut()) -> u64 {
-    // Warm-up: thread-local pools and one-time lazy state allocate here;
-    // what it counts is discarded.
+    // Warm-up: one-time lazy state allocates here; what it counts is
+    // discarded.
     sweep();
     ALLOCS.with(|n| n.set(0));
     sweep();
@@ -150,8 +154,8 @@ fn pipeline_allocations_stay_under_budget() {
     assert!(
         measured <= BUDGET,
         "pipeline over VALcc1 made {measured} heap allocations \
-         (budget {BUDGET}); a flat-IR / pooled-bitset regression, or a \
-         deliberate change that needs the budget re-pinned"
+         (budget {BUDGET}); the flat IR or the flat analysis results \
+         regressed, or a deliberate change needs the budget re-pinned"
     );
 }
 

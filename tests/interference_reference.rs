@@ -1,5 +1,8 @@
-//! Reference test for the aggressive coalescer's interference graph
-//! (`InterferenceGraph`, one bit matrix over the variables it tracks).
+//! Reference tests for the interference structures over liveness:
+//! the aggressive coalescer's interference graph (`InterferenceGraph`,
+//! one bit matrix over the variables it tracks) and the paper's exact
+//! oracle, the live-after-def sets (`LiveAtDefs`, one flat row per
+//! variable).
 //!
 //! Over post-reconstruct code of the fuzz population and of the SPECint
 //! shape, for seeded samples of both:
@@ -14,18 +17,27 @@
 //!
 //! on `interferes`, `degree` and `neighbors`, and again after every
 //! merge of a coalescing sequence replayed the way the coalescer does it.
+//!
+//! Over SSA code of the same shapes after the front end, after Sreedhar's
+//! CSSA conversion and after pinning, `after_def(v)` is, for every
+//! variable, the set a naive backward scan from the reference liveness
+//! gives at `v`'s first definition, and `None` for an undefined one. A
+//! variable created after the analyses ran is live nowhere and has no
+//! live-after-def set.
 
 use std::collections::BTreeSet;
 use tossa::analysis::liveness::Liveness;
-use tossa::analysis::{BitSet, InterferenceGraph};
+use tossa::analysis::{BitSet, DefMap, InterferenceGraph, LiveAtDefs};
+use tossa::baselines::to_cssa;
 use tossa::bench::checked::fuzz_suite;
-use tossa::bench::runner::run_experiment;
+use tossa::bench::runner::{front_end, run_experiment};
 use tossa::bench::suites::synth::{generate_function, SynthConfig};
 use tossa::core::coalesce::CoalesceOptions;
-use tossa::core::Experiment;
+use tossa::core::collect::pinning_abi;
+use tossa::core::{program_pinning, Experiment};
 use tossa::ir::cfg::Cfg;
 use tossa::ir::rng::SplitMix64;
-use tossa::ir::{Function, Opcode, Var};
+use tossa::ir::{Block, Function, Opcode, Var};
 
 /// Adjacency sets of the naive definition, indexed by variable.
 type Adjacency = Vec<BTreeSet<Var>>;
@@ -47,20 +59,7 @@ fn naive_adjacency(f: &Function) -> Adjacency {
             if inst.is_phi() {
                 continue;
             }
-            // Live after `i`, recomputed from the block's exit each time.
-            let mut after = live.live_exit(f, b);
-            for &j in insts[p + 1..].iter().rev() {
-                let later = f.inst(j);
-                if later.is_phi() {
-                    continue;
-                }
-                for d in later.defs {
-                    after.remove(d.var);
-                }
-                for u in later.uses {
-                    after.insert(u.var);
-                }
-            }
+            let after = live_after(f, &live, b, p);
             let move_src = (inst.opcode == Opcode::Mov).then(|| inst.uses[0].var);
             for d in inst.defs {
                 for l in after.iter() {
@@ -75,6 +74,25 @@ fn naive_adjacency(f: &Function) -> Adjacency {
         }
     }
     adj
+}
+
+/// The variables live after the instruction at position `p` of block
+/// `b`, recomputed from the block's exit.
+fn live_after(f: &Function, live: &Liveness, b: Block, p: usize) -> BitSet<Var> {
+    let mut after = live.live_exit(f, b);
+    for &j in f.block(b).insts[p + 1..].iter().rev() {
+        let later = f.inst(j);
+        if later.is_phi() {
+            continue;
+        }
+        for d in later.defs {
+            after.remove(d.var);
+        }
+        for u in later.uses {
+            after.insert(u.var);
+        }
+    }
+    after
 }
 
 /// The variables of the function's moves, as the coalescer collects them.
@@ -225,4 +243,75 @@ fn graph_matches_the_naive_definition_on_specint_code() {
         }
     }
     assert!(merges > 0, "the sample replays no merge");
+}
+
+/// Checks `LiveAtDefs` on one function against the naive scan, then
+/// queries every analysis for variables created after it ran.
+fn check_live_at_defs(mut f: Function, what: &str) {
+    let cfg = Cfg::compute(&f);
+    let reference = Liveness::compute_reference(&f, &cfg);
+    let live = Liveness::compute(&f, &cfg);
+    let lad = LiveAtDefs::compute(&f, &live, &DefMap::compute(&f));
+    let mut naive: Vec<Option<Vec<Var>>> = vec![None; f.num_vars()];
+    for b in f.blocks() {
+        for (p, &i) in f.block(b).insts.iter().enumerate() {
+            let inst = f.inst(i);
+            for d in inst.defs {
+                if naive[d.var.index()].is_some() {
+                    continue; // not the first definition
+                }
+                // A φ is defined on entry to its block.
+                let after = if inst.is_phi() {
+                    reference.live_in(b).iter().collect()
+                } else {
+                    live_after(&f, &reference, b, p).iter().collect()
+                };
+                naive[d.var.index()] = Some(after);
+            }
+        }
+    }
+    for v in f.vars() {
+        let got = lad.after_def(v).map(|row| row.iter().collect::<Vec<_>>());
+        assert_eq!(got, naive[v.index()], "{what}: after_def({v})");
+    }
+    // Past the last word of every row, and inside it.
+    let late: Vec<Var> = (0..65).map(|k| f.new_var(format!("late{k}"))).collect();
+    for &v in &late {
+        for b in f.blocks() {
+            assert!(!live.live_in(b).contains(v), "{what}: {v} live into {b}");
+            assert!(!live.live_out(b).contains(v), "{what}: {v} live out of {b}");
+        }
+        assert_eq!(lad.after_def(v), None, "{what}: after_def({v})");
+    }
+}
+
+/// SSA code after the front end, after `to_cssa`, and after ABI and φ
+/// pinning.
+fn check_live_at_defs_pipeline(src: &Function, what: &str) {
+    let ssa = front_end(src);
+    check_live_at_defs(ssa.clone(), &format!("{what}: front end"));
+    let mut cssa = ssa.clone();
+    to_cssa(&mut cssa);
+    check_live_at_defs(cssa, &format!("{what}: to_cssa"));
+    let mut pinned = ssa;
+    pinning_abi(&mut pinned);
+    program_pinning(&mut pinned, &CoalesceOptions::default());
+    check_live_at_defs(pinned, &format!("{what}: pinning"));
+}
+
+#[test]
+fn live_at_defs_match_the_naive_scan() {
+    for seed in seeds(3, 4) {
+        for bf in fuzz_suite(6, seed).functions {
+            check_live_at_defs_pipeline(&bf.func, &format!("fuzz seed {seed} {}", bf.func.name));
+        }
+    }
+    let shape = SynthConfig {
+        functions: 1,
+        ..Default::default()
+    };
+    for seed in seeds(4, 12) {
+        let bf = generate_function(seed, &shape);
+        check_live_at_defs_pipeline(&bf.func, &format!("SPECint seed {seed}"));
+    }
 }
