@@ -8,8 +8,9 @@
 //!   `explain --diff A.json B.json`
 //!
 //! * `--suite NAME`      — suite to run (default `VALcc1`);
-//! * `--experiment NAME` — experiment, by enum key (`LphiAbiC`) or paper
-//!   label (`Lphi,ABI+C`); default `LphiAbiC`;
+//! * `--experiment NAME` — experiment, by key (`LphiAbiC`) or by a paper
+//!   label no other experiment shares (`Lphi,ABI+C`), in any case;
+//!   default `LphiAbiC`;
 //! * `--function NAME`   — restrict the report to one function;
 //! * `--naive`           — pessimistic interference oracle (Algorithm 4
 //!   `Variable_kills_pessimistic`): over-reports interference, so
@@ -33,9 +34,9 @@
 //!   difference.
 //!
 //! Any other argument, a value flag without its value, a `--spec` that
-//! is not a number, or `--spill-everywhere` / `--hull` without
-//! `--alloc` (they would change nothing) prints the usage line and
-//! exits 2 before anything runs.
+//! is not a number, an unknown or shared experiment name (`C`), or
+//! `--spill-everywhere` / `--hull` without `--alloc` (they would change
+//! nothing) prints the usage line and exits 2 before anything runs.
 //!
 //! The human report groups each function's records by kind and ends
 //! with a pruning summary attributing every killed affinity edge to an
@@ -77,13 +78,6 @@ fn check_args(args: &[String]) -> Result<usize, String> {
         }
     }
     spec_arg(args)
-}
-
-fn parse_experiment(name: &str) -> Option<Experiment> {
-    Experiment::all()
-        .iter()
-        .copied()
-        .find(|e| format!("{e:?}") == name || e.label() == name)
 }
 
 /// One function's run: its records plus the copy totals for the
@@ -433,17 +427,7 @@ fn main() {
 
     let suite = value("--suite").unwrap_or_else(|| "VALcc1".into());
     let exp_name = value("--experiment").unwrap_or_else(|| "LphiAbiC".into());
-    let Some(exp) = parse_experiment(&exp_name) else {
-        eprintln!(
-            "unknown experiment {exp_name:?}; known: {}",
-            Experiment::all()
-                .iter()
-                .map(|e| format!("{e:?}"))
-                .collect::<Vec<_>>()
-                .join(", ")
-        );
-        std::process::exit(2);
-    };
+    let exp = Experiment::from_name(&exp_name).unwrap_or_else(|e| usage_error(e));
     let naive = flag("--naive");
     let opts = CoalesceOptions {
         mode: if naive {

@@ -27,8 +27,15 @@
 //!   `trace_event`); prints the aggregated counter summary. `DIR`
 //!   defaults to the current directory.
 //!
+//! `--experiment` takes a key (`CAbi`) or a label no other experiment
+//! shares (`Sphi+C`), in any case; `C`, the label of both `CNoAbi` and
+//! `CAbi`, is refused.
+//!
 //! Exit status: 0 when expectations hold (clean without `--chaos`,
-//! gracefully degraded with it), 1 otherwise.
+//! gracefully degraded with it), 1 otherwise. An unknown argument, a
+//! value flag without its value, a non-numeric `--functions`, `--seed`
+//! or `--fuel`, or an unknown experiment or chaos class prints the usage
+//! line and exits 2 before anything runs.
 
 use tossa_bench::checked::{
     fuzz_suite, run_checked, run_suite_checked, run_suite_checked_traced, CheckedOptions,
@@ -38,6 +45,9 @@ use tossa_bench::suites::BenchFunction;
 use tossa_core::chaos::{AllocCorruption, Catcher, Corruption};
 use tossa_core::coalesce::CoalesceOptions;
 use tossa_core::Experiment;
+
+const USAGE: &str = "usage: fuzz [--functions N] [--seed S] [--experiment NAME] [--chaos CLASS] \
+[--fuel F] [--alloc] [--no-reduce] [--trace [DIR]]";
 
 /// A fuzzable corruption class: a pipeline-pass fault or an
 /// allocation fault (the latter implies the allocation stage).
@@ -65,71 +75,89 @@ fn parse_chaos(s: &str) -> Option<ChaosClass> {
     }
 }
 
+/// A parsed command line.
+struct Args {
+    functions: usize,
+    seed: u64,
+    fuel: u64,
+    experiments: Vec<Experiment>,
+    chaos: Option<ChaosClass>,
+    alloc: bool,
+    no_reduce: bool,
+    /// The `--trace` directory, when tracing.
+    trace: Option<String>,
+}
+
+fn number<T: std::str::FromStr>(flag: &str, v: &str) -> Result<T, String> {
+    v.parse()
+        .map_err(|_| format!("{flag} wants a number, got {v:?}"))
+}
+
+fn parse(args: &[String]) -> Result<Args, String> {
+    let mut a = Args {
+        functions: 200,
+        seed: 1,
+        fuel: 5_000_000,
+        experiments: Experiment::all().to_vec(),
+        chaos: None,
+        alloc: false,
+        no_reduce: false,
+        trace: None,
+    };
+    let mut it = args.iter().peekable();
+    while let Some(flag) = it.next() {
+        let mut value = || it.next().ok_or_else(|| format!("{flag} wants a value"));
+        match flag.as_str() {
+            "--functions" => a.functions = number(flag, value()?)?,
+            "--seed" => a.seed = number(flag, value()?)?,
+            "--fuel" => a.fuel = number(flag, value()?)?,
+            "--experiment" => a.experiments = vec![Experiment::from_name(value()?)?],
+            "--chaos" => {
+                let v = value()?;
+                let class = parse_chaos(v).ok_or_else(|| format!("unknown chaos class {v:?}"))?;
+                a.chaos = Some(class);
+            }
+            "--alloc" => a.alloc = true,
+            "--no-reduce" => a.no_reduce = true,
+            "--trace" => {
+                let dir = it.next_if(|v| !v.starts_with("--"));
+                a.trace = Some(dir.map_or_else(|| ".".to_string(), String::clone));
+            }
+            other => return Err(format!("unknown argument {other:?}")),
+        }
+    }
+    Ok(a)
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let flag = |name: &str| args.iter().any(|a| a == name);
-    let value = |name: &str| {
-        args.iter()
-            .position(|a| a == name)
-            .and_then(|p| args.get(p + 1))
-            .cloned()
-    };
-    let functions = value("--functions")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(200);
-    let seed = value("--seed").and_then(|v| v.parse().ok()).unwrap_or(1u64);
-    let fuel = value("--fuel")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(5_000_000);
-    let chaos_class = value("--chaos").map(|v| {
-        parse_chaos(&v).unwrap_or_else(|| {
-            eprintln!("unknown chaos class {v:?}");
-            std::process::exit(2);
-        })
+    let a = parse(&args).unwrap_or_else(|e| {
+        eprintln!("fuzz: {e}\n{USAGE}");
+        std::process::exit(2);
     });
-    let (chaos, alloc_chaos) = match chaos_class {
+    let (chaos, alloc_chaos) = match a.chaos {
         None => (None, None),
         Some(ChaosClass::Pass(c)) => (Some(c), None),
         Some(ChaosClass::Alloc(c)) => (None, Some(c)),
     };
-    let experiments: Vec<Experiment> = match value("--experiment") {
-        None => Experiment::all().to_vec(),
-        Some(name) => {
-            let Some(&e) = Experiment::all().iter().find(|e| e.to_string() == name) else {
-                eprintln!(
-                    "unknown experiment {name:?}; known: {}",
-                    Experiment::all()
-                        .iter()
-                        .map(|e| e.to_string())
-                        .collect::<Vec<_>>()
-                        .join(", ")
-                );
-                std::process::exit(2);
-            };
-            vec![e]
-        }
-    };
 
-    let suite = fuzz_suite(functions, seed);
+    let suite = fuzz_suite(a.functions, a.seed);
     let opts = CoalesceOptions::default();
     let copts = CheckedOptions {
-        fuel,
+        fuel: a.fuel,
         chaos,
-        chaos_seed: seed,
-        alloc: flag("--alloc") || alloc_chaos.is_some(),
+        chaos_seed: a.seed,
+        alloc: a.alloc || alloc_chaos.is_some(),
         alloc_chaos,
     };
 
-    let tracing = flag("--trace");
-    let trace_dir = value("--trace")
-        .filter(|v| !v.starts_with("--"))
-        .unwrap_or_else(|| ".".into());
+    let tracing = a.trace.is_some();
     let mut jsonl = String::new();
     let mut labelled: Vec<(String, tossa_trace::TraceData)> = Vec::new();
     let mut trace_total = tossa_trace::TraceData::default();
 
     let mut ok = true;
-    for &exp in &experiments {
+    for &exp in &a.experiments {
         let report = if tracing {
             let (report, traces) = run_suite_checked_traced(&suite, exp, &opts, &copts);
             for (bf, trace) in suite.functions.iter().zip(traces) {
@@ -144,7 +172,7 @@ fn main() {
             run_suite_checked(&suite, exp, &opts, &copts)
         };
         print!("{report}");
-        match chaos_class {
+        match a.chaos {
             None => {
                 // A degradation without injected faults is a real bug:
                 // shrink and print each failing case.
@@ -156,7 +184,7 @@ fn main() {
                             .iter()
                             .find(|bf| bf.func.name == r.function)
                             .expect("report names a suite function");
-                        if flag("--no-reduce") {
+                        if a.no_reduce {
                             println!("--- failing case {} ---\n{}", r.function, bf.func);
                             continue;
                         }
@@ -205,7 +233,7 @@ fn main() {
             }
         }
     }
-    if tracing {
+    if let Some(trace_dir) = &a.trace {
         let jsonl_path = format!("{trace_dir}/fuzz_trace.jsonl");
         std::fs::write(&jsonl_path, &jsonl).unwrap_or_else(|e| panic!("writing {jsonl_path}: {e}"));
         let chrome_path = format!("{trace_dir}/fuzz_trace_chrome.json");
@@ -213,7 +241,7 @@ fn main() {
         tossa_trace::validate_json(&chrome).expect("chrome trace is well-formed JSON");
         std::fs::write(&chrome_path, &chrome)
             .unwrap_or_else(|e| panic!("writing {chrome_path}: {e}"));
-        eprintln!("trace summary ({} experiments):", experiments.len());
+        eprintln!("trace summary ({} experiments):", a.experiments.len());
         eprint!("{}", tossa_trace::summary_table(&trace_total));
         eprintln!("wrote {jsonl_path} and {chrome_path}");
     }

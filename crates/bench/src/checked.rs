@@ -1,32 +1,31 @@
 //! Checked pipeline mode: per-pass verification, graceful fallback, and
 //! the per-function error report.
 //!
-//! [`run_checked`] executes one Table-1 experiment pipeline with a
-//! [`PassGuard`] after every pass: structural verifiers (CFG, SSA/CSSA,
-//! pin consistency) plus differential execution against the source
-//! function on the benchmark's input vectors. Any violation becomes a
-//! structured [`TossaError`] instead of a panic, and the function
-//! **degrades to the naive out-of-SSA translation** so a suite run
-//! completes with a [`SuiteReport`] naming every failed function instead
-//! of aborting.
+//! [`run_checked`] runs the runner's own pass sequence
+//! ([`run_stages`]) and observes every stage with a [`PassGuard`]:
+//! structural verifiers (CFG, SSA/CSSA, pin consistency) plus
+//! differential execution against the source function on the
+//! benchmark's input vectors. Any violation becomes a structured
+//! [`TossaError`] instead of a panic, and the function **degrades to the
+//! naive out-of-SSA translation** so a suite run completes with a
+//! [`SuiteReport`] naming every failed function instead of aborting.
 //!
-//! Fault injection ([`CheckedOptions::chaos`]) corrupts the pipeline at
-//! the point matching the corruption class, which lets tests prove the
-//! safety net trips: the corrupted run must produce a structured error
-//! *and* a semantically-correct fallback.
+//! Fault injection ([`CheckedOptions::chaos`]) corrupts the function at
+//! the stage whose check must catch the corruption class, which lets
+//! tests prove the safety net trips: the corrupted run must produce a
+//! structured error *and* a semantically-correct fallback.
 
-use crate::runner::{front_end, par_map};
+use crate::runner::{front_end, par_map, run_stages, Stage};
 use crate::suites::{BenchFunction, Suite};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use tossa_analysis::AnalysisCache;
-use tossa_baselines::{naive_out_of_ssa, to_cssa_cached};
+use tossa_baselines::naive_out_of_ssa;
 use tossa_core::chaos::{self, AllocCorruption, Catcher, Corruption};
 use tossa_core::checked::{check_form, IrForm, PassGuard};
 use tossa_core::coalesce::CoalesceOptions;
-use tossa_core::collect::{naive_abi, pinning_abi, pinning_cssa, pinning_sp};
+use tossa_core::collect::naive_abi;
 use tossa_core::error::{CoalesceError, TossaError, VerifyError};
-use tossa_core::reconstruct::out_of_pinned_ssa_checked;
-use tossa_core::{program_pinning_cached, Experiment};
+use tossa_core::Experiment;
 use tossa_ir::rng::SplitMix64;
 use tossa_ir::Function;
 use tossa_regalloc::{AllocOptions, AllocStats};
@@ -83,7 +82,8 @@ pub struct CheckedOutcome {
     pub alloc: Option<AllocStats>,
 }
 
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+/// The text of a caught panic's payload.
+pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -97,20 +97,9 @@ fn verify_err(pass: &'static str) -> impl Fn(VerifyError) -> TossaError {
     move |error| TossaError::Verify { pass, error }
 }
 
-/// Returns the first recorded stale-analysis diagnostic as an error.
-fn stale_check(cache: &mut AnalysisCache, pass: &'static str) -> Result<(), TossaError> {
-    match cache.take_stale() {
-        Some(s) => Err(TossaError::Verify {
-            pass,
-            error: VerifyError::StaleAnalysis(s),
-        }),
-        None => Ok(()),
-    }
-}
-
 /// Publishes a landed chaos injection on the trace sink and returns
 /// whether it landed.
-fn note_injection(hit: bool, c: Corruption) -> bool {
+fn note_injection(hit: bool, c: impl std::fmt::Debug) -> bool {
     if hit {
         tossa_trace::count(tossa_trace::Counter::ChaosInjected, 1);
         tossa_trace::event("chaos", || format!("{c:?}"));
@@ -118,113 +107,76 @@ fn note_injection(hit: bool, c: Corruption) -> bool {
     hit
 }
 
-/// The guarded pipeline proper: every pass is followed by structural
-/// verification and differential execution against the pre-front-end
-/// source (each earlier guarded pass has already been proven
-/// semantics-preserving, so a divergence is attributed to the pass it
-/// first appears after).
-fn guarded_pipeline(
-    ssa: &Function,
-    exp: Experiment,
-    opts: &CoalesceOptions,
-    guard: &PassGuard,
-    copts: &CheckedOptions,
-    injected: &std::cell::Cell<bool>,
-) -> Result<Function, TossaError> {
-    let passes = exp.passes();
-    let mut f = ssa.clone();
-    let mut rng = SplitMix64::seed_from_u64(copts.chaos_seed);
-    let chaos_at = |point: Catcher| copts.chaos.filter(|c| c.caught_by() == point);
+/// The pass a failure seen at `stage` is blamed on, and the IR form its
+/// guard checks.
+fn guard_of(stage: Stage) -> (&'static str, IrForm) {
+    match stage {
+        Stage::FrontEnd => ("front_end", IrForm::Ssa),
+        Stage::Sreedhar => ("sreedhar", IrForm::Ssa),
+        Stage::PinningCssa => ("pinning_cssa", IrForm::PinnedSsa),
+        Stage::PinningSp => ("pinning_sp", IrForm::PinnedSsa),
+        Stage::PinningAbi => ("pinning_abi", IrForm::PinnedSsa),
+        Stage::Pinned => ("pinning_phi", IrForm::PinnedSsa),
+        Stage::Reconstruct => ("reconstruct", IrForm::NonSsa),
+        Stage::Cleanup => ("cleanup", IrForm::NonSsa),
+    }
+}
 
-    // SSA-corrupting chaos classes model a buggy front end.
-    if let Some(c) = copts
-        .chaos
-        .filter(|c| matches!(c.caught_by(), Catcher::Structural | Catcher::Ssa))
-    {
-        injected.set(note_injection(chaos::inject(&mut f, c, &mut rng), c) || injected.get());
+/// The stage a corruption class is injected at: the one whose check
+/// must catch it.
+fn chaos_stage(c: Corruption) -> Stage {
+    match c.caught_by() {
+        // SSA-corrupting classes model a buggy front end,
+        Catcher::Structural | Catcher::Ssa => Stage::FrontEnd,
+        // pin-corrupting ones a buggy coalescer,
+        Catcher::Pin => Stage::Pinned,
+        // copy reordering a buggy sequentializer.
+        Catcher::Differential => Stage::Reconstruct,
     }
-    guard
-        .check(&f, IrForm::Ssa)
-        .map_err(verify_err("front_end"))?;
+}
 
-    let mut cache = AnalysisCache::new();
-    cache.set_deferred_staleness(true);
+/// Checked mode's observer of [`run_stages`]: the guard, the chaos class
+/// with its site RNG, and whether an injection landed.
+struct Checker<'g> {
+    guard: &'g PassGuard,
+    chaos: Option<Corruption>,
+    rng: SplitMix64,
+    injected: bool,
+}
 
-    if passes.sreedhar {
-        to_cssa_cached(&mut f, &mut cache);
-        stale_check(&mut cache, "sreedhar")?;
-        guard
-            .check(&f, IrForm::Ssa)
-            .map_err(verify_err("sreedhar"))?;
-        verify_cssa(&f).map_err(|e| verify_err("sreedhar")(VerifyError::Ssa(e)))?;
-    }
-    if passes.pinning_cssa {
-        pinning_cssa(&mut f);
-        guard
-            .check(&f, IrForm::PinnedSsa)
-            .map_err(verify_err("pinning_cssa"))?;
-    }
-    if passes.pinning_sp {
-        pinning_sp(&mut f);
-        guard
-            .check(&f, IrForm::PinnedSsa)
-            .map_err(verify_err("pinning_sp"))?;
-    }
-    if passes.pinning_abi {
-        pinning_abi(&mut f);
-        cache.invalidate_instructions();
-        guard
-            .check(&f, IrForm::PinnedSsa)
-            .map_err(verify_err("pinning_abi"))?;
-    }
-    if passes.pinning_phi {
-        program_pinning_cached(&mut f, opts, &mut cache);
-        stale_check(&mut cache, "pinning_phi")?;
-    }
-    // Pin-corrupting chaos models a buggy coalescer.
-    if let Some(c) = chaos_at(Catcher::Pin) {
-        injected.set(note_injection(chaos::inject(&mut f, c, &mut rng), c) || injected.get());
-    }
-    // A pin violation here is the coalescer's fault (the collect passes
-    // were individually verified above).
-    match guard.check(&f, IrForm::PinnedSsa) {
-        Ok(()) => {}
-        Err(VerifyError::Pin(p)) => {
-            return Err(TossaError::Coalesce(CoalesceError::InvalidPinning(p)));
+impl Checker<'_> {
+    /// Checks one stage: drains stale-analysis diagnostics, injects the
+    /// chaos class this stage must catch, runs the guard with the stage's
+    /// IR form (each earlier stage was already proven
+    /// semantics-preserving, so a divergence is blamed on the pass it
+    /// first appears after), and after Sreedhar also `verify_cssa`.
+    fn check(
+        &mut self,
+        stage: Stage,
+        f: &mut Function,
+        cache: &mut AnalysisCache,
+    ) -> Result<(), TossaError> {
+        let (pass, form) = guard_of(stage);
+        if let Some(s) = cache.take_stale() {
+            return Err(verify_err(pass)(VerifyError::StaleAnalysis(s)));
         }
-        Err(e) => return Err(verify_err("pinning_phi")(e)),
+        if let Some(c) = self.chaos.filter(|&c| chaos_stage(c) == stage) {
+            self.injected |= note_injection(chaos::inject(f, c, &mut self.rng), c);
+        }
+        match self.guard.check(f, form) {
+            Ok(()) => {}
+            // A pin violation after the coalescer is its fault: the
+            // collect passes were each verified before it.
+            Err(VerifyError::Pin(p)) if stage == Stage::Pinned => {
+                return Err(TossaError::Coalesce(CoalesceError::InvalidPinning(p)));
+            }
+            Err(e) => return Err(verify_err(pass)(e)),
+        }
+        if stage == Stage::Sreedhar {
+            verify_cssa(f).map_err(|e| verify_err(pass)(VerifyError::Ssa(e)))?;
+        }
+        Ok(())
     }
-
-    let recon = out_of_pinned_ssa_checked(&mut f).map_err(TossaError::Reconstruct)?;
-    // Same fast path as the unchecked pipeline: no split edges means the
-    // CFG-shape analyses survive reconstruction.
-    if recon.edges_split == 0 {
-        cache.invalidate_instructions();
-    } else {
-        cache.invalidate();
-    }
-    if passes.naive_abi {
-        naive_abi(&mut f);
-        cache.invalidate_instructions();
-    }
-    // Copy-reordering chaos models a buggy sequentializer.
-    if let Some(c) = chaos_at(Catcher::Differential) {
-        injected.set(note_injection(chaos::inject(&mut f, c, &mut rng), c) || injected.get());
-    }
-    guard
-        .check(&f, IrForm::NonSsa)
-        .map_err(verify_err("reconstruct"))?;
-
-    tossa_baselines::dead_code_elim_cached(&mut f, &mut cache);
-    if passes.coalescing {
-        tossa_baselines::aggressive_coalesce_cached(&mut f, &mut cache);
-        tossa_baselines::dead_code_elim_cached(&mut f, &mut cache);
-    }
-    stale_check(&mut cache, "cleanup")?;
-    guard
-        .check(&f, IrForm::NonSsa)
-        .map_err(verify_err("cleanup"))?;
-    Ok(f)
 }
 
 /// Runs one experiment pipeline on one function in checked mode.
@@ -241,17 +193,28 @@ pub fn run_checked(
 ) -> CheckedOutcome {
     let guard = PassGuard::before(&bf.func, &bf.inputs, copts.fuel);
     let ssa = front_end(&bf.func);
-    let injected = std::cell::Cell::new(false);
+    let mut checker = Checker {
+        guard: &guard,
+        chaos: copts.chaos,
+        rng: SplitMix64::seed_from_u64(copts.chaos_seed),
+        injected: false,
+    };
     let piped = catch_unwind(AssertUnwindSafe(|| {
-        guarded_pipeline(&ssa, exp, opts, &guard, copts, &injected)
+        let mut f = ssa.clone();
+        let mut cache = AnalysisCache::new();
+        cache.set_deferred_staleness(true);
+        run_stages(&mut f, exp, opts, &mut cache, |stage, f, cache| {
+            checker.check(stage, f, cache)
+        })
+        .map(|_| f)
     }))
     .unwrap_or_else(|p| {
         Err(TossaError::Panic {
             pass: "pipeline",
-            message: panic_message(p),
+            message: panic_message(&*p),
         })
     });
-    let injected = injected.get();
+    let injected = checker.injected;
     match piped {
         Ok(func) => {
             let mut outcome = CheckedOutcome {
@@ -264,17 +227,17 @@ pub fn run_checked(
                 alloc: None,
             };
             if copts.alloc || copts.alloc_chaos.is_some() {
-                let hit = std::cell::Cell::new(false);
+                let mut hit = false;
                 let alloced = catch_unwind(AssertUnwindSafe(|| {
-                    alloc_checked(&outcome.func, &guard, copts, &hit)
+                    alloc_checked(&outcome.func, &guard, copts, &mut hit)
                 }))
                 .unwrap_or_else(|p| {
                     Err(TossaError::Panic {
                         pass: "alloc",
-                        message: panic_message(p),
+                        message: panic_message(&*p),
                     })
                 });
-                outcome.injected |= hit.get();
+                outcome.injected |= hit;
                 match alloced {
                     Ok((af, stats)) => {
                         outcome.moves = crate::metrics::move_count(&af);
@@ -313,7 +276,7 @@ fn alloc_checked(
     func: &Function,
     guard: &PassGuard,
     copts: &CheckedOptions,
-    injected: &std::cell::Cell<bool>,
+    injected: &mut bool,
 ) -> Result<(Function, AllocStats), TossaError> {
     let mut f = func.clone();
     let mut prep =
@@ -321,11 +284,7 @@ fn alloc_checked(
     if let Some(c) = copts.alloc_chaos {
         let mut rng = SplitMix64::seed_from_u64(copts.chaos_seed ^ 0xA110_C0DE);
         let hit = chaos::inject_alloc(&mut f, &mut prep.assignment, c, &mut rng);
-        if hit {
-            tossa_trace::count(tossa_trace::Counter::ChaosInjected, 1);
-            tossa_trace::event("chaos", || format!("{c:?}"));
-        }
-        injected.set(hit || injected.get());
+        *injected |= note_injection(hit, c);
     }
     tossa_regalloc::verify_allocation(&f, &prep.assignment).map_err(TossaError::Alloc)?;
     let stats = tossa_regalloc::finish(&mut f, prep);
@@ -362,7 +321,7 @@ fn naive_fallback(
             ssa.clone(),
             Some(TossaError::Panic {
                 pass: "naive_fallback",
-                message: panic_message(p),
+                message: panic_message(&*p),
             }),
         ),
     }
@@ -637,6 +596,16 @@ mod tests {
                 r.function
             );
         }
+    }
+
+    #[test]
+    fn panic_message_reads_str_and_string_payloads() {
+        let s: Box<dyn std::any::Any + Send> = Box::new("boom");
+        assert_eq!(panic_message(&*s), "boom");
+        let s: Box<dyn std::any::Any + Send> = Box::new(format!("{}", 42));
+        assert_eq!(panic_message(&*s), "42");
+        let s: Box<dyn std::any::Any + Send> = Box::new(7u8);
+        assert_eq!(panic_message(&*s), "non-string panic payload");
     }
 
     #[test]

@@ -6,13 +6,15 @@
 //!   `VALcc1`/`VALcc2`/`example1-8`/`LAI Large`/`SPECint`; see
 //!   DESIGN.md §3);
 //! * [`metrics`] — move counts and the `5^depth` weighted counts;
-//! * [`runner`] — the Table-1 pipeline executor (parallel over suites)
+//! * [`runner`] — the Table-1 pass sequence, written once
+//!   ([`runner::run_stages`]), and its executor (parallel over suites)
 //!   with end-to-end interpreter verification;
-//! * [`checked`] — the checked pipeline mode: per-pass invariant
-//!   verification plus differential execution, graceful degradation to
-//!   the naive translation, and the per-function error report;
+//! * [`checked`] — the checked pipeline mode: the same sequence observed
+//!   with per-pass invariant verification plus differential execution,
+//!   graceful degradation to the naive translation, and the
+//!   per-function error report;
 //! * [`reduce`] — delta-debugging reducer for failing fuzz cases;
-//! * [`tables`] — renderers for Tables 1–6;
+//! * [`tables`] — renderers for Tables 1–6, from the trajectory's cells;
 //! * [`trajectory`] — the machine-readable trajectory emitter behind
 //!   `BENCH_pr10.json` (deterministic cells only; timing lives in the
 //!   repository benchmark, `benchmark/`).

@@ -1,12 +1,15 @@
-//! Experiment runner: executes one Table-1 pipeline over a function or a
-//! suite, with optional end-to-end interpreter verification.
+//! Experiment runner: the Table-1 pass sequence and the functions that run
+//! it over a function or a suite, with optional end-to-end interpreter
+//! verification.
 //!
-//! One [`AnalysisCache`] is threaded through the whole pipeline of
-//! [`run_experiment`]: pin-only passes (`pinningSP`, `pinningCSSA`,
-//! `Program_pinning`) keep every analysis memoized, and structural passes
-//! invalidate exactly once. Suites run on a scoped thread pool
-//! ([`run_suite_each`]) with results collected in deterministic suite
-//! order.
+//! [`run_stages`] is the one place the pass order is written. The
+//! tables, `perf`, checked mode ([`crate::checked`]) and `tossa
+//! --print-ssa` all run it and watch the function through its observer.
+//! One [`AnalysisCache`] is threaded through the whole sequence: pin-only
+//! passes (`pinningSP`, `pinningCSSA`, `Program_pinning`) keep every
+//! analysis memoized, and structural passes invalidate exactly once.
+//! Suites run on a scoped thread pool ([`par_map`]) with results
+//! collected in deterministic suite order.
 
 use crate::metrics;
 use crate::suites::{BenchFunction, Suite};
@@ -15,7 +18,8 @@ use tossa_analysis::AnalysisCache;
 use tossa_baselines::{aggressive_coalesce_cached, dead_code_elim_cached, to_cssa_cached};
 use tossa_core::coalesce::CoalesceOptions;
 use tossa_core::collect::{naive_abi, pinning_abi, pinning_cssa, pinning_sp};
-use tossa_core::reconstruct::out_of_pinned_ssa;
+use tossa_core::error::TossaError;
+use tossa_core::reconstruct::out_of_pinned_ssa_checked;
 use tossa_core::{program_pinning_cached, Experiment, ReconstructStats};
 use tossa_ir::{interp, Function};
 use tossa_regalloc::{allocate, AllocOptions, AllocStats};
@@ -81,50 +85,76 @@ pub fn front_end(src: &Function) -> Function {
     f
 }
 
-/// Runs one experiment pipeline on a pre-SSA function.
-pub fn run_experiment(src: &Function, exp: Experiment, opts: &CoalesceOptions) -> RunResult {
-    let f = tossa_trace::span("front_end", || front_end(src));
-    run_pipeline(f, exp, opts)
+/// A point of the Table-1 pass sequence at which [`run_stages`] hands
+/// the function to its observer, in pipeline order.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Stage {
+    /// The front end's SSA output, before the experiment's first pass.
+    FrontEnd,
+    /// After Sreedhar et al.'s SSA→CSSA conversion.
+    Sreedhar,
+    /// After `pinningCSSA`.
+    PinningCssa,
+    /// After `pinningSP`.
+    PinningSp,
+    /// After `pinningABI`.
+    PinningAbi,
+    /// The pinned SSA that reconstruction receives (after
+    /// `Program_pinning` when the experiment coalesces φs).
+    Pinned,
+    /// After reconstruction out of pinned SSA (and `NaiveABI`'s moves).
+    Reconstruct,
+    /// After dead-code elimination (and Chaitin coalescing).
+    Cleanup,
 }
 
-/// Runs one experiment pipeline on an already-SSA-converted function (a
-/// [`front_end`] output). The front end is experiment-independent, so a
-/// suite × experiment matrix computes it once per function and shares it
-/// across all experiments.
-pub fn run_experiment_prepared(
-    ssa: &Function,
+/// Runs the passes `exp` enables on the SSA function `f`, in Table-1
+/// order and with each pass's cache invalidation, and calls `after` at
+/// every [`Stage`] the experiment reaches. `FrontEnd`, `PinningSp`,
+/// `Pinned`, `Reconstruct` and `Cleanup` always come. Returns the
+/// reconstruction statistics and the number of moves Chaitin removed.
+///
+/// # Errors
+/// The first error `after` returns, unchanged (no later stage runs), or
+/// [`TossaError::Reconstruct`] on an ill-formed copy group: the symptom
+/// of an incorrect pinning.
+pub fn run_stages(
+    f: &mut Function,
     exp: Experiment,
     opts: &CoalesceOptions,
-) -> RunResult {
-    run_pipeline(ssa.clone(), exp, opts)
-}
-
-fn run_pipeline(mut f: Function, exp: Experiment, opts: &CoalesceOptions) -> RunResult {
+    cache: &mut AnalysisCache,
+    mut after: impl FnMut(Stage, &mut Function, &mut AnalysisCache) -> Result<(), TossaError>,
+) -> Result<(ReconstructStats, usize), TossaError> {
     let passes = exp.passes();
-    // One analysis manager for the rest of the pipeline. Structural
-    // passes invalidate; pin-only passes reuse the memoized analyses.
-    let mut cache = AnalysisCache::new();
+    after(Stage::FrontEnd, f, cache)?;
     if passes.sreedhar {
-        tossa_trace::span("cssa", || to_cssa_cached(&mut f, &mut cache));
+        tossa_trace::span("cssa", || {
+            to_cssa_cached(f, cache);
+            after(Stage::Sreedhar, f, cache)
+        })?;
     }
     tossa_trace::span("pinning", || {
         if passes.pinning_cssa {
-            pinning_cssa(&mut f); // pin-only: cache stays hot
+            pinning_cssa(f); // pin-only: cache stays hot
+            after(Stage::PinningCssa, f, cache)?;
         }
         if passes.pinning_sp {
-            pinning_sp(&mut f); // pin-only: cache stays hot
+            pinning_sp(f); // pin-only: cache stays hot
+            after(Stage::PinningSp, f, cache)?;
         }
         if passes.pinning_abi {
-            pinning_abi(&mut f); // inserts save/restore moves (CFG unchanged)
+            pinning_abi(f); // inserts save/restore moves (CFG unchanged)
             cache.invalidate_instructions();
+            after(Stage::PinningAbi, f, cache)?;
         }
         if passes.pinning_phi {
-            program_pinning_cached(&mut f, opts, &mut cache); // pin-only
+            program_pinning_cached(f, opts, cache); // pin-only
         }
-    });
+        after(Stage::Pinned, f, cache)
+    })?;
     debug_assert!(passes.out_of_pinned_ssa);
-    let recon = tossa_trace::span("reconstruct_stage", || {
-        let recon = out_of_pinned_ssa(&mut f);
+    let recon = tossa_trace::span("reconstruct_stage", || -> Result<_, TossaError> {
+        let recon = out_of_pinned_ssa_checked(f)?;
         // Reconstruction only changes block structure when it splits
         // edges; otherwise the CFG-shape analyses stay valid and the
         // cleanup stage's first liveness is the only recompute.
@@ -134,19 +164,59 @@ fn run_pipeline(mut f: Function, exp: Experiment, opts: &CoalesceOptions) -> Run
             cache.invalidate();
         }
         if passes.naive_abi {
-            naive_abi(&mut f); // inserts plain moves (CFG unchanged)
+            naive_abi(f); // inserts plain moves (CFG unchanged)
             cache.invalidate_instructions();
         }
-        recon
-    });
-    let mut coalesced = 0;
-    tossa_trace::span("cleanup", || {
-        dead_code_elim_cached(&mut f, &mut cache);
+        after(Stage::Reconstruct, f, cache)?;
+        Ok(recon)
+    })?;
+    let coalesced = tossa_trace::span("cleanup", || -> Result<_, TossaError> {
+        dead_code_elim_cached(f, cache);
+        let mut coalesced = 0;
         if passes.coalescing {
-            coalesced = aggressive_coalesce_cached(&mut f, &mut cache).coalesced;
-            dead_code_elim_cached(&mut f, &mut cache);
+            coalesced = aggressive_coalesce_cached(f, cache).coalesced;
+            dead_code_elim_cached(f, cache);
         }
-    });
+        after(Stage::Cleanup, f, cache)?;
+        Ok(coalesced)
+    })?;
+    Ok((recon, coalesced))
+}
+
+/// Runs one experiment pipeline on a pre-SSA function.
+pub fn run_experiment(src: &Function, exp: Experiment, opts: &CoalesceOptions) -> RunResult {
+    run_observed(src, exp, opts, |_, _| {})
+}
+
+/// [`run_experiment`] that shows `after` the function at every stage
+/// [`run_stages`] reaches: how `tossa --print-ssa` prints the pinned SSA
+/// that reconstruction receives.
+///
+/// # Panics
+/// Panics when reconstruction meets an ill-formed copy group, which
+/// only an incorrect pinning produces.
+pub fn run_observed(
+    src: &Function,
+    exp: Experiment,
+    opts: &CoalesceOptions,
+    after: impl FnMut(Stage, &Function),
+) -> RunResult {
+    let f = tossa_trace::span("front_end", || front_end(src));
+    run_pipeline(f, exp, opts, after)
+}
+
+fn run_pipeline(
+    mut f: Function,
+    exp: Experiment,
+    opts: &CoalesceOptions,
+    mut after: impl FnMut(Stage, &Function),
+) -> RunResult {
+    let mut cache = AnalysisCache::new();
+    let (recon, coalesced) = run_stages(&mut f, exp, opts, &mut cache, |stage, f, _| {
+        after(stage, f);
+        Ok(())
+    })
+    .unwrap_or_else(|e| panic!("{exp} on {}: {e}", f.name));
     let (moves, weighted) = tossa_trace::span("metrics", || {
         (
             metrics::move_count(&f),
@@ -337,21 +407,13 @@ fn check(bf: &BenchFunction, exp: Experiment, r: &RunResult, verify_each: bool) 
 }
 
 /// Runs the shared [`front_end`] over every function of a suite, in
-/// parallel. The result feeds [`run_suite_matrix`] /
-/// [`run_experiment_prepared`] so an N-experiment matrix pays for SSA
-/// construction once instead of N times.
-pub fn prepare_suite(suite: &Suite) -> Vec<Function> {
-    par_map(suite.functions.len(), |k| {
-        front_end(&suite.functions[k].func)
-    })
-}
-
-/// [`prepare_suite`] that also records the front end's trace counters
-/// (SSA construction runs liveness fixpoints, which count worklist
-/// pops). The front end is experiment-independent, so a matrix runs it
-/// once per suite and adds the returned set to every cell's pipeline
-/// counters — reproducing exactly what a full from-source traced run of
-/// each cell would have counted.
+/// parallel, and records its trace counters (SSA construction runs
+/// liveness fixpoints, which count worklist pops). The front end is
+/// experiment-independent, so the trajectory runs it once per suite,
+/// feeds the functions to [`run_suite_each_prepared_counted`] and adds
+/// the returned set to every cell's pipeline counters — reproducing
+/// exactly what a full from-source traced run of each cell would have
+/// counted.
 pub fn prepare_suite_counted(suite: &Suite) -> (Vec<Function>, tossa_trace::CounterSet) {
     let pairs = par_map(suite.functions.len(), |k| {
         tossa_trace::capture_counters(|| front_end(&suite.functions[k].func))
@@ -385,29 +447,6 @@ pub fn run_suite_each(
     })
 }
 
-/// Per-function results of one experiment over a pre-converted suite
-/// (see [`prepare_suite`]); `alloc` appends the register-allocation
-/// post-pass ([`apply_alloc`]), in which case verification runs on the
-/// *allocated* code.
-pub fn run_suite_each_prepared(
-    suite: &Suite,
-    prepared: &[Function],
-    exp: Experiment,
-    opts: &CoalesceOptions,
-    verify_each: bool,
-    alloc: bool,
-) -> Vec<RunResult> {
-    par_map(suite.functions.len(), |k| {
-        let bf = &suite.functions[k];
-        let mut r = run_experiment_prepared(&prepared[k], exp, opts);
-        if alloc {
-            apply_alloc(&mut r);
-        }
-        check(bf, exp, &r, verify_each);
-        r
-    })
-}
-
 /// Per-function results of one experiment over a pre-converted suite,
 /// each allocated ([`apply_alloc`]) and verified on the allocated code,
 /// with a counters-only capture around the *pipeline* portion of each
@@ -431,8 +470,9 @@ pub fn run_suite_each_prepared_counted(
 ) -> Vec<(RunResult, tossa_trace::CounterSet)> {
     par_map(suite.functions.len(), |k| {
         let bf = &suite.functions[k];
-        let (mut r, set) =
-            tossa_trace::capture_counters(|| run_experiment_prepared(&prepared[k], exp, opts));
+        let (mut r, set) = tossa_trace::capture_counters(|| {
+            run_pipeline(prepared[k].clone(), exp, opts, |_, _| {})
+        });
         apply_alloc(&mut r);
         check(bf, exp, &r, true);
         (r, set)
@@ -517,33 +557,6 @@ pub fn run_suite(
     SuiteResult::fold(&run_suite_each(suite, exp, opts, verify_each))
 }
 
-/// Runs several experiments over a suite, converting to SSA once and
-/// sharing the prepared functions across all experiments; `alloc`
-/// appends the register-allocation post-pass to every run. Returns one
-/// [`SuiteResult`] per experiment, in order.
-pub fn run_suite_matrix(
-    suite: &Suite,
-    experiments: &[Experiment],
-    opts: &CoalesceOptions,
-    verify_each: bool,
-    alloc: bool,
-) -> Vec<SuiteResult> {
-    let prepared = prepare_suite(suite);
-    experiments
-        .iter()
-        .map(|&exp| {
-            SuiteResult::fold(&run_suite_each_prepared(
-                suite,
-                &prepared,
-                exp,
-                opts,
-                verify_each,
-                alloc,
-            ))
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -592,6 +605,76 @@ mod tests {
             pinned.moves,
             naive.moves
         );
+    }
+
+    /// The stages `exp`'s passes enable, in Table-1 order.
+    fn enabled_stages(exp: Experiment) -> Vec<Stage> {
+        let p = exp.passes();
+        [
+            (true, Stage::FrontEnd),
+            (p.sreedhar, Stage::Sreedhar),
+            (p.pinning_cssa, Stage::PinningCssa),
+            (p.pinning_sp, Stage::PinningSp),
+            (p.pinning_abi, Stage::PinningAbi),
+            (true, Stage::Pinned),
+            (true, Stage::Reconstruct),
+            (true, Stage::Cleanup),
+        ]
+        .into_iter()
+        .filter_map(|(on, stage)| on.then_some(stage))
+        .collect()
+    }
+
+    #[test]
+    fn the_observer_sees_exactly_the_enabled_stages_in_order() {
+        let bf = &suites::paper_examples::examples()[2];
+        for &exp in Experiment::all() {
+            let mut seen = Vec::new();
+            run_observed(&bf.func, exp, &CoalesceOptions::default(), |s, _| {
+                seen.push(s)
+            });
+            assert_eq!(seen, enabled_stages(exp), "{exp:?}");
+            for always in [
+                Stage::FrontEnd,
+                Stage::Pinned,
+                Stage::Reconstruct,
+                Stage::Cleanup,
+            ] {
+                assert!(seen.contains(&always), "{exp:?} skipped {always:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn an_observer_error_comes_back_unchanged_and_stops_the_sequence() {
+        let bf = &suites::paper_examples::examples()[2];
+        let ssa = front_end(&bf.func);
+        for &exp in Experiment::all() {
+            let stages = enabled_stages(exp);
+            for (k, &stop) in stages.iter().enumerate() {
+                let err = TossaError::Panic {
+                    pass: "observer",
+                    message: format!("{stop:?}"),
+                };
+                let mut seen = Vec::new();
+                let got = run_stages(
+                    &mut ssa.clone(),
+                    exp,
+                    &CoalesceOptions::default(),
+                    &mut AnalysisCache::new(),
+                    |s, _, _| {
+                        seen.push(s);
+                        if s == stop {
+                            Err(err.clone())
+                        } else {
+                            Ok(())
+                        }
+                    },
+                );
+                assert_eq!(got.unwrap_err(), err, "{exp:?} at {stop:?}");
+                assert_eq!(seen, stages[..=k], "{exp:?} went on after {stop:?}");
+            }
+        }
     }
 
     #[test]

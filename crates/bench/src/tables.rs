@@ -1,12 +1,17 @@
 //! Regeneration of the paper's Tables 2–5 (plus the Table 1 header) and
 //! a post-allocation Table 6 this reproduction adds.
 //!
-//! Each table function runs the required experiments over the suites and
-//! renders rows in the paper's format: the first experiment column is an
-//! absolute count, subsequent columns are signed deltas relative to it.
+//! Tables 2–4, Table 6 and Table 5's `base` column render from the cells
+//! of a [`Trajectory`] ([`crate::trajectory::measure`]), where every
+//! function of every cell is already translated, allocated and verified,
+//! so the suite × experiment matrix runs once. Only Table 5's four
+//! variant columns run pipelines of their own. Rows follow the paper's
+//! format: the first column is an absolute count, subsequent columns are
+//! signed deltas relative to it.
 
-use crate::runner::{run_suite, run_suite_matrix, SuiteResult};
+use crate::runner::run_suite;
 use crate::suites::Suite;
+use crate::trajectory::{Cell, Trajectory};
 use std::fmt::Write as _;
 use tossa_core::coalesce::CoalesceOptions;
 use tossa_core::interfere::InterferenceMode;
@@ -20,6 +25,65 @@ fn delta(base: i64, value: i64) -> String {
         format!("{d}")
     }
 }
+
+/// The `suite` × `exp` cell of `t`.
+fn cell<'t>(t: &'t Trajectory, suite: &str, exp: Experiment) -> &'t Cell {
+    let key = format!("{exp:?}");
+    t.cells
+        .iter()
+        .find(|c| c.suite == suite && c.experiment == key)
+        .unwrap_or_else(|| panic!("the trajectory has no {suite}/{key} cell"))
+}
+
+/// Renders `title`, a header of `columns`, and one row per suite: its
+/// first value absolute, the others signed deltas against it.
+fn render(title: &str, width: usize, columns: &[&str], rows: Vec<(&str, Vec<i64>)>) -> String {
+    let mut out = format!("{title}\n");
+    let mut header = format!("{:<12}", "benchmark");
+    for c in columns {
+        let _ = write!(header, " {c:>width$}");
+    }
+    let _ = writeln!(out, "{header}");
+    for (name, values) in rows {
+        let base = values[0];
+        let mut line = format!("{name:<12} {base:>width$}");
+        for &v in &values[1..] {
+            let _ = write!(line, " {:>width$}", delta(base, v));
+        }
+        let _ = writeln!(out, "{line}");
+    }
+    out
+}
+
+/// One column per experiment, one row per suite of `t`, valued by `value`.
+fn experiment_table(
+    t: &Trajectory,
+    title: &str,
+    experiments: &[Experiment],
+    value: impl Fn(&Cell) -> usize,
+) -> String {
+    let columns: Vec<&str> = experiments.iter().map(|e| e.label()).collect();
+    let rows = t
+        .suite_shapes
+        .iter()
+        .map(|(suite, _, _)| {
+            let values = experiments
+                .iter()
+                .map(|&e| value(cell(t, suite, e)) as i64)
+                .collect();
+            (suite.as_str(), values)
+        })
+        .collect();
+    render(title, 12, &columns, rows)
+}
+
+/// The experiments of Table 3, and of Table 6 after allocation.
+const RENAMING_CONSTRAINED: [Experiment; 4] = [
+    Experiment::LphiAbiC,
+    Experiment::SphiLabiC,
+    Experiment::LabiC,
+    Experiment::CAbi,
+];
 
 /// Renders Table 1: the experiment ↔ pass matrix.
 pub fn table1() -> String {
@@ -58,82 +122,34 @@ pub fn table1() -> String {
     out
 }
 
-fn run_columns(
-    suites: &[Suite],
-    experiments: &[Experiment],
-    verify: bool,
-    alloc: bool,
-) -> Vec<(String, Vec<SuiteResult>)> {
-    let opts = CoalesceOptions::default();
-    suites
-        .iter()
-        .map(|s| {
-            (
-                s.name.to_string(),
-                run_suite_matrix(s, experiments, &opts, verify, alloc),
-            )
-        })
-        .collect()
-}
-
-fn render_move_table(
-    title: &str,
-    suites: &[Suite],
-    experiments: &[Experiment],
-    verify: bool,
-) -> String {
-    let rows = run_columns(suites, experiments, verify, false);
-    let mut out = String::new();
-    let _ = writeln!(out, "{title}");
-    let mut header = format!("{:<12}", "benchmark");
-    for e in experiments {
-        let _ = write!(header, " {:>12}", e.label());
-    }
-    let _ = writeln!(out, "{header}");
-    for (name, results) in rows {
-        let base = results[0].moves as i64;
-        let mut line = format!("{name:<12} {base:>12}");
-        for r in &results[1..] {
-            let _ = write!(line, " {:>12}", delta(base, r.moves as i64));
-        }
-        let _ = writeln!(out, "{line}");
-    }
-    out
-}
-
 /// Table 2: move counts with no ABI constraints.
-pub fn table2(suites: &[Suite], verify: bool) -> String {
-    render_move_table(
+pub fn table2(t: &Trajectory) -> String {
+    experiment_table(
+        t,
         "Table 2. Comparison of move instruction count with no ABI constraint.",
-        suites,
         &[Experiment::LphiC, Experiment::CNoAbi, Experiment::SphiC],
-        verify,
+        |c| c.moves,
     )
 }
 
 /// Table 3: move counts with renaming constraints.
-pub fn table3(suites: &[Suite], verify: bool) -> String {
-    render_move_table(
+pub fn table3(t: &Trajectory) -> String {
+    experiment_table(
+        t,
         "Table 3. Comparison of move instruction count with renaming constraints.",
-        suites,
-        &[
-            Experiment::LphiAbiC,
-            Experiment::SphiLabiC,
-            Experiment::LabiC,
-            Experiment::CAbi,
-        ],
-        verify,
+        &RENAMING_CONSTRAINED,
+        |c| c.moves,
     )
 }
 
 /// Table 4: order of magnitude — residual moves with no coalescing
 /// (`Lφ,ABI` vs naive φ replacement `Sφ` vs naive ABI handling `LABI`).
-pub fn table4(suites: &[Suite], verify: bool) -> String {
-    render_move_table(
+pub fn table4(t: &Trajectory) -> String {
+    experiment_table(
+        t,
         "Table 4. Order of magnitude (moves left for a post-SSA coalescer).",
-        suites,
         &[Experiment::LphiAbi, Experiment::Sphi, Experiment::Labi],
-        verify,
+        |c| c.moves,
     )
 }
 
@@ -141,46 +157,20 @@ pub fn table4(suites: &[Suite], verify: bool) -> String {
 /// after register allocation on the DSP32 model. Per experiment column,
 /// the value is `stores + reloads + moves_after` — the instructions the
 /// allocated code actually pays for φ/ABI copies plus register pressure.
-/// First column absolute, subsequent columns signed deltas, as in the
-/// paper's tables.
-pub fn table6(suites: &[Suite], verify: bool) -> String {
-    let experiments = &[
-        Experiment::LphiAbiC,
-        Experiment::SphiLabiC,
-        Experiment::LabiC,
-        Experiment::CAbi,
-    ];
-    let rows = run_columns(suites, experiments, verify, true);
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "Table 6. Post-allocation spill+move count (stores + reloads + surviving moves)."
-    );
-    let mut header = format!("{:<12}", "benchmark");
-    for e in experiments {
-        let _ = write!(header, " {:>12}", e.label());
-    }
-    let _ = writeln!(out, "{header}");
-    for (name, results) in rows {
-        let totals: Vec<i64> = results
-            .iter()
-            .map(|r| r.alloc.as_ref().map_or(0, |a| a.spill_move_total()) as i64)
-            .collect();
-        let base = totals[0];
-        let mut line = format!("{name:<12} {base:>12}");
-        for &t in &totals[1..] {
-            let _ = write!(line, " {:>12}", delta(base, t));
-        }
-        let _ = writeln!(out, "{line}");
-    }
-    out
+pub fn table6(t: &Trajectory) -> String {
+    experiment_table(
+        t,
+        "Table 6. Post-allocation spill+move count (stores + reloads + surviving moves).",
+        &RENAMING_CONSTRAINED,
+        |c| c.alloc.spill_move_total(),
+    )
 }
 
 /// Table 5: weighted (`5^depth`) move counts for the coalescer variants
-/// `base`, `depth`, `opt`, `pess` (all on `Lφ,ABI`).
-pub fn table5(suites: &[Suite], verify: bool) -> String {
-    let variants: [(&str, CoalesceOptions); 5] = [
-        ("base", CoalesceOptions::default()),
+/// `base`, `depth`, `opt`, `pess` (all on `Lφ,ABI`). The `base` column is
+/// `t`'s `Lφ,ABI` cell; each variant runs, verified, over `suites`.
+pub fn table5(suites: &[Suite], t: &Trajectory) -> String {
+    let variants: [(&str, CoalesceOptions); 4] = [
         (
             "depth",
             CoalesceOptions {
@@ -212,42 +202,37 @@ pub fn table5(suites: &[Suite], verify: bool) -> String {
             },
         ),
     ];
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "Table 5. Weighted count of move instructions on variants of our algorithm."
-    );
-    let mut header = format!("{:<12}", "benchmark");
-    for (name, _) in &variants {
-        let _ = write!(header, " {:>10}", name);
-    }
-    let _ = writeln!(out, "{header}");
-    for suite in suites {
-        let results: Vec<u64> = variants
-            .iter()
-            .map(|(_, opts)| run_suite(suite, Experiment::LphiAbi, opts, verify).weighted)
-            .collect();
-        let base = results[0] as i64;
-        let mut line = format!("{:<12} {:>10}", suite.name, base);
-        for &r in &results[1..] {
-            let _ = write!(line, " {:>10}", delta(base, r as i64));
-        }
-        let _ = writeln!(out, "{line}");
-    }
-    out
+    let mut columns = vec!["base"];
+    columns.extend(variants.iter().map(|(name, _)| *name));
+    let rows = suites
+        .iter()
+        .map(|suite| {
+            let mut values = vec![cell(t, suite.name, Experiment::LphiAbi).weighted as i64];
+            values.extend(variants.iter().map(|(_, opts)| {
+                run_suite(suite, Experiment::LphiAbi, opts, true).weighted as i64
+            }));
+            (suite.name, values)
+        })
+        .collect();
+    render(
+        "Table 5. Weighted count of move instructions on variants of our algorithm.",
+        10,
+        &columns,
+        rows,
+    )
 }
 
 /// Tables 1–6 in order, each followed by a blank line: what
-/// `tables all` prints, and the checked-in `tables_output.txt` at
-/// SPECint scale 40 with verification on.
-pub fn all(suites: &[Suite], verify: bool) -> String {
+/// `tables all` prints, and the checked-in `tables_output.txt` for the
+/// trajectory of `suites` at SPECint scale 40.
+pub fn all(suites: &[Suite], t: &Trajectory) -> String {
     [
         table1(),
-        table2(suites, verify),
-        table3(suites, verify),
-        table4(suites, verify),
-        table5(suites, verify),
-        table6(suites, verify),
+        table2(t),
+        table3(t),
+        table4(t),
+        table5(suites, t),
+        table6(t),
     ]
     .iter()
     .map(|t| format!("{t}\n"))
@@ -258,6 +243,7 @@ pub fn all(suites: &[Suite], verify: bool) -> String {
 mod tests {
     use super::*;
     use crate::suites;
+    use crate::trajectory::measure;
 
     fn small_suites() -> Vec<Suite> {
         vec![Suite {
@@ -276,7 +262,7 @@ mod tests {
 
     #[test]
     fn table2_renders_with_deltas() {
-        let t = table2(&small_suites(), true);
+        let t = table2(&measure(&small_suites()));
         assert!(t.contains("example1-8"), "{t}");
         assert!(t.contains("Lphi+C"), "{t}");
         // Delta columns carry a sign.
@@ -285,14 +271,15 @@ mod tests {
 
     #[test]
     fn table6_reports_post_allocation_totals() {
-        let t = table6(&small_suites(), true);
+        let t = table6(&measure(&small_suites()));
         assert!(t.contains("example1-8"), "{t}");
         assert!(t.contains("spill+move"), "{t}");
     }
 
     #[test]
     fn table5_runs_all_variants() {
-        let t = table5(&small_suites(), true);
+        let suites = small_suites();
+        let t = table5(&suites, &measure(&suites));
         for v in ["base", "depth", "opt", "pess", "paper-gain"] {
             assert!(t.contains(v), "{t}");
         }

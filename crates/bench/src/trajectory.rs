@@ -1,5 +1,6 @@
 //! Machine-readable trajectory: the document `perf` writes and the
-//! checked-in `BENCH_pr10.json` holds.
+//! checked-in `BENCH_pr10.json` holds, and the cells `tables` renders
+//! Tables 2–6 from.
 //!
 //! Each record is one (suite × experiment) cell of the paper's tables
 //! with its deterministic fields only — move counts, allocation

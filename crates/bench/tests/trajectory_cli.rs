@@ -1,7 +1,8 @@
 //! The trajectory tools end to end: `perf` writes a byte-reproducible
 //! document, `bench-diff` exits 0 on identical deterministic cells, 2 on
 //! drift in any field (naming the cell), and 3 on bad usage, and `perf`,
-//! `tables` and `explain` refuse arguments they do not understand.
+//! `tables`, `explain` and `fuzz` refuse arguments they do not
+//! understand.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -11,6 +12,7 @@ const PERF: &str = env!("CARGO_BIN_EXE_perf");
 const BENCH_DIFF: &str = env!("CARGO_BIN_EXE_bench-diff");
 const TABLES: &str = env!("CARGO_BIN_EXE_tables");
 const EXPLAIN: &str = env!("CARGO_BIN_EXE_explain");
+const FUZZ: &str = env!("CARGO_BIN_EXE_fuzz");
 
 fn baseline() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_pr10.json")
@@ -100,21 +102,30 @@ fn perf_refuses_unknown_flags_and_a_malformed_spec() {
     }
 }
 
-/// `tables` and `explain` reject each argument list with their usage
-/// line and exit 2, having printed nothing on stdout.
+/// `tables`, `explain` and `fuzz` reject each argument list with their
+/// usage line and exit 2, having printed nothing on stdout.
 #[test]
-fn tables_and_explain_refuse_unknown_arguments() {
+fn tables_explain_and_fuzz_refuse_unknown_arguments() {
     for (bin, name, args) in [
         (TABLES, "tables", &["table6", "--bogus"][..]),
         (TABLES, "tables", &["table6", "--gate", "x.json"][..]),
         (TABLES, "tables", &["table7"][..]),
         (TABLES, "tables", &["--spec", "x"][..]),
+        (TABLES, "tables", &["table2", "--no-verify"][..]),
+        (FUZZ, "fuzz", &["--fucntions", "3"][..]),
+        (FUZZ, "fuzz", &["--functions", "3", "--seed", "x"][..]),
+        (FUZZ, "fuzz", &["--functions", "x"][..]),
+        (FUZZ, "fuzz", &["--functions", "3", "--fuel", "x"][..]),
+        (FUZZ, "fuzz", &["--functions", "3", "--chaos"][..]),
+        (FUZZ, "fuzz", &["--functions", "3", "--chaos", "bogus"][..]),
+        (FUZZ, "fuzz", &["--functions", "3", "--experiment", "C"][..]),
         (EXPLAIN, "explain", &["--bogus"][..]),
         (EXPLAIN, "explain", &["--spill-everywhere"][..]),
         (EXPLAIN, "explain", &["--hull", "--quiet"][..]),
         (EXPLAIN, "explain", &["--suite"][..]),
         (EXPLAIN, "explain", &["--spec", "x"][..]),
         (EXPLAIN, "explain", &["--diff", "a.json"][..]),
+        (EXPLAIN, "explain", &["--experiment", "C"][..]),
     ] {
         let o = Command::new(bin)
             .args(args)

@@ -61,6 +61,51 @@ impl Experiment {
         ]
     }
 
+    /// Resolves a stable key, the variant name (`"CAbi"`): the spelling
+    /// of the trajectory's cells and of the service's frames.
+    pub fn from_key(key: &str) -> Option<Experiment> {
+        Experiment::all()
+            .iter()
+            .copied()
+            .find(|e| format!("{e:?}") == key)
+    }
+
+    /// Resolves a command-line name: a key or a paper label, ASCII
+    /// case-insensitively.
+    ///
+    /// # Errors
+    /// A name that matches no experiment, or a label two experiments
+    /// share (`C`); the message names the candidates.
+    pub fn from_name(name: &str) -> Result<Experiment, String> {
+        let hits: Vec<Experiment> = Experiment::all()
+            .iter()
+            .copied()
+            .filter(|e| {
+                format!("{e:?}").eq_ignore_ascii_case(name) || e.label().eq_ignore_ascii_case(name)
+            })
+            .collect();
+        match hits[..] {
+            [e] => Ok(e),
+            [] => {
+                let all: Vec<String> = Experiment::all()
+                    .iter()
+                    .map(|e| format!("{e:?} ({e})"))
+                    .collect();
+                Err(format!(
+                    "unknown experiment {name:?}; choose a key or label: {}",
+                    all.join(", ")
+                ))
+            }
+            _ => {
+                let keys: Vec<String> = hits.iter().map(|e| format!("{e:?}")).collect();
+                Err(format!(
+                    "experiment {name:?} is ambiguous: it names {}; use the key",
+                    keys.join(" and ")
+                ))
+            }
+        }
+    }
+
     /// The pass set of this experiment (the bullet row of Table 1).
     pub fn passes(self) -> Passes {
         use Experiment::*;
@@ -191,6 +236,41 @@ mod tests {
         assert_eq!(bullets(LphiAbi), 4);
         assert_eq!(bullets(Sphi), 5);
         assert_eq!(bullets(Labi), 3);
+    }
+
+    #[test]
+    fn every_key_and_unique_label_resolves() {
+        for &e in Experiment::all() {
+            let key = format!("{e:?}");
+            assert_eq!(Experiment::from_key(&key), Some(e), "{key}");
+            assert_eq!(Experiment::from_name(&key), Ok(e), "{key}");
+            assert_eq!(Experiment::from_name(&key.to_ascii_lowercase()), Ok(e));
+            if e.label() != "C" {
+                assert_eq!(Experiment::from_name(e.label()), Ok(e), "{e}");
+                assert_eq!(
+                    Experiment::from_name(&e.label().to_ascii_uppercase()),
+                    Ok(e)
+                );
+            }
+        }
+        assert_eq!(Experiment::from_key("Bogus"), None);
+        // Keys are exact: frames keep refusing other spellings.
+        assert_eq!(Experiment::from_key("cabi"), None);
+        assert_eq!(Experiment::from_key("LABI"), None);
+        let e = Experiment::from_name("Bogus").unwrap_err();
+        assert!(
+            e.contains("unknown experiment") && e.contains("CAbi (C)"),
+            "{e}"
+        );
+    }
+
+    #[test]
+    fn the_shared_label_c_is_refused_naming_both_keys() {
+        for name in ["C", "c"] {
+            let e = Experiment::from_name(name).unwrap_err();
+            assert!(e.contains("ambiguous"), "{e}");
+            assert!(e.contains("CNoAbi") && e.contains("CAbi"), "{e}");
+        }
     }
 
     #[test]

@@ -28,7 +28,7 @@
 use crate::error::ReconstructError;
 use tossa_ir::ids::{Block, EntityVec, Inst, Resource, Var};
 use tossa_ir::instr::InstData;
-use tossa_ir::parallel_copy::{sequentialize, sequentialize_checked};
+use tossa_ir::parallel_copy::sequentialize_checked;
 use tossa_ir::print::{res_str, var_str};
 use tossa_ir::{Function, Opcode};
 use tossa_trace::provenance;
@@ -301,11 +301,13 @@ fn gw_get(group: &[(usize, u32)], slot: usize) -> Option<u32> {
 /// Preconditions: `f` is valid SSA with a *correct* pinning
 /// (see [`crate::pinning::check_pinning`]). The function's CFG is edited
 /// (edge splitting); all φs and pins are gone afterwards.
+///
+/// # Panics
+/// Panics, in every build, on an ill-formed parallel copy group: the
+/// symptom of an incorrect pinning, which [`out_of_pinned_ssa_checked`]
+/// reports instead.
 pub fn out_of_pinned_ssa(f: &mut Function) -> ReconstructStats {
-    match translate(f, false) {
-        Ok(stats) => stats,
-        Err(e) => unreachable!("unchecked translation cannot fail: {e}"),
-    }
+    out_of_pinned_ssa_checked(f).unwrap_or_else(|e| panic!("{}: {e}", f.name))
 }
 
 /// [`out_of_pinned_ssa`] for untrusted pinnings: an ill-formed parallel
@@ -316,18 +318,14 @@ pub fn out_of_pinned_ssa(f: &mut Function) -> ReconstructStats {
 /// Returns [`ReconstructError::ParallelCopy`] on a duplicate-destination
 /// copy group; `f` is then partially rewritten and must be discarded.
 pub fn out_of_pinned_ssa_checked(f: &mut Function) -> Result<ReconstructStats, ReconstructError> {
-    translate(f, true)
-}
-
-fn translate(f: &mut Function, checked: bool) -> Result<ReconstructStats, ReconstructError> {
-    let out = tossa_trace::span("reconstruct", || translate_inner(f, checked));
+    let out = tossa_trace::span("reconstruct", || translate(f));
     if let Ok(stats) = &out {
         stats.flush_trace();
     }
     out
 }
 
-fn translate_inner(f: &mut Function, checked: bool) -> Result<ReconstructStats, ReconstructError> {
+fn translate(f: &mut Function) -> Result<ReconstructStats, ReconstructError> {
     let mut stats = ReconstructStats {
         edges_split: split_edges_for_phis(f),
         ..Default::default()
@@ -537,21 +535,13 @@ fn translate_inner(f: &mut Function, checked: bool) -> Result<ReconstructStats, 
             if !group.is_empty() {
                 let first_temp = f.num_vars();
                 let seq = tossa_trace::span("parallel_copy_seq", || {
-                    if checked {
-                        sequentialize_checked(&group, || {
-                            temp_counter += 1;
-                            stats.temp_copies += 1;
-                            f.new_var(format!("pcopy{temp_counter}"))
-                        })
-                        .map_err(ReconstructError::ParallelCopy)
-                    } else {
-                        Ok(sequentialize(&group, || {
-                            temp_counter += 1;
-                            stats.temp_copies += 1;
-                            f.new_var(format!("pcopy{temp_counter}"))
-                        }))
-                    }
-                })?;
+                    sequentialize_checked(&group, || {
+                        temp_counter += 1;
+                        stats.temp_copies += 1;
+                        f.new_var(format!("pcopy{temp_counter}"))
+                    })
+                })
+                .map_err(ReconstructError::ParallelCopy)?;
                 for (d, s) in seq {
                     if tossa_trace::verbose() {
                         // A destination created by the sequentializer is a
@@ -1054,12 +1044,9 @@ entry:
         check_equiv(&orig, &f, &[&[1, 10, 1, 20], &[0, 10, 0, 20]]);
     }
 
-    #[test]
-    fn checked_reconstruct_reports_ill_formed_copy_group() {
-        // Two φs of one block forced into one resource with different
-        // arguments: the per-edge parallel copy writes the resource
-        // twice. The unchecked path would assert; the checked path
-        // reports a structured error.
+    /// Two φs of one block forced into one resource with different
+    /// arguments: the per-edge parallel copy writes the resource twice.
+    fn ill_pinned() -> Function {
         let mut f = parse(
             "func @ill {
 entry:
@@ -1077,11 +1064,22 @@ m:
             let v = f.vars().find(|&v| f.var(v).name == name).unwrap();
             f.var_mut(v).pin = Some(r);
         }
-        let e = out_of_pinned_ssa_checked(&mut f).unwrap_err();
+        f
+    }
+
+    #[test]
+    fn checked_reconstruct_reports_ill_formed_copy_group() {
+        let e = out_of_pinned_ssa_checked(&mut ill_pinned()).unwrap_err();
         assert!(
             matches!(e, ReconstructError::ParallelCopy(_)),
             "expected parallel copy error, got {e}"
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "ill: reconstruct: parallel copy writes")]
+    fn unchecked_reconstruct_panics_on_ill_formed_copy_group() {
+        out_of_pinned_ssa(&mut ill_pinned());
     }
 
     #[test]

@@ -54,33 +54,12 @@ impl std::error::Error for ParallelCopyError {}
 /// holds the value `src` had before the first move.
 ///
 /// # Panics
-/// Panics (in debug builds) if two moves share a destination with
-/// different sources; in release builds the later conflicting move is
-/// dropped. Untrusted inputs should go through
+/// Panics with the [`ParallelCopyError`] when two moves write one
+/// destination from different sources, in every build. Only an
+/// incorrect pinning produces such a group; untrusted inputs go through
 /// [`sequentialize_checked`], which reports the conflict instead.
-pub fn sequentialize(moves: &[(Var, Var)], mut fresh_temp: impl FnMut() -> Var) -> Vec<(Var, Var)> {
-    match sequentialize_checked(moves, &mut fresh_temp) {
-        Ok(seq) => seq,
-        Err(e) => {
-            debug_assert!(false, "{e}");
-            // First-conflicting-move-wins keeps release behaviour
-            // deterministic without a panic path.
-            let mut seen: Vec<Var> = Vec::new();
-            let deduped: Vec<(Var, Var)> = moves
-                .iter()
-                .copied()
-                .filter(|&(d, _)| {
-                    if seen.contains(&d) {
-                        false
-                    } else {
-                        seen.push(d);
-                        true
-                    }
-                })
-                .collect();
-            sequentialize_checked(&deduped, fresh_temp).unwrap_or_default()
-        }
-    }
+pub fn sequentialize(moves: &[(Var, Var)], fresh_temp: impl FnMut() -> Var) -> Vec<(Var, Var)> {
+    sequentialize_checked(moves, fresh_temp).unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// [`sequentialize`] for untrusted inputs: reports an ill-formed
@@ -339,13 +318,9 @@ mod tests {
     }
 
     #[test]
-    fn unchecked_release_fallback_is_first_wins() {
-        // In release builds `sequentialize` must not panic on a duplicate
-        // destination; debug builds assert instead.
-        if cfg!(not(debug_assertions)) {
-            let moves = [(Var::new(1), Var::new(2)), (Var::new(1), Var::new(3))];
-            let seq = sequentialize(&moves, || unreachable!());
-            assert_eq!(seq, vec![(Var::new(1), Var::new(2))]);
-        }
+    #[should_panic(expected = "parallel copy writes v1 from both v2 and v3")]
+    fn unchecked_panics_on_conflicting_duplicate_destination() {
+        let moves = [(Var::new(1), Var::new(2)), (Var::new(1), Var::new(3))];
+        let _ = sequentialize(&moves, || unreachable!());
     }
 }

@@ -48,8 +48,8 @@ use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex, MutexGuard};
 use std::time::Duration;
+use tossa_core::Experiment;
 use tossa_server::metrics::ServiceMetrics;
-use tossa_server::proto::experiment_from_key;
 use tossa_server::report::{JobReport, SoakSummary};
 use tossa_server::service::{CompileService, Job, ServiceConfig};
 use tossa_server::{parse_line, Budget, ChaosConfig, Control, Frame, JobRequest, ServiceAlloc};
@@ -164,7 +164,7 @@ fn config_from(args: &Args) -> Result<ServiceConfig, String> {
         });
     }
     if let Some(key) = args.value("--experiment") {
-        config.default_experiment = experiment_from_key(key)
+        config.default_experiment = Experiment::from_key(key)
             .ok_or_else(|| format!("unknown experiment {key:?} (try LphiAbiC)"))?;
     }
     Ok(config)

@@ -18,13 +18,15 @@
 //!   dumps the whole ring to a file for the CI artifact.
 //!
 //! Recording takes a mutex (the ring is not a hot path — a few events
-//! per job, against thousands of allocator-level metric increments);
-//! the poison-absorbing lock idiom matches [`crate::queue`].
+//! per job, against thousands of allocator-level metric increments),
+//! locked through the crate's poison-absorbing helper as in
+//! [`crate::queue`].
 
+use crate::lock_ignoring_poison;
 use std::collections::VecDeque;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard};
+use std::sync::Mutex;
 use std::time::Instant;
 use tossa_trace::escape_json;
 
@@ -70,10 +72,6 @@ impl FlightEvent {
             escape_json(&self.detail)
         )
     }
-}
-
-fn lock_ignoring_poison<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|p| p.into_inner())
 }
 
 /// A bounded ring buffer of [`FlightEvent`]s shared by every service

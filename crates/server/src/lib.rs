@@ -62,3 +62,9 @@ pub use queue::{BoundedQueue, PushOutcome};
 pub use report::{JobOutcome, JobReport, SoakSummary};
 pub use service::{run_batch, CompileService, Job, ServiceConfig};
 pub use watchdog::{WatchGuard, Watchdog};
+
+/// Locks `m`, taking the guard from a poisoned lock too: a panic the
+/// service contains in one thread must not wedge the others.
+pub(crate) fn lock_ignoring_poison<T>(m: &std::sync::Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(|p| p.into_inner())
+}

@@ -146,17 +146,6 @@ pub fn parse_line(line: &str) -> Frame {
     })
 }
 
-/// Resolves a stable experiment key (the `Experiment` debug name, e.g.
-/// `"LphiAbiC"`) back to the experiment. The enum deliberately has no
-/// `FromStr`; the service keys off the same strings the trajectory
-/// schema uses.
-pub fn experiment_from_key(key: &str) -> Option<Experiment> {
-    Experiment::all()
-        .iter()
-        .copied()
-        .find(|e| format!("{e:?}") == key)
-}
-
 /// Number of input values the function consumes: the widest `input`
 /// instruction (each reads from the front of the input vector).
 pub fn input_arity(f: &Function) -> usize {
@@ -214,7 +203,7 @@ pub fn job_from_json(doc: &Json, default_id: u64) -> Result<JobRequest, FrameErr
         .map_err(|e| FrameError::BadFunction(e.to_string()))?;
     let experiment = match doc.get("experiment").and_then(Json::as_str) {
         Some(key) => Some(
-            experiment_from_key(key)
+            Experiment::from_key(key)
                 .ok_or_else(|| FrameError::UnknownExperiment(key.to_string()))?,
         ),
         None => None,
@@ -295,10 +284,15 @@ mod tests {
     #[test]
     fn experiment_keys_round_trip_for_all_ten() {
         for &e in Experiment::all() {
-            let key = format!("{e:?}");
-            assert_eq!(experiment_from_key(&key), Some(e), "{key}");
+            let frame = frame_json(&format!(", \"experiment\": \"{e:?}\""));
+            assert_eq!(parse_frame(&frame, 0).unwrap().experiment, Some(e));
         }
-        assert_eq!(experiment_from_key("Bogus"), None);
+        // Frames take keys only: a label or another spelling is refused.
+        for name in ["C", "Lphi,ABI+C", "lphiabic"] {
+            let frame = frame_json(&format!(", \"experiment\": \"{name}\""));
+            let err = parse_frame(&frame, 0).unwrap_err();
+            assert_eq!(err.class_key(), "frame.unknown_experiment", "{name}");
+        }
     }
 
     /// What a connection sees of a frame: a control verdict, or the

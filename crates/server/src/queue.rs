@@ -18,9 +18,10 @@
 //! so the histogram count equals submitted + shed) into
 //! `service_queue_wait_ns`.
 
+use crate::lock_ignoring_poison;
 use crate::metrics::QueueMetrics;
 use std::collections::VecDeque;
-use std::sync::{Condvar, Mutex, MutexGuard};
+use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 /// Result of an admission attempt.
@@ -45,10 +46,6 @@ pub struct BoundedQueue<T> {
     not_full: Condvar,
     cap: usize,
     metrics: Option<QueueMetrics>,
-}
-
-fn lock_ignoring_poison<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|p| p.into_inner())
 }
 
 impl<T> BoundedQueue<T> {

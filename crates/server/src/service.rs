@@ -39,7 +39,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
-use tossa_bench::checked::{run_checked, CheckedOptions};
+use tossa_bench::checked::{panic_message, run_checked, CheckedOptions};
 use tossa_bench::runner;
 use tossa_bench::suites::BenchFunction;
 use tossa_core::coalesce::CoalesceOptions;
@@ -561,7 +561,7 @@ fn process_job(ctx: &Ctx, job: &Job) -> JobReport {
             Err(payload) => {
                 panics_contained += 1;
                 ctx.counters.add(JobCounter::PanicsContained, 1);
-                Some(Transient::Panic(panic_text(payload)))
+                Some(Transient::Panic(panic_message(&**payload)))
             }
             Ok(_) if deadline_blown => {
                 ctx.counters.add(JobCounter::DeadlinesBlown, 1);
@@ -729,16 +729,6 @@ fn backoff(base: Duration, attempt: u32) -> Duration {
     base.saturating_mul(1u32 << attempt.min(10))
 }
 
-fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
-}
-
 #[cfg(test)]
 #[allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 mod tests {
@@ -848,6 +838,30 @@ mod tests {
         }
         // At the 60% rate over 20 jobs × attempts something must land.
         assert!(counters.get(JobCounter::ServiceFaultsInjected) > 0);
+    }
+
+    #[test]
+    fn a_job_quarantined_by_worker_panics_reports_the_panic_text() {
+        let chaos = ChaosConfig {
+            seed: 3,
+            rate_pct: 100,
+        };
+        let config = ServiceConfig {
+            workers: 1,
+            chaos: Some(chaos),
+            ..ServiceConfig::default()
+        };
+        let panic = Some(Fault::Service(ServiceFault::WorkerPanic));
+        let id = (1..100_000u64)
+            .find(|&id| (1..=config.max_attempts).all(|a| chaos.draw(id, a) == panic))
+            .expect("a job that draws a worker panic on every attempt");
+        let (mut reports, _) = run_batch(config, vec![job(id, ADD)]);
+        let r = reports.pop().unwrap();
+        assert_eq!(r.outcome, JobOutcome::Quarantined);
+        assert_eq!(
+            r.error.as_deref(),
+            Some("contained worker panic: chaos: injected worker panic")
+        );
     }
 
     #[test]

@@ -525,6 +525,22 @@ pub fn span<T>(name: &'static str, f: impl FnOnce() -> T) -> T {
 /// can never leak partial state into a sibling's capture on the same
 /// thread.
 pub fn capture<T>(f: impl FnOnce() -> T) -> (T, TraceData) {
+    capture_with(false, f)
+}
+
+/// [`capture`] restricted to counters: spans, events, and provenance
+/// records are skipped entirely (no clock reads, no record-building
+/// closures), so the instrumented run costs little more than an
+/// untraced one. Counter totals are identical to a full capture of the
+/// same deterministic computation. Nests and unwinds exactly like
+/// [`capture`].
+pub fn capture_counters<T>(f: impl FnOnce() -> T) -> (T, CounterSet) {
+    let (out, data) = capture_with(true, f);
+    (out, data.counters)
+}
+
+/// The body of [`capture`] and [`capture_counters`].
+fn capture_with<T>(counters_only: bool, f: impl FnOnce() -> T) -> (T, TraceData) {
     struct Restore {
         prev: Option<Collector>,
         armed: bool,
@@ -541,7 +557,7 @@ pub fn capture<T>(f: impl FnOnce() -> T) -> (T, TraceData) {
         c.borrow_mut().replace(Collector {
             data: TraceData::default(),
             open: 0,
-            counters_only: false,
+            counters_only,
         })
     });
     let mut guard = Restore { prev, armed: true };
@@ -553,43 +569,6 @@ pub fn capture<T>(f: impl FnOnce() -> T) -> (T, TraceData) {
     COLLECTOR.with(|c| *c.borrow_mut() = guard.prev.take());
     guard.armed = false;
     (out, data)
-}
-
-/// [`capture`] restricted to counters: spans, events, and provenance
-/// records are skipped entirely (no clock reads, no record-building
-/// closures), so the instrumented run costs little more than an
-/// untraced one. Counter totals are identical to a full capture of the
-/// same deterministic computation. Nests and unwinds exactly like
-/// [`capture`].
-pub fn capture_counters<T>(f: impl FnOnce() -> T) -> (T, CounterSet) {
-    struct Restore {
-        prev: Option<Collector>,
-        armed: bool,
-    }
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            if self.armed {
-                let prev = self.prev.take();
-                COLLECTOR.with(|c| *c.borrow_mut() = prev);
-            }
-        }
-    }
-    let prev = COLLECTOR.with(|c| {
-        c.borrow_mut().replace(Collector {
-            data: TraceData::default(),
-            open: 0,
-            counters_only: true,
-        })
-    });
-    let mut guard = Restore { prev, armed: true };
-    let out = f();
-    let data = COLLECTOR.with(|c| {
-        let col = c.borrow_mut().take().expect("collector still installed");
-        col.data
-    });
-    COLLECTOR.with(|c| *c.borrow_mut() = guard.prev.take());
-    guard.armed = false;
-    (out, data.counters)
 }
 
 /// Escapes a string for inclusion in a JSON string literal.

@@ -3,21 +3,21 @@
 //! ```text
 //! tossa [OPTIONS] [FILE]           reads LAI text from FILE or stdin
 //!
-//!   --experiment <NAME>   pipeline to run (default: Lphi,ABI+C); one of
-//!                         the Table-1 labels, e.g. "C", "Sphi+C", "LABI"
+//!   --experiment <NAME>   pipeline to run (default: Lphi,ABI+C): a key
+//!                         ("CAbi") or a label no other experiment shares
+//!                         ("Sphi+C", "LABI"), in any case
 //!   --mode <exact|opt|pess>  interference variant (default: exact)
 //!   --depth               use the Algorithm-3 depth variant
-//!   --print-ssa           also print the (pinned) SSA form
+//!   --print-ssa           also print the pinned SSA reconstruction receives
 //!   --run v1,v2,...       execute the function before/after on inputs
 //!   --stats               print copy statistics
 //! ```
 
 use std::io::Read as _;
-use tossa::bench::runner::{front_end, run_experiment};
+use tossa::bench::runner::{run_observed, Stage};
 use tossa::core::coalesce::CoalesceOptions;
-use tossa::core::collect::{pinning_abi, pinning_sp};
 use tossa::core::interfere::InterferenceMode;
-use tossa::core::{program_pinning, Experiment};
+use tossa::core::Experiment;
 use tossa::ir::{interp, machine::Machine, parse::parse_function};
 
 fn fail(msg: &str) -> ! {
@@ -91,39 +91,18 @@ fn main() {
     src.validate()
         .unwrap_or_else(|e| fail(&format!("invalid input: {e}")));
 
-    let exp = Experiment::all()
-        .iter()
-        .copied()
-        .find(|e| e.label().eq_ignore_ascii_case(&experiment))
-        .unwrap_or_else(|| {
-            fail(&format!(
-                "unknown experiment `{experiment}`; choose from: {}",
-                Experiment::all()
-                    .iter()
-                    .map(|e| e.label())
-                    .collect::<Vec<_>>()
-                    .join(", ")
-            ))
-        });
+    let exp = Experiment::from_name(&experiment).unwrap_or_else(|e| fail(&e));
     let opts = CoalesceOptions {
         mode,
         depth_priority: depth,
         ..Default::default()
     };
 
-    if print_ssa {
-        let mut ssa = front_end(&src);
-        pinning_sp(&mut ssa);
-        if exp.passes().pinning_abi {
-            pinning_abi(&mut ssa);
+    let result = run_observed(&src, exp, &opts, |stage, f| {
+        if print_ssa && stage == Stage::Pinned {
+            println!("== pinned SSA ==\n{f}");
         }
-        if exp.passes().pinning_phi {
-            program_pinning(&mut ssa, &opts);
-        }
-        println!("== pinned SSA ==\n{ssa}");
-    }
-
-    let result = run_experiment(&src, exp, &opts);
+    });
     println!("== {} ==\n{}", exp.label(), result.func);
     if stats {
         println!(

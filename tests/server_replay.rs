@@ -20,8 +20,9 @@ use tossa::bench::reduce::reduce;
 use tossa::bench::suites::BenchFunction;
 use tossa::core::chaos::{AllocCorruption, Corruption};
 use tossa::core::coalesce::CoalesceOptions;
+use tossa::core::Experiment;
 use tossa::ir::Function;
-use tossa::server::proto::{default_inputs, experiment_from_key};
+use tossa::server::proto::default_inputs;
 use tossa::server::report::JobReport;
 use tossa::server::service::{run_batch, Job, ServiceConfig};
 use tossa::server::{Budget, ChaosConfig, JobRequest};
@@ -105,7 +106,7 @@ fn replay_fails_with_class(func: &Function, inputs: &[Vec<i64>], report: &JobRep
         alloc: true,
         ..CheckedOptions::default()
     };
-    let exp = match experiment_from_key(&report.experiment) {
+    let exp = match Experiment::from_key(&report.experiment) {
         Some(e) => e,
         None => return false,
     };
@@ -192,7 +193,7 @@ fn replay_is_deterministic_across_runs() {
         alloc: true,
         ..CheckedOptions::default()
     };
-    let exp = experiment_from_key("LphiAbiC").expect("known key");
+    let exp = Experiment::from_key("LphiAbiC").expect("known key");
     let a = run_checked(bf, exp, &CoalesceOptions::default(), &copts);
     let b = run_checked(bf, exp, &CoalesceOptions::default(), &copts);
     assert_eq!(
