@@ -5,12 +5,28 @@
 //!
 //! # Architecture
 //!
-//! Passes never call `Liveness::compute` / `DomTree::compute` & co.
-//! directly; they ask the cache, which computes each analysis at most
-//! once per mutation epoch and hands out cheap [`Rc`] handles. Handles
-//! stay valid (and shareable) even while later passes request further
-//! analyses, so a pass can hold `DomTree`, `Liveness`, and `LiveAtDefs`
-//! simultaneously without borrow gymnastics.
+//! The pipeline's passes after the front end (Sreedhar's conversion, the
+//! coalescer, reconstruction's cleanup, Chaitin's coalescing and the
+//! allocator's spill rounds) do not call `Liveness::compute` /
+//! `DomTree::compute` & co. directly; they ask the cache, which computes
+//! each analysis at most once per mutation epoch and hands out cheap
+//! [`Rc`] handles. Handles stay valid (and shareable) even while later
+//! passes request further analyses, so a pass can hold `DomTree`,
+//! `Liveness`, and `LiveAtDefs` simultaneously without borrow
+//! gymnastics.
+//!
+//! Three kinds of caller compute analyses themselves, on purpose:
+//!
+//! * the SSA front end (`to_ssa`, `gvn`, and if-conversion's CFG). It
+//!   runs before any pipeline cache exists, and each result has one
+//!   reader before the pass rewrites the function, so a cache would only
+//!   add bookkeeping;
+//! * the checkers (`verify_ssa`, `verify_cssa` and the allocator's
+//!   `verify_allocation`). A check recomputes from the code it is given
+//!   rather than trust an answer the pass under check may have left
+//!   stale;
+//! * `tossa_regalloc::intervals::build`, the cache-free entry point its
+//!   unit tests use (the allocator itself calls `build_cached_with`).
 //!
 //! # Invalidation rules
 //!

@@ -12,16 +12,28 @@ use tossa_ir::Function;
 /// The dominator tree of a function's reachable blocks.
 #[derive(Clone, Debug)]
 pub struct DomTree {
-    /// Immediate dominator of each block (entry maps to itself;
-    /// unreachable blocks map to `None`).
-    idom: EntityVec<Block, Option<Block>>,
-    /// Depth in the dominator tree (entry = 0).
-    depth: EntityVec<Block, u32>,
+    node: EntityVec<Block, Node>,
     /// Reverse postorder of reachable blocks.
     rpo: Vec<Block>,
-    /// Position of each block in `rpo` (`usize::MAX` if unreachable).
-    rpo_pos: EntityVec<Block, usize>,
+    /// Every block's children, one row per block (see [`Node::kids_at`]),
+    /// each row in decreasing reverse-postorder position.
+    child: Vec<Block>,
     entry: Block,
+}
+
+/// One block's place in the dominator tree.
+#[derive(Clone, Copy, Debug)]
+struct Node {
+    /// Immediate dominator (the entry maps to itself; unreachable blocks
+    /// map to `None`).
+    idom: Option<Block>,
+    /// Depth in the dominator tree (entry = 0).
+    depth: u32,
+    /// Position in reverse postorder (`u32::MAX` if unreachable).
+    rpo_pos: u32,
+    /// The block's children are `child[kids_at..kids_at + kids]`.
+    kids_at: u32,
+    kids: u32,
 }
 
 impl DomTree {
@@ -31,20 +43,26 @@ impl DomTree {
         // The traversal is cached on the `Cfg` so dominators, liveness,
         // and loop analysis share one DFS.
         let rpo = cfg.rpo().to_vec();
-        let mut rpo_pos: EntityVec<Block, usize> = EntityVec::filled(n, usize::MAX);
+        let unreached = Node {
+            idom: None,
+            depth: 0,
+            rpo_pos: u32::MAX,
+            kids_at: 0,
+            kids: 0,
+        };
+        let mut node: EntityVec<Block, Node> = EntityVec::filled(n, unreached);
         for (i, &b) in rpo.iter().enumerate() {
-            rpo_pos[b] = i;
+            node[b].rpo_pos = i as u32;
         }
-        let mut idom: EntityVec<Block, Option<Block>> = EntityVec::filled(n, None);
-        idom[f.entry] = Some(f.entry);
+        node[f.entry].idom = Some(f.entry);
 
-        let intersect = |idom: &EntityVec<Block, Option<Block>>, mut a: Block, mut b: Block| {
+        let intersect = |node: &EntityVec<Block, Node>, mut a: Block, mut b: Block| {
             while a != b {
-                while rpo_pos[a] > rpo_pos[b] {
-                    a = idom[a].expect("processed block has idom");
+                while node[a].rpo_pos > node[b].rpo_pos {
+                    a = node[a].idom.expect("processed block has idom");
                 }
-                while rpo_pos[b] > rpo_pos[a] {
-                    b = idom[b].expect("processed block has idom");
+                while node[b].rpo_pos > node[a].rpo_pos {
+                    b = node[b].idom.expect("processed block has idom");
                 }
             }
             a
@@ -56,33 +74,44 @@ impl DomTree {
             for &b in rpo.iter().skip(1) {
                 let mut new_idom: Option<Block> = None;
                 for &p in cfg.preds(b) {
-                    if idom[p].is_none() {
+                    if node[p].idom.is_none() {
                         continue; // unprocessed or unreachable
                     }
                     new_idom = Some(match new_idom {
                         None => p,
-                        Some(cur) => intersect(&idom, cur, p),
+                        Some(cur) => intersect(&node, cur, p),
                     });
                 }
-                if new_idom != idom[b] {
-                    idom[b] = new_idom;
+                if new_idom != node[b].idom {
+                    node[b].idom = new_idom;
                     changed = true;
                 }
             }
         }
 
-        let mut depth: EntityVec<Block, u32> = EntityVec::filled(n, 0);
-        for &b in &rpo {
-            if b != f.entry {
-                let d = idom[b].expect("reachable block has idom");
-                depth[b] = depth[d] + 1;
-            }
+        // Depths and child counts, then each row's end; filling the rows
+        // back to front in reverse postorder leaves every `kids_at` at its
+        // row start and each row in decreasing reverse-postorder position.
+        for &b in rpo.iter().skip(1) {
+            let d = node[b].idom.expect("reachable block has idom");
+            node[b].depth = node[d].depth + 1;
+            node[d].kids += 1;
+        }
+        let mut end = 0;
+        for b in f.blocks() {
+            end += node[b].kids;
+            node[b].kids_at = end;
+        }
+        let mut child = vec![f.entry; end as usize];
+        for &b in rpo.iter().skip(1) {
+            let d = node[b].idom.expect("reachable block has idom");
+            node[d].kids_at -= 1;
+            child[node[d].kids_at as usize] = b;
         }
         DomTree {
-            idom,
-            depth,
+            node,
             rpo,
-            rpo_pos,
+            child,
             entry: f.entry,
         }
     }
@@ -90,7 +119,7 @@ impl DomTree {
     /// Immediate dominator of `b` (`None` for the entry and for
     /// unreachable blocks).
     pub fn idom(&self, b: Block) -> Option<Block> {
-        match self.idom[b] {
+        match self.node[b].idom {
             Some(d) if b != self.entry => Some(d),
             _ => None,
         }
@@ -101,8 +130,8 @@ impl DomTree {
         if !self.is_reachable(a) || !self.is_reachable(b) {
             return false;
         }
-        while self.depth[b] > self.depth[a] {
-            b = self.idom[b].expect("has idom");
+        while self.node[b].depth > self.node[a].depth {
+            b = self.node[b].idom.expect("has idom");
         }
         a == b
     }
@@ -114,7 +143,7 @@ impl DomTree {
 
     /// Whether `b` is reachable from the entry.
     pub fn is_reachable(&self, b: Block) -> bool {
-        self.idom[b].is_some()
+        self.node[b].idom.is_some()
     }
 
     /// Reverse postorder of the reachable blocks.
@@ -124,28 +153,18 @@ impl DomTree {
 
     /// Position of `b` in reverse postorder (`usize::MAX` if unreachable).
     pub fn rpo_pos(&self, b: Block) -> usize {
-        self.rpo_pos[b]
-    }
-
-    /// Children of `b` in the dominator tree.
-    pub fn children(&self, b: Block) -> Vec<Block> {
-        self.idom
-            .iter()
-            .filter_map(|(c, &d)| (d == Some(b) && c != self.entry).then_some(c))
-            .collect()
-    }
-
-    /// Dominator-tree preorder of reachable blocks.
-    pub fn preorder(&self) -> Vec<Block> {
-        let mut out = Vec::with_capacity(self.rpo.len());
-        let mut stack = vec![self.entry];
-        while let Some(b) = stack.pop() {
-            out.push(b);
-            let mut kids = self.children(b);
-            kids.sort_by_key(|&c| std::cmp::Reverse(self.rpo_pos[c]));
-            stack.extend(kids);
+        match self.node[b].rpo_pos {
+            u32::MAX => usize::MAX,
+            pos => pos as usize,
         }
-        out
+    }
+
+    /// Children of `b` in the dominator tree, in decreasing
+    /// reverse-postorder position: pushed in this order onto a stack,
+    /// they are entered in reverse postorder.
+    pub fn children(&self, b: Block) -> &[Block] {
+        let Node { kids_at, kids, .. } = self.node[b];
+        &self.child[kids_at as usize..(kids_at + kids) as usize]
     }
 }
 
@@ -259,6 +278,9 @@ exit:
         assert!(!dt.dominates(bb(1), bb(3)));
         assert!(dt.strictly_dominates(f.entry, bb(3)));
         assert!(!dt.strictly_dominates(bb(3), bb(3)));
+        // Reverse postorder is entry, r, l, exit: rows run backwards.
+        assert_eq!(dt.children(f.entry), &[bb(3), bb(1), bb(2)]);
+        assert_eq!(dt.children(bb(1)), &[] as &[Block]);
     }
 
     #[test]
@@ -287,19 +309,5 @@ exit:
         assert!(!dt.is_reachable(dead));
         assert!(!dt.dominates(f.entry, dead));
         assert!(!dt.dominates(dead, f.entry));
-    }
-
-    #[test]
-    fn preorder_parents_before_children() {
-        let f = irreducible();
-        let cfg = Cfg::compute(&f);
-        let dt = DomTree::compute(&f, &cfg);
-        let pre = dt.preorder();
-        let pos = |b: Block| pre.iter().position(|&x| x == b).unwrap();
-        for &b in dt.rpo() {
-            if let Some(d) = dt.idom(b) {
-                assert!(pos(d) < pos(b));
-            }
-        }
     }
 }

@@ -27,7 +27,7 @@ pub mod loops;
 
 pub use bitset::BitSet;
 pub use cache::{AnalysisCache, StaleAnalysis};
-pub use domfront::DomFrontiers;
+pub use domfront::{DomFrontiers, IdfScratch};
 pub use domtree::DomTree;
 pub use interference::InterferenceGraph;
 pub use liveness::{DefMap, DefSite, LiveAtDefs, Liveness};

@@ -530,19 +530,6 @@ impl Function {
         }
     }
 
-    /// Computes, for each variable, its defining instruction(s).
-    /// In SSA form each list has at most one element.
-    pub fn def_sites(&self) -> EntityVec<Var, Vec<(Block, Inst)>> {
-        let mut defs: EntityVec<Var, Vec<(Block, Inst)>> =
-            EntityVec::filled(self.vars.len(), Vec::new());
-        for (b, i) in self.all_insts() {
-            for d in self.defs(i) {
-                defs[d.var].push((b, i));
-            }
-        }
-        defs
-    }
-
     /// Counts the `mov` instructions currently in the function, ignoring
     /// self-moves (the metric of the paper's Tables 2–4).
     pub fn count_moves(&self) -> usize {
@@ -941,7 +928,7 @@ mod tests {
         assert_eq!(f.inst(mov).defs[0].pin, Some(r));
         assert_eq!(f.inst(mov).uses[0].pin, Some(r));
         f.validate().unwrap();
-        let _ = (f.count_moves(), f.def_sites(), f.to_string());
+        let _ = (f.count_moves(), f.to_string());
         let _ = (
             f.var(a),
             f.inst(mov),
@@ -965,14 +952,6 @@ mod tests {
             Function::new("t", Machine::dsp32()).edit_stamp().0,
             f.edit_stamp().0
         );
-    }
-
-    #[test]
-    fn def_sites_in_ssa() {
-        let f = tiny();
-        let sites = f.def_sites();
-        assert_eq!(sites[Var::new(0)].len(), 1);
-        assert_eq!(sites[Var::new(1)].len(), 1);
     }
 
     #[test]

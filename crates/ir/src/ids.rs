@@ -195,6 +195,30 @@ impl<K: EntityId, V: fmt::Debug> fmt::Debug for EntityVec<K, V> {
     }
 }
 
+/// Groups `(key, value)` pairs by key with a stable counting sort, into
+/// compressed sparse row form. Returns `(start, values)`: the values of
+/// key `k` are `values[start[k]..start[k + 1]]`, in input order. Every
+/// key must be below `n`.
+pub fn group_by_key<T: Copy>(n: usize, pairs: &[(u32, T)]) -> (Vec<u32>, Vec<T>) {
+    let mut start = vec![0u32; n + 1];
+    for &(k, _) in pairs {
+        start[k as usize + 1] += 1;
+    }
+    for k in 0..n {
+        start[k + 1] += start[k];
+    }
+    let Some(&(_, first)) = pairs.first() else {
+        return (start, Vec::new());
+    };
+    let mut next = start.clone();
+    let mut values = vec![first; pairs.len()];
+    for &(k, v) in pairs {
+        values[next[k as usize] as usize] = v;
+        next[k as usize] += 1;
+    }
+    (start, values)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -234,5 +258,14 @@ mod tests {
         assert_eq!(m[Var::new(2)], 9);
         m.grow_to(2, 0); // never shrinks
         assert_eq!(m.len(), 3);
+    }
+
+    #[test]
+    fn group_by_key_is_stable() {
+        let (start, values) = group_by_key(4, &[(2, 'a'), (0, 'b'), (2, 'c'), (0, 'd')]);
+        assert_eq!(start, vec![0, 2, 2, 4, 4]);
+        assert_eq!(values, vec!['b', 'd', 'a', 'c']);
+        let (start, values) = group_by_key::<char>(2, &[]);
+        assert_eq!((start, values), (vec![0, 0, 0], vec![]));
     }
 }

@@ -14,7 +14,7 @@
 //! worse than a `spillld` and needs no stack slot at all.
 
 use tossa_analysis::LoopInfo;
-use tossa_ir::ids::{Block, Var};
+use tossa_ir::ids::{group_by_key, Block, Var};
 use tossa_ir::{Function, Opcode};
 
 /// One web's spill cost.
@@ -82,7 +82,7 @@ impl SpillCosts {
         }
         // Group by variable, keeping each variable's blocks in
         // first-occurrence order.
-        let (occ_start, occ_blocks) = crate::group_by_key(n, &firsts);
+        let (occ_start, occ_blocks) = group_by_key(n, &firsts);
         SpillCosts {
             costs,
             remat_imm,

@@ -26,7 +26,7 @@
 
 use tossa_analysis::{AnalysisCache, BitSet, Liveness};
 use tossa_ir::cfg::Cfg;
-use tossa_ir::ids::{Block, Var};
+use tossa_ir::ids::{group_by_key, Block, Var};
 use tossa_ir::machine::{PhysReg, RegClass};
 use tossa_ir::{Function, Opcode};
 
@@ -312,7 +312,7 @@ fn build_inner(
 
     // Bucket the segments by variable (a stable grouping, so each bucket
     // stays in increasing start order), then merge each bucket.
-    let (seg_start, segs) = crate::group_by_key(f.num_vars(), &raw);
+    let (seg_start, segs) = group_by_key(f.num_vars(), &raw);
     let mut items: Vec<Interval> = Vec::new();
     let mut ranges: Vec<(u32, u32)> = Vec::new();
     for var_idx in 0..f.num_vars() {

@@ -592,30 +592,6 @@ pub fn allocate(f: &mut Function, opts: &AllocOptions) -> Result<AllocStats, All
     })
 }
 
-/// Groups `(key, value)` pairs by key with a stable counting sort.
-/// Returns `(start, values)`: the values of key `k` are
-/// `values[start[k]..start[k + 1]]`, in input order. Every key must be
-/// below `n`.
-pub(crate) fn group_by_key<T: Copy>(n: usize, pairs: &[(u32, T)]) -> (Vec<u32>, Vec<T>) {
-    let mut start = vec![0u32; n + 1];
-    for &(k, _) in pairs {
-        start[k as usize + 1] += 1;
-    }
-    for k in 0..n {
-        start[k + 1] += start[k];
-    }
-    let Some(&(_, first)) = pairs.first() else {
-        return (start, Vec::new());
-    };
-    let mut next = start.clone();
-    let mut values = vec![first; pairs.len()];
-    for &(k, v) in pairs {
-        values[next[k as usize] as usize] = v;
-        next[k as usize] += 1;
-    }
-    (start, values)
-}
-
 /// Registers an unpinned variable may be assigned to, in preference
 /// order: `Special`-class registers are reserved for precoloring.
 pub(crate) fn pools(f: &Function, ptr_first: bool) -> Vec<PhysReg> {

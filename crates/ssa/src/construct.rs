@@ -2,9 +2,9 @@
 //! frontiers, pruned by liveness (the paper uses pruned SSA \[4\]), followed
 //! by renaming along the dominator tree.
 
-use tossa_analysis::{DomFrontiers, DomTree, Liveness};
+use tossa_analysis::{DomFrontiers, DomTree, IdfScratch, Liveness};
 use tossa_ir::cfg::Cfg;
-use tossa_ir::ids::{Block, EntityVec, Var};
+use tossa_ir::ids::{group_by_key, Block, Var};
 use tossa_ir::instr::{InstData, Operand};
 use tossa_ir::{Function, Opcode};
 
@@ -34,71 +34,90 @@ pub fn to_ssa(f: &mut Function) {
     let live = Liveness::compute(f, &cfg);
     let num_orig = f.num_vars();
 
-    // Definition blocks per variable, in block order (`all_insts` visits
-    // a block's instructions contiguously, so a repeat is always last).
-    let mut def_blocks: EntityVec<Var, Vec<Block>> = EntityVec::filled(num_orig, Vec::new());
+    // Definition blocks per variable in compressed sparse row form, each
+    // row in block order (`all_insts` visits a block's instructions
+    // contiguously, so a repeat is always the variable's last block).
+    let mut last_def: Vec<Option<Block>> = vec![None; num_orig];
+    let mut defs: Vec<(u32, Block)> = Vec::new();
     for (b, i) in f.all_insts() {
         for d in f.defs(i) {
-            let blocks = &mut def_blocks[d.var];
-            if blocks.last() != Some(&b) {
-                blocks.push(b);
+            if last_def[d.var.index()] != Some(b) {
+                last_def[d.var.index()] = Some(b);
+                defs.push((d.var.index() as u32, b));
             }
         }
     }
+    let (def_at, def_blocks) = group_by_key(num_orig, &defs);
 
-    // φ insertion on the pruned iterated dominance frontier. `phi_orig`
-    // maps each inserted φ's arena id to the variable it merges.
-    let mut phi_orig: Vec<Option<Var>> = Vec::new();
+    // The φ predecessor list of every block: its distinct predecessors
+    // in block order. `Cfg::preds` lists them in block order already,
+    // with a block twice in a row when both branch targets reach `b`.
+    let mut preds_at = Vec::with_capacity(f.num_blocks() + 1);
+    let mut distinct_preds: Vec<Block> = Vec::new();
+    preds_at.push(0);
+    for b in f.blocks() {
+        let row = distinct_preds.len();
+        for &p in cfg.preds(b) {
+            if distinct_preds[row..].last() != Some(&p) {
+                distinct_preds.push(p);
+            }
+        }
+        preds_at.push(distinct_preds.len());
+    }
+
+    // φ insertion on the pruned iterated dominance frontier, variable by
+    // variable. The φs get consecutive arena ids from `first_phi`, and
+    // `phi_orig[k]` is the variable the `k`-th one merges.
+    let first_phi = f.num_insts();
+    let mut phi_orig: Vec<Var> = Vec::new();
+    let mut idf = IdfScratch::default();
     for v in (0..num_orig).map(Var::new) {
-        if def_blocks[v].is_empty() {
+        let blocks = &def_blocks[def_at[v.index()] as usize..def_at[v.index() + 1] as usize];
+        if blocks.is_empty() {
             continue;
         }
-        let seeds = def_blocks[v]
-            .iter()
-            .copied()
-            .filter(|&b| dt.is_reachable(b));
-        for join in df.iterated(seeds) {
+        let seeds = blocks.iter().copied().filter(|&b| dt.is_reachable(b));
+        for &join in df.iterated(seeds, &mut idf) {
             // Pruned SSA: only where the variable is live-in.
             if !live.live_in(join).contains(v) {
                 continue;
             }
-            let mut preds: Vec<Block> = cfg.preds(join).to_vec();
-            preds.sort();
-            preds.dedup();
-            let inst = InstData::phi(v, preds.into_iter().map(|p| (p, v)).collect());
-            let id = f.insert_inst(join, 0, inst);
-            if phi_orig.len() <= id.index() {
-                phi_orig.resize(id.index() + 1, None);
-            }
-            phi_orig[id.index()] = Some(v);
+            let preds = &distinct_preds[preds_at[join.index()]..preds_at[join.index() + 1]];
+            let phi = InstData {
+                defs: vec![Operand::new(v)],
+                uses: vec![Operand::new(v); preds.len()],
+                phi_preds: preds.to_vec(),
+                ..InstData::new(Opcode::Phi)
+            };
+            f.insert_inst(join, 0, phi);
+            phi_orig.push(v);
         }
     }
 
     // Renaming along the dominator tree (iterative, enter/exit events).
-    let mut stacks: EntityVec<Var, Vec<Var>> = EntityVec::filled(num_orig, Vec::new());
+    // `current[v]` is the version of original variable `v` in scope (`v`
+    // itself before any definition), and `undo` logs the
+    // `(variable, previous version)` of every definition renamed so far.
+    let mut current: Vec<Var> = (0..num_orig).map(Var::new).collect();
+    let mut undo: Vec<(Var, Var)> = Vec::new();
     enum Event {
         Enter(Block),
-        /// Pop every version pushed since `pushed` had this length.
+        /// Restore every version replaced since `undo` had this length.
         Exit(usize),
     }
-    let kids = dom_children(&dt, f.num_blocks());
     let mut events = vec![Event::Enter(f.entry)];
-    // The original variable of every version pushed so far, in order.
-    let mut pushed: Vec<Var> = Vec::new();
 
     while let Some(ev) = events.pop() {
         match ev {
             Event::Enter(b) => {
-                events.push(Event::Exit(pushed.len()));
+                events.push(Event::Exit(undo.len()));
                 for k in 0..f.block(b).insts.len() {
                     let i = f.block(b).insts[k];
                     if !f.opcode(i).is_phi() {
                         // Rewrite uses to the current version.
                         for u in f.inst_mut(i).uses.iter_mut() {
                             if u.var.index() < num_orig {
-                                if let Some(&top) = stacks[u.var].last() {
-                                    u.var = top;
-                                }
+                                u.var = current[u.var.index()];
                             }
                         }
                     }
@@ -107,8 +126,8 @@ pub fn to_ssa(f: &mut Function) {
                         let v = f.defs(i)[k].var;
                         if v.index() < num_orig {
                             let new = f.new_var_version(v);
-                            stacks[v].push(new);
-                            pushed.push(v);
+                            undo.push((v, current[v.index()]));
+                            current[v.index()] = new;
                             f.inst_mut(i).defs[k].var = new;
                         }
                     }
@@ -118,12 +137,7 @@ pub fn to_ssa(f: &mut Function) {
                     let s = f.succs(b)[si];
                     for k in 0..f.first_non_phi(s) {
                         let phi = f.block(s).insts[k];
-                        let Some(orig) = phi_orig.get(phi.index()).copied().flatten() else {
-                            continue;
-                        };
-                        let Some(&top) = stacks[orig].last() else {
-                            continue;
-                        };
+                        let top = current[phi_orig[phi.index() - first_phi].index()];
                         let inst = f.inst_mut(phi);
                         for (slot, &p) in inst.phi_preds.iter().enumerate() {
                             if p == b {
@@ -133,30 +147,17 @@ pub fn to_ssa(f: &mut Function) {
                     }
                 }
                 // Recurse into dominator-tree children.
-                for &c in &kids[b.index()] {
+                for &c in dt.children(b) {
                     events.push(Event::Enter(c));
                 }
             }
             Event::Exit(mark) => {
-                for v in pushed.drain(mark..) {
-                    stacks[v].pop();
+                for (v, prev) in undo.drain(mark..).rev() {
+                    current[v.index()] = prev;
                 }
             }
         }
     }
-}
-
-/// The dominator-tree children of every block, indexed by block, each
-/// list in decreasing reverse-postorder position: pushed in that order
-/// onto an event stack, the children are entered in reverse postorder.
-pub(crate) fn dom_children(dt: &DomTree, num_blocks: usize) -> Vec<Vec<Block>> {
-    let mut kids = vec![Vec::new(); num_blocks];
-    for &c in dt.rpo().iter().rev() {
-        if let Some(d) = dt.idom(c) {
-            kids[d.index()].push(c);
-        }
-    }
-    kids
 }
 
 /// Returns true if `f` contains at least one φ.

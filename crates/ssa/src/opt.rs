@@ -7,13 +7,13 @@
 //! extend live ranges and merge values, creating the interferences the
 //! out-of-SSA coalescer must then negotiate.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 use tossa_analysis::DomTree;
 use tossa_ir::cfg::Cfg;
-use tossa_ir::ids::{Inst, Var};
+use tossa_ir::ids::{Block, Inst, Var};
 use tossa_ir::{Function, Opcode};
-
-use crate::construct::dom_children;
 
 /// Replaces every use of a copy destination by the copy source
 /// (transitively) and leaves the now-dead `mov`s for [`dce`]. Returns the
@@ -102,19 +102,55 @@ pub fn dce(f: &mut Function) -> usize {
     sweep(f, |i| live[i.index()])
 }
 
+/// A value-numbering key, held inline: the opcode, the operand count and
+/// up to three operand variables (`Function::validate` allows no more on
+/// a value-numbered opcode; `select` and `psel` have three), and the
+/// immediate.
+#[derive(Clone, Copy, PartialEq, Eq)]
+struct Key {
+    opcode: Opcode,
+    len: u8,
+    uses: [Var; 3],
+    imm: i64,
+}
+
+impl Hash for Key {
+    fn hash<H: Hasher>(&self, h: &mut H) {
+        let [a, b, c] = self.uses.map(|v| v.index() as u64);
+        h.write_u64(self.opcode as u64 | u64::from(self.len) << 8 | a << 32);
+        h.write_u64(b | c << 32);
+        h.write_i64(self.imm);
+    }
+}
+
+/// A multiply-rotate hasher with a fixed key (the FxHash scheme). With
+/// no per-table random key, the table's layout, and so the number of
+/// allocations a compile makes, depends only on the function compiled.
+#[derive(Default)]
+struct FixedHasher(u64);
+
+impl Hasher for FixedHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, w: u64) {
+        self.0 = (self.0.rotate_left(5) ^ w).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
 /// Dominator-scoped value numbering: two pure instructions computing the
 /// same (opcode, operands, immediate) in a dominating position are merged.
 /// Returns the number of instructions eliminated.
 pub fn gvn(f: &mut Function) -> usize {
     let cfg = Cfg::compute(f);
     let dt = DomTree::compute(f, &cfg);
-
-    #[derive(Clone, PartialEq, Eq, Hash)]
-    struct Key {
-        opcode: Opcode,
-        uses: Vec<Var>,
-        imm: i64,
-    }
 
     fn pure(op: Opcode) -> bool {
         matches!(
@@ -143,22 +179,23 @@ pub fn gvn(f: &mut Function) -> usize {
     }
 
     let mut replacement: Vec<Option<Var>> = vec![None; f.num_vars()];
-    let mut table: HashMap<Key, Var> = HashMap::new();
-    let mut scopes: Vec<Vec<Key>> = Vec::new();
+    let mut table: HashMap<Key, Var, BuildHasherDefault<FixedHasher>> = HashMap::default();
+    // Every key inserted, in order; a block's scope is the tail past the
+    // mark its exit event carries.
+    let mut scope_log: Vec<Key> = Vec::new();
     let mut dead = vec![false; f.num_insts()];
     let mut removed = 0;
-    let kids = dom_children(&dt, f.num_blocks());
 
     enum Event {
-        Enter(tossa_ir::Block),
-        Exit,
+        Enter(Block),
+        /// Remove every key logged since the log had this length.
+        Exit(usize),
     }
     let mut events = vec![Event::Enter(f.entry)];
     while let Some(ev) = events.pop() {
         match ev {
             Event::Enter(b) => {
-                events.push(Event::Exit);
-                scopes.push(Vec::new());
+                events.push(Event::Exit(scope_log.len()));
                 for k in 0..f.block(b).insts.len() {
                     let i = f.block(b).insts[k];
                     // Resolve uses through prior replacements first.
@@ -168,40 +205,45 @@ pub fn gvn(f: &mut Function) -> usize {
                         }
                     }
                     let inst = f.inst(i);
-                    if !pure(inst.opcode) || inst.defs.len() != 1 {
+                    let len = inst.uses.len();
+                    if !pure(inst.opcode) || inst.defs.len() != 1 || len > 3 {
                         continue;
                     }
-                    let mut uses: Vec<Var> = inst.uses.iter().map(|o| o.var).collect();
+                    let mut uses = [Var::new(0); 3];
+                    for (slot, o) in uses.iter_mut().zip(inst.uses) {
+                        *slot = o.var;
+                    }
                     // Commutative normalization.
                     if matches!(
                         inst.opcode,
                         Opcode::Add | Opcode::Mul | Opcode::And | Opcode::Or | Opcode::Xor
                     ) {
-                        uses.sort();
+                        uses[..len].sort();
                     }
                     let key = Key {
                         opcode: inst.opcode,
+                        len: len as u8,
                         uses,
                         imm: inst.imm,
                     };
-                    match table.get(&key) {
-                        Some(&existing) => {
-                            replacement[inst.defs[0].var.index()] = Some(existing);
+                    match table.entry(key) {
+                        Entry::Occupied(existing) => {
+                            replacement[inst.defs[0].var.index()] = Some(*existing.get());
                             dead[i.index()] = true;
                             removed += 1;
                         }
-                        None => {
-                            table.insert(key.clone(), inst.defs[0].var);
-                            scopes.last_mut().expect("scope").push(key);
+                        Entry::Vacant(slot) => {
+                            slot.insert(inst.defs[0].var);
+                            scope_log.push(key);
                         }
                     }
                 }
-                for &c in &kids[b.index()] {
+                for &c in dt.children(b) {
                     events.push(Event::Enter(c));
                 }
             }
-            Event::Exit => {
-                for key in scopes.pop().expect("scope") {
+            Event::Exit(mark) => {
+                for key in scope_log.drain(mark..) {
                     table.remove(&key);
                 }
             }

@@ -17,7 +17,14 @@
 //!   (`to_cssa_cached`, under the Sφ experiments) over the `tables`
 //!   population: the five suites at SPECint scale 40 under all ten
 //!   experiments. The front end and every other pass run outside the
-//!   counted window.
+//!   counted window;
+//! - the front end (`front_end`: SSA construction, if-conversion, ψ
+//!   lowering, copy propagation, GVN and dead-code elimination) over
+//!   each function of the five suites at SPECint scale 40.
+//!
+//! One more test checks that a checked compile's count repeats: the
+//! `run_checked` call the compile service meters, run several times on
+//! one function, makes the same number of allocation events each time.
 //!
 //! Counting is per thread (the test harness runs tests on parallel
 //! threads), so each gate sees only its own sweep's allocations.
@@ -73,6 +80,7 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 
 use tossa::analysis::AnalysisCache;
 use tossa::baselines::{aggressive_coalesce_cached, dead_code_elim_cached, to_cssa_cached};
+use tossa::bench::checked::{fuzz_suite, run_checked, CheckedOptions};
 use tossa::bench::runner::{apply_alloc, front_end, run_experiment};
 use tossa::bench::suites::all_suites;
 use tossa::bench::suites::kernels::valcc1;
@@ -85,12 +93,13 @@ use tossa::regalloc::{allocate, AllocOptions};
 
 /// Allocation-event budget for one full pipeline sweep over `VALcc1`.
 ///
-/// Pinned at ~25% above the 17,168 events measured once the CFG,
-/// liveness and live-after-def results were flat arrays (one buffer per
-/// result, not one heap row per block or variable). With those rows the
-/// sweep made 18,831, and 24,049 when the flat-IR storage landed; the
-/// pipeline before that exceeded this budget several times over.
-const BUDGET: u64 = 21_500;
+/// Pinned at ~25% above the 15,148 events measured once the front end's
+/// dominance frontiers, SSA construction and value numbering kept flat
+/// tables (no row per variable, φ or expression). Before that the sweep
+/// made 17,168; with one heap row per block or variable in the CFG and
+/// liveness results, 18,831, and 24,049 when the flat-IR storage landed;
+/// the pipeline before that exceeded this budget several times over.
+const BUDGET: u64 = 19_000;
 
 /// Allocation-event budget for `allocate` alone over `pressure` seeds
 /// `0..300` (`Lφ+C`).
@@ -110,6 +119,18 @@ const ALLOCATE_BUDGET: u64 = 134_000;
 /// `Vec`s, Chaitin's interference graph one bit matrix and dead code
 /// dropped with one pass per block, 444,276–444,295 (three runs).
 const PAPER_LAYERS_BUDGET: u64 = 274_000;
+
+/// Allocation-event budget for `front_end` over each function of
+/// `all_suites(40)` once.
+///
+/// Pinned at ~15% above the 28,139 events measured once dominance
+/// frontiers and dominator-tree children were compressed rows, SSA
+/// construction renamed through one version table, and value numbering
+/// kept its keys inline under a fixed-key hasher. With a `Vec` per
+/// frontier, per variable's definition blocks and version stack, per φ
+/// predecessor list and per value-numbering key, the front end made
+/// 50,756–50,759 (the spread came from the hash table's random keys).
+const FRONT_END_BUDGET: u64 = 32_400;
 
 /// Runs `layer` with this thread's counting on.
 fn counting<R>(layer: impl FnOnce() -> R) -> R {
@@ -262,5 +283,59 @@ fn paper_layers_allocate_under_budget() {
          heap allocations (budget {PAPER_LAYERS_BUDGET}); a side table \
          went back to hashing, or a deliberate change needs the budget \
          re-pinned"
+    );
+}
+
+#[test]
+fn front_end_allocates_under_budget() {
+    let funcs: Vec<Function> = all_suites(40)
+        .into_iter()
+        .flat_map(|s| s.functions)
+        .map(|bf| bf.func)
+        .collect();
+    let measured = counted(|| {
+        for f in &funcs {
+            front_end(f);
+        }
+    });
+    assert!(
+        measured <= FRONT_END_BUDGET,
+        "the front end over the five suites at SPECint scale 40 made \
+         {measured} heap allocations (budget {FRONT_END_BUDGET}); SSA \
+         construction or GVN went back to per-variable or per-expression \
+         rows, or a deliberate change needs the budget re-pinned"
+    );
+}
+
+#[test]
+fn a_checked_compile_allocates_the_same_every_time() {
+    // The call `process_job` meters: `Lφ,ABI+C` with checked allocation.
+    let opts = CoalesceOptions::default();
+    let copts = CheckedOptions {
+        alloc: true,
+        ..CheckedOptions::default()
+    };
+    let suite = fuzz_suite(300, 0);
+    // Warm-up: one-time lazy state allocates here, uncounted.
+    run_checked(&suite.functions[0], Experiment::LphiAbiC, &opts, &copts);
+    let mut varied = Vec::new();
+    for bf in &suite.functions {
+        let counts: Vec<u64> = (0..4)
+            .map(|_| {
+                ALLOCS.with(|n| n.set(0));
+                counting(|| run_checked(bf, Experiment::LphiAbiC, &opts, &copts));
+                ALLOCS.with(Cell::get)
+            })
+            .collect();
+        if counts.iter().any(|&c| c != counts[0]) {
+            varied.push(format!("{}: {counts:?}", bf.func.name));
+        }
+    }
+    assert!(
+        varied.is_empty(),
+        "{} of {} functions made a different number of allocation events \
+         from one checked compile to the next: {varied:?}",
+        varied.len(),
+        suite.functions.len()
     );
 }
