@@ -39,6 +39,10 @@
 //! * `--flight-path FILE` — write the flight-recorder ring to `FILE` on
 //!   shutdown (a failing soak gate dumps it to stderr regardless)
 //!
+//! Arguments are read left to right. An unknown argument, a value flag
+//! without its value, or a malformed number prints the usage line to
+//! stderr and exits 2 before anything runs; a bare `--soak` means 500.
+//!
 //! The binary installs [`ServiceAlloc`] as the global allocator so the
 //! per-attempt allocation meter actually counts.
 
@@ -52,37 +56,85 @@ use tossa_core::Experiment;
 use tossa_server::metrics::ServiceMetrics;
 use tossa_server::report::{JobReport, SoakSummary};
 use tossa_server::service::{CompileService, Job, ServiceConfig};
-use tossa_server::{parse_line, Budget, ChaosConfig, Control, Frame, JobRequest, ServiceAlloc};
-use tossa_trace::service::JobCounterSet;
+use tossa_server::{parse_line, ChaosConfig, Control, Frame, JobRequest, ServiceAlloc};
 
 #[global_allocator]
 static ALLOC: ServiceAlloc = ServiceAlloc;
 
+const USAGE: &str =
+    "usage: serve [--tcp ADDR | --soak [N]] [--chaos RATE] [--seed S] [--workers N]\n\
+\x20            [--deadline-ms MS] [--fuel N] [--max-allocs N] [--report FILE]\n\
+\x20            [--experiment KEY] [--metrics-path FILE] [--stats-path FILE]\n\
+\x20            [--stats-interval-ms MS] [--flight-path FILE]";
+
+/// A parsed command line.
 struct Args {
-    raw: Vec<String>,
+    tcp: Option<String>,
+    soak: Option<u64>,
+    seed: u64,
+    config: ServiceConfig,
+    paths: OutPaths,
 }
 
-impl Args {
-    fn flag(&self, name: &str) -> bool {
-        self.raw.iter().any(|a| a == name)
-    }
+fn number(flag: &str, v: &str) -> Result<u64, String> {
+    v.parse()
+        .map_err(|_| format!("{flag} wants a number, got {v:?}"))
+}
 
-    fn value(&self, name: &str) -> Option<&str> {
-        self.raw
-            .iter()
-            .position(|a| a == name)
-            .and_then(|k| self.raw.get(k + 1))
-            .map(String::as_str)
-    }
-
-    fn num(&self, name: &str, default: u64) -> Result<u64, String> {
-        match self.value(name) {
-            None => Ok(default),
-            Some(v) => v
-                .parse()
-                .map_err(|_| format!("{name} wants a number, got {v:?}")),
+fn parse(args: &[String]) -> Result<Args, String> {
+    let mut a = Args {
+        tcp: None,
+        soak: None,
+        seed: 7,
+        config: ServiceConfig::default(),
+        paths: OutPaths {
+            stats_interval: Duration::from_millis(1000),
+            ..OutPaths::default()
+        },
+    };
+    let mut chaos = None;
+    let mut it = args.iter().peekable();
+    while let Some(flag) = it.next() {
+        let mut value = || it.next().ok_or_else(|| format!("{flag} wants a value"));
+        match flag.as_str() {
+            "--tcp" => a.tcp = Some(value()?.clone()),
+            "--soak" => {
+                let n = it.next_if(|v| !v.starts_with("--"));
+                a.soak = Some(n.map_or(Ok(500), |n| number(flag, n))?);
+            }
+            "--chaos" => chaos = Some(number(flag, value()?)?),
+            "--seed" => a.seed = number(flag, value()?)?,
+            "--workers" => a.config.workers = number(flag, value()?)? as usize,
+            "--deadline-ms" => {
+                a.config.budget.deadline = Duration::from_millis(number(flag, value()?)?);
+            }
+            "--fuel" => a.config.budget.fuel = number(flag, value()?)?,
+            "--max-allocs" => {
+                a.config.budget.max_alloc_events = Some(number(flag, value()?)?).filter(|&n| n > 0);
+            }
+            "--experiment" => {
+                let key = value()?;
+                a.config.default_experiment = Experiment::from_key(key)
+                    .ok_or_else(|| format!("unknown experiment {key:?} (try LphiAbiC)"))?;
+            }
+            "--report" => a.paths.report = Some(value()?.clone()),
+            "--metrics-path" => a.paths.metrics = Some(value()?.clone()),
+            "--stats-path" => a.paths.stats = Some(value()?.clone()),
+            "--stats-interval-ms" => {
+                a.paths.stats_interval = Duration::from_millis(number(flag, value()?)?.max(10));
+            }
+            "--flight-path" => a.paths.flight = Some(value()?.clone()),
+            other => return Err(format!("unknown argument {other:?}")),
         }
     }
+    let rate = chaos.unwrap_or(if a.soak.is_some() { 35 } else { 0 });
+    if rate > 0 {
+        a.config.chaos = Some(ChaosConfig {
+            seed: a.seed,
+            rate_pct: rate.min(100) as u32,
+        });
+    }
+    Ok(a)
 }
 
 /// Output paths shared by every mode.
@@ -96,26 +148,16 @@ struct OutPaths {
 }
 
 impl OutPaths {
-    fn from(args: &Args) -> Result<OutPaths, String> {
-        Ok(OutPaths {
-            report: args.value("--report").map(str::to_string),
-            metrics: args.value("--metrics-path").map(str::to_string),
-            stats: args.value("--stats-path").map(str::to_string),
-            flight: args.value("--flight-path").map(str::to_string),
-            stats_interval: Duration::from_millis(args.num("--stats-interval-ms", 1000)?.max(10)),
-        })
-    }
-
     /// Shutdown-time dumps common to every mode: the final stats
     /// snapshot, the Prometheus exposition, and the flight ring. Runs
     /// *after* [`CompileService::shutdown`] (the metrics handle
     /// outlives the service), so the dumps cover every job.
-    fn final_dumps(&self, metrics: &ServiceMetrics, counters: &JobCounterSet) {
+    fn final_dumps(&self, metrics: &ServiceMetrics) {
         if let Some(p) = &self.stats {
-            append_line(p, &metrics.stats_json(counters));
+            append_line(p, &metrics.stats_json());
         }
         if let Some(p) = &self.metrics {
-            write_file(p, &metrics.prometheus(counters));
+            write_file(p, &metrics.prometheus());
         }
         if let Some(p) = &self.flight {
             write_file(p, &metrics.flight.to_json());
@@ -140,34 +182,6 @@ fn write_file(path: &str, content: &str) {
     if let Err(e) = std::fs::write(path, content) {
         eprintln!("serve: cannot write {path}: {e}");
     }
-}
-
-fn config_from(args: &Args) -> Result<ServiceConfig, String> {
-    let mut config = ServiceConfig {
-        workers: args.num("--workers", 0)? as usize,
-        budget: Budget {
-            fuel: args.num("--fuel", Budget::default().fuel)?,
-            deadline: Duration::from_millis(args.num("--deadline-ms", 2000)?),
-            max_alloc_events: match args.num("--max-allocs", 1_000_000)? {
-                0 => None,
-                n => Some(n),
-            },
-        },
-        ..ServiceConfig::default()
-    };
-    let default_rate = if args.flag("--soak") { 35 } else { 0 };
-    let rate = args.num("--chaos", default_rate)?;
-    if rate > 0 {
-        config.chaos = Some(ChaosConfig {
-            seed: args.num("--seed", 7)?,
-            rate_pct: rate.min(100) as u32,
-        });
-    }
-    if let Some(key) = args.value("--experiment") {
-        config.default_experiment = Experiment::from_key(key)
-            .ok_or_else(|| format!("unknown experiment {key:?} (try LphiAbiC)"))?;
-    }
-    Ok(config)
 }
 
 fn lock_ignoring_poison<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
@@ -254,7 +268,7 @@ fn run_stdin(config: ServiceConfig, paths: &OutPaths) -> i32 {
         match parse_line(&line) {
             Frame::Control(Ok(Control::Stats)) => {
                 let mut out = std::io::stdout().lock();
-                let _ = writeln!(out, "{}", service.stats_json());
+                let _ = writeln!(out, "{}", service.metrics().stats_json());
             }
             Frame::Control(Err(e)) => {
                 let report = service.refuse_frame(&e);
@@ -268,7 +282,7 @@ fn run_stdin(config: ServiceConfig, paths: &OutPaths) -> i32 {
     }
     let metrics = service.metrics();
     let counters = service.shutdown();
-    paths.final_dumps(&metrics, &counters);
+    paths.final_dumps(&metrics);
     let _ = responder.join();
     eprintln!("{}", counters.to_json());
     0
@@ -277,7 +291,7 @@ fn run_stdin(config: ServiceConfig, paths: &OutPaths) -> i32 {
 /// One-shot HTTP answer for a scraper that opened a JSONL port.
 fn answer_http(sock: &Mutex<TcpStream>, request_line: &str, service: &CompileService) {
     let (status, body) = if request_line.starts_with("GET /metrics") {
-        ("200 OK", service.prometheus())
+        ("200 OK", service.metrics().prometheus())
     } else {
         ("404 Not Found", String::from("only /metrics lives here\n"))
     };
@@ -317,7 +331,7 @@ fn serve_connection(stream: TcpStream, service: &CompileService, routes: &Routes
         match parse_line(&line) {
             Frame::Control(Ok(Control::Stats)) => {
                 let mut s = lock_ignoring_poison(&sock);
-                let _ = writeln!(s, "{}", service.stats_json());
+                let _ = writeln!(s, "{}", service.metrics().stats_json());
             }
             Frame::Control(Err(e)) => {
                 let report = service.refuse_frame(&e);
@@ -386,7 +400,7 @@ fn run_tcp(config: ServiceConfig, addr: &str, paths: &OutPaths) -> i32 {
     });
     let metrics = service.metrics();
     let counters = service.shutdown();
-    paths.final_dumps(&metrics, &counters);
+    paths.final_dumps(&metrics);
     let _ = responder.join();
     eprintln!("{}", counters.to_json());
     0
@@ -439,12 +453,11 @@ fn run_soak(config: ServiceConfig, n: usize, seed: u64, paths: &OutPaths) -> i32
     let emitter = paths.stats.clone().map(|path| {
         let stop = Arc::clone(&stop);
         let metrics = service.metrics();
-        let counters = service.counters_handle();
         let interval = paths.stats_interval;
         std::thread::spawn(move || {
             while !stop.load(Ordering::Relaxed) {
                 std::thread::sleep(interval);
-                append_line(&path, &metrics.stats_json(&counters.snapshot()));
+                append_line(&path, &metrics.stats_json());
             }
         })
     });
@@ -456,7 +469,7 @@ fn run_soak(config: ServiceConfig, n: usize, seed: u64, paths: &OutPaths) -> i32
     if let Some(h) = emitter {
         let _ = h.join();
     }
-    paths.final_dumps(&metrics, &counters);
+    paths.final_dumps(&metrics);
     let reports = collector.join().unwrap_or_default();
 
     if let Some(path) = &paths.report {
@@ -484,34 +497,19 @@ fn main() {
     // Contained panics are reported structurally (class + message in the
     // JobReport); keep the default hook's backtrace spew off stderr.
     std::panic::set_hook(Box::new(|_| {}));
-    let args = Args {
-        raw: std::env::args().skip(1).collect(),
-    };
-    if args.flag("--help") || args.flag("-h") {
-        eprintln!(
-            "usage: serve [--tcp ADDR | --soak N] [--chaos RATE] [--seed S] [--workers N]\n\
-             \x20            [--deadline-ms MS] [--fuel N] [--max-allocs N] [--report FILE]\n\
-             \x20            [--experiment KEY] [--metrics-path FILE] [--stats-path FILE]\n\
-             \x20            [--stats-interval-ms MS] [--flight-path FILE]"
-        );
+    let raw: Vec<String> = std::env::args().skip(1).collect();
+    if raw.iter().any(|a| a == "--help" || a == "-h") {
+        eprintln!("{USAGE}");
         return;
     }
-    let code = (|| -> Result<i32, String> {
-        let config = config_from(&args)?;
-        let paths = OutPaths::from(&args)?;
-        if args.flag("--soak") {
-            let n = args.num("--soak", 500)? as usize;
-            let seed = args.num("--seed", 7)?;
-            return Ok(run_soak(config, n.max(1), seed, &paths));
-        }
-        if let Some(addr) = args.value("--tcp") {
-            return Ok(run_tcp(config, addr, &paths));
-        }
-        Ok(run_stdin(config, &paths))
-    })()
-    .unwrap_or_else(|e| {
-        eprintln!("serve: {e}");
-        2
+    let a = parse(&raw).unwrap_or_else(|e| {
+        eprintln!("serve: {e}\n{USAGE}");
+        std::process::exit(2);
     });
+    let code = match (a.soak, &a.tcp) {
+        (Some(n), _) => run_soak(a.config, (n as usize).max(1), a.seed, &a.paths),
+        (None, Some(addr)) => run_tcp(a.config, addr, &a.paths),
+        (None, None) => run_stdin(a.config, &a.paths),
+    };
     std::process::exit(code);
 }

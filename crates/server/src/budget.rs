@@ -9,12 +9,12 @@
 //!   `verify.trap` error inside the pipeline, so it descends the ladder
 //!   rather than hanging the worker, and as `verified: false` in the
 //!   seal;
-//! * **deadline** — a wall-clock bound enforced *observationally* by
-//!   the [`watchdog`](crate::watchdog): because fuel already bounds
-//!   every loop in the pipeline, a job always terminates, and the
-//!   watchdog marks rather than kills (no thread cancellation, no torn
-//!   state); a blown deadline is a transient failure — retried, then
-//!   quarantined;
+//! * **deadline** — a wall-clock bound enforced *observationally*:
+//!   because fuel already bounds every loop in the pipeline, an attempt
+//!   always returns, so nothing is cancelled (no torn state) and the
+//!   worker compares the attempt's own wall clock with the deadline
+//!   once it has; a blown deadline is a transient failure — retried,
+//!   then quarantined;
 //! * **allocation events** — a cap on heap round-trips, metered by
 //!   [`ServiceAlloc`], the service twin of the counting
 //!   `#[global_allocator]` idiom from `tests/alloc_budget.rs`. Where
@@ -62,11 +62,11 @@ thread_local! {
 }
 
 /// A counting wrapper around the system allocator. Install it as the
-/// process `#[global_allocator]` (the `serve` binary and the soak tests
-/// do); the library then meters per-job allocation through
-/// [`AllocMeter`]. When it is *not* installed, meters simply read 0 and
-/// the cap never fires — the service degrades to unmetered, it does not
-/// break.
+/// process `#[global_allocator]` (the `serve` binary and
+/// `tests/service_schedule.rs` do); the library then meters per-job
+/// allocation through [`AllocMeter`]. When it is *not* installed,
+/// meters simply read 0 and the cap never fires — the service degrades
+/// to unmetered, it does not break.
 pub struct ServiceAlloc;
 
 unsafe impl GlobalAlloc for ServiceAlloc {
@@ -181,8 +181,9 @@ mod tests {
     #[test]
     fn charge_counts_only_while_armed() {
         // Simulate allocator traffic by calling charge() directly; the
-        // real hook path is exercised by the soak binary, which installs
-        // ServiceAlloc for the whole process.
+        // real hook path is exercised by `serve` and by
+        // tests/service_schedule.rs, which install ServiceAlloc for the
+        // whole process.
         let m = AllocMeter::arm();
         charge(16);
         charge(48);

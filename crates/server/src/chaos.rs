@@ -7,7 +7,7 @@
 //! * [`ServiceFault::WorkerPanic`] — the worker panics mid-job (the
 //!   containment boundary must absorb it);
 //! * [`ServiceFault::DeadlineBlowout`] — the job overruns its
-//!   wall-clock budget (the watchdog must mark it);
+//!   wall-clock budget (the deadline verdict must catch it);
 //! * [`ServiceFault::MalformedFrame`] — the client sends garbage (the
 //!   protocol layer must refuse it structurally).
 //!

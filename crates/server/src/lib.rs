@@ -13,10 +13,10 @@
 //! * **Panic containment** — every job attempt runs inside
 //!   `catch_unwind`; a pass bug takes down one attempt, never a worker,
 //!   never the process ([`service`]).
-//! * **Resource budgets** — interpreter fuel bounds CPU, a watchdog
-//!   thread marks wall-clock deadline overruns ([`watchdog`]), and a
-//!   metering global allocator charges per-attempt allocation events
-//!   ([`budget`]).
+//! * **Resource budgets** — interpreter fuel bounds CPU, each
+//!   attempt's own wall clock decides whether it overran its deadline,
+//!   and a metering global allocator charges per-attempt allocation
+//!   events ([`budget`]).
 //! * **Degradation ladder** — checked pipeline → verified naive
 //!   out-of-SSA fallback → structured reject, one rung at a time, every
 //!   transition recorded with its cause ([`ladder`]).
@@ -29,11 +29,12 @@
 //!   under deterministic fault injection: the pipeline corruption
 //!   classes plus worker panics, deadline blowouts, and malformed
 //!   frames ([`chaos`]).
-//! * **Live telemetry** — a lock-free instrument set (queue gauges,
-//!   latency/fuel/allocation histograms) answerable over the wire as a
-//!   `stats` control frame or a Prometheus exposition ([`metrics`]),
-//!   plus a flight recorder ring of recent job lifecycle events dumped
-//!   on quarantine or soak-gate failure ([`flight`]).
+//! * **Live telemetry** — one store of everything the service counts
+//!   (job-outcome counters, queue gauges, latency/fuel/allocation
+//!   histograms), answerable over the wire as a `stats` control frame
+//!   or a Prometheus exposition ([`metrics`]), plus a flight recorder
+//!   ring of recent job lifecycle events dumped on quarantine or
+//!   soak-gate failure ([`flight`]).
 //!
 //! Unlike the library crates (whose unwrap audit is warn-only), this
 //! crate sits entirely on the untrusted path and compiles with
@@ -50,18 +51,16 @@ pub mod proto;
 pub mod queue;
 pub mod report;
 pub mod service;
-pub mod watchdog;
 
 pub use budget::{AllocMeter, Budget, ServiceAlloc};
 pub use chaos::{site_seed, ChaosConfig, Fault, ServiceFault};
 pub use flight::{FlightEvent, FlightRecorder, FLIGHT_STAGES};
 pub use ladder::{steps_are_contiguous, Ladder, LadderStep, Rung};
-pub use metrics::{QueueMetrics, ServiceMetrics};
+pub use metrics::{JobCounter, JobCounterSet, ServiceMetrics};
 pub use proto::{job_from_json, parse_frame, parse_line, Control, Frame, FrameError, JobRequest};
 pub use queue::{BoundedQueue, PushOutcome};
 pub use report::{JobOutcome, JobReport, SoakSummary};
 pub use service::{run_batch, CompileService, Job, ServiceConfig};
-pub use watchdog::{WatchGuard, Watchdog};
 
 /// Locks `m`, taking the guard from a poisoned lock too: a panic the
 /// service contains in one thread must not wedge the others.

@@ -12,14 +12,10 @@
 //! state (push/pop are not interruptible mid-invariant here), and the
 //! service's whole point is to survive worker panics.
 //!
-//! When built with [`BoundedQueue::with_metrics`], the queue keeps the
-//! `service_queue_depth` gauge current and records every push's
-//! backpressure wait (shed or accepted — exactly one record per push,
-//! so the histogram count equals submitted + shed) into
-//! `service_queue_wait_ns`.
+//! The queue knows nothing of metrics: the service times each push and
+//! keeps the depth gauge (`crate::metrics`).
 
 use crate::lock_ignoring_poison;
-use crate::metrics::QueueMetrics;
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -45,7 +41,6 @@ pub struct BoundedQueue<T> {
     not_empty: Condvar,
     not_full: Condvar,
     cap: usize,
-    metrics: Option<QueueMetrics>,
 }
 
 impl<T> BoundedQueue<T> {
@@ -59,34 +54,12 @@ impl<T> BoundedQueue<T> {
             not_empty: Condvar::new(),
             not_full: Condvar::new(),
             cap: cap.max(1),
-            metrics: None,
-        }
-    }
-
-    /// A queue that keeps the depth gauge and enqueue-wait histogram
-    /// in `metrics` current.
-    pub fn with_metrics(cap: usize, metrics: QueueMetrics) -> BoundedQueue<T> {
-        BoundedQueue {
-            metrics: Some(metrics),
-            ..BoundedQueue::new(cap)
         }
     }
 
     /// Tries to enqueue `item`, waiting up to `grace` for space.
     pub fn push(&self, item: T, grace: Duration) -> PushOutcome {
-        let started = Instant::now();
-        let outcome = self.push_inner(item, started + grace);
-        if let Some(m) = &self.metrics {
-            m.enqueue_wait_ns
-                .record(started.elapsed().as_nanos() as u64);
-            if outcome == PushOutcome::Accepted {
-                m.depth.add(1);
-            }
-        }
-        outcome
-    }
-
-    fn push_inner(&self, item: T, deadline: Instant) -> PushOutcome {
+        let deadline = Instant::now() + grace;
         let mut st = lock_ignoring_poison(&self.state);
         loop {
             if st.closed {
@@ -116,10 +89,6 @@ impl<T> BoundedQueue<T> {
         loop {
             if let Some(item) = st.items.pop_front() {
                 self.not_full.notify_one();
-                drop(st);
-                if let Some(m) = &self.metrics {
-                    m.depth.add(-1);
-                }
                 return Some(item);
             }
             if st.closed {

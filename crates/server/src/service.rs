@@ -30,11 +30,10 @@
 use crate::budget::{AllocMeter, Budget};
 use crate::chaos::{site_seed, ChaosConfig, Fault, ServiceFault};
 use crate::ladder::{Ladder, Rung};
-use crate::metrics::{AttemptResult, ServiceMetrics, Stage};
+use crate::metrics::{AttemptResult, JobCounter, JobCounterSet, ServiceMetrics, Stage};
 use crate::proto::{job_from_json, parse_frame, FrameError, JobRequest};
 use crate::queue::{BoundedQueue, PushOutcome};
 use crate::report::{JobOutcome, JobReport};
-use crate::watchdog::Watchdog;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
@@ -47,7 +46,6 @@ use tossa_core::error::{TossaError, VerifyError};
 use tossa_core::Experiment;
 use tossa_ir::interp::Trap;
 use tossa_trace::json::Json;
-use tossa_trace::service::{JobCounter, JobCounterSet, SharedJobCounters};
 use tossa_trace::Counter;
 
 /// Service tuning.
@@ -102,20 +100,13 @@ struct Admitted {
     submitted_at: Instant,
 }
 
-struct Ctx {
-    config: ServiceConfig,
-    watchdog: Watchdog,
-    counters: Arc<SharedJobCounters>,
-    metrics: Arc<ServiceMetrics>,
-    attempt_keys: AtomicU64,
-}
-
 /// The running service. Create with [`CompileService::start`], feed with
 /// [`CompileService::submit`] / [`CompileService::submit_frame`], stop
 /// with [`CompileService::shutdown`]. Reports stream out of the
 /// receiver `start` returned, in completion order.
 pub struct CompileService {
-    ctx: Arc<Ctx>,
+    config: ServiceConfig,
+    metrics: Arc<ServiceMetrics>,
     queue: Arc<BoundedQueue<Admitted>>,
     reports: mpsc::Sender<JobReport>,
     workers: Vec<std::thread::JoinHandle<()>>,
@@ -123,10 +114,9 @@ pub struct CompileService {
 }
 
 impl CompileService {
-    /// Starts the worker pool and the watchdog. The returned receiver
-    /// yields one [`JobReport`] per job (including shed and
-    /// frame-rejected ones) and disconnects after
-    /// [`CompileService::shutdown`].
+    /// Starts the worker pool. The returned receiver yields one
+    /// [`JobReport`] per job (including shed and frame-rejected ones)
+    /// and disconnects after [`CompileService::shutdown`].
     pub fn start(config: ServiceConfig) -> (CompileService, mpsc::Receiver<JobReport>) {
         let workers = if config.workers == 0 {
             std::thread::available_parallelism().map_or(1, |p| p.get())
@@ -134,28 +124,18 @@ impl CompileService {
             config.workers
         };
         let metrics = Arc::new(ServiceMetrics::new());
-        let ctx = Arc::new(Ctx {
-            config,
-            watchdog: Watchdog::start(Duration::from_millis(5)),
-            counters: Arc::new(SharedJobCounters::new()),
-            metrics: Arc::clone(&metrics),
-            attempt_keys: AtomicU64::new(0),
-        });
-        let queue = Arc::new(BoundedQueue::<Admitted>::with_metrics(
-            config.queue_cap,
-            metrics.queue_metrics(),
-        ));
+        let queue = Arc::new(BoundedQueue::<Admitted>::new(config.queue_cap));
         let (tx, rx) = mpsc::channel();
         let handles: Vec<_> = (0..workers)
             .map(|k| {
-                let ctx = Arc::clone(&ctx);
+                let m = Arc::clone(&metrics);
                 let queue = Arc::clone(&queue);
                 let tx = tx.clone();
                 std::thread::Builder::new()
                     .name(format!("tossa-worker-{k}"))
                     .spawn(move || {
                         while let Some(adm) = queue.pop() {
-                            let m = &ctx.metrics;
+                            m.queue_depth.add(-1);
                             m.queue_latency_ns
                                 .record(adm.submitted_at.elapsed().as_nanos() as u64);
                             m.flight.record(
@@ -165,7 +145,7 @@ impl CompileService {
                                 adm.job.req.func.name.clone(),
                             );
                             m.workers_busy.add(1);
-                            let report = process_job(&ctx, &adm.job);
+                            let report = process_job(&config, &m, &adm.job);
                             m.workers_busy.add(-1);
                             m.job_latency(report.rung)
                                 .record(adm.submitted_at.elapsed().as_nanos() as u64);
@@ -185,7 +165,8 @@ impl CompileService {
             .collect();
         (
             CompileService {
-                ctx,
+                config,
+                metrics,
                 queue,
                 reports: tx,
                 workers: handles,
@@ -195,55 +176,35 @@ impl CompileService {
         )
     }
 
-    /// Snapshot of the service-wide job counters.
-    pub fn counters(&self) -> JobCounterSet {
-        self.ctx.counters.snapshot()
-    }
-
-    /// The live shared counters, for threads that monitor a running
-    /// service (the periodic stats emitter) without borrowing it.
-    pub fn counters_handle(&self) -> Arc<SharedJobCounters> {
-        Arc::clone(&self.ctx.counters)
-    }
-
-    /// The service's telemetry: instrument registry + flight recorder.
-    /// The handle outlives [`CompileService::shutdown`], so final
-    /// percentiles and flight dumps stay readable after the workers
-    /// join.
+    /// The service's telemetry: every counter and instrument, plus the
+    /// flight recorder. The handle outlives
+    /// [`CompileService::shutdown`], so final percentiles and flight
+    /// dumps stay readable after the workers join.
     pub fn metrics(&self) -> Arc<ServiceMetrics> {
-        Arc::clone(&self.ctx.metrics)
-    }
-
-    /// One `tossa-service-stats/1` line of the service's telemetry at
-    /// this instant — the answer to a `stats` control frame.
-    pub fn stats_json(&self) -> String {
-        self.ctx.metrics.stats_json(&self.ctx.counters.snapshot())
-    }
-
-    /// The Prometheus text exposition of the service's telemetry at
-    /// this instant.
-    pub fn prometheus(&self) -> String {
-        self.ctx.metrics.prometheus(&self.ctx.counters.snapshot())
+        Arc::clone(&self.metrics)
     }
 
     /// Submits an already-parsed job. A full queue applies backpressure
     /// for the admission grace, then sheds with a structured report.
+    /// Every push records its wait, shed or accepted, so the wait
+    /// histogram counts submitted + shed.
     pub fn submit(&self, job: Job) -> PushOutcome {
-        let m = &self.ctx.metrics;
+        let m = &self.metrics;
         m.flight
             .record(job.req.id, 0, "submit", job.req.func.name.clone());
-        let shed_report = sketch_report(&job, &self.ctx.config);
-        let adm = Admitted {
-            job,
-            submitted_at: Instant::now(),
-        };
-        let outcome = self.queue.push(adm, self.ctx.config.admission_grace);
+        let shed_report = sketch_report(&job, &self.config);
+        let submitted_at = Instant::now();
+        let adm = Admitted { job, submitted_at };
+        let outcome = self.queue.push(adm, self.config.admission_grace);
+        m.queue_wait_ns
+            .record(submitted_at.elapsed().as_nanos() as u64);
         match outcome {
             PushOutcome::Accepted => {
-                self.ctx.counters.add(JobCounter::JobsSubmitted, 1);
+                m.queue_depth.add(1);
+                m.count(JobCounter::JobsSubmitted);
             }
             PushOutcome::Shed => {
-                self.ctx.counters.add(JobCounter::JobsShed, 1);
+                m.count(JobCounter::JobsShed);
                 m.flight
                     .record(shed_report.id, 0, "shed", "service.queue_full");
                 let _ = self.reports.send(shed_report);
@@ -268,17 +229,16 @@ impl CompileService {
         doc: Result<Json, FrameError>,
     ) -> Result<JobRequest, (u64, FrameError)> {
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        let admitted = match self.ctx.config.chaos.and_then(|c| c.draw(id, 0)) {
+        let admitted = match self.config.chaos.and_then(|c| c.draw(id, 0)) {
             Some(Fault::Service(ServiceFault::MalformedFrame)) => {
-                self.ctx.counters.add(JobCounter::ServiceFaultsInjected, 1);
+                self.metrics.count(JobCounter::ServiceFaultsInjected);
                 parse_frame(&corrupt_frame(line), id)
             }
             _ => doc.and_then(|doc| job_from_json(&doc, id)),
         };
         admitted.map_err(|e| {
-            self.ctx.counters.add(JobCounter::FramesMalformed, 1);
-            self.ctx
-                .metrics
+            self.metrics.count(JobCounter::FramesMalformed);
+            self.metrics
                 .flight
                 .record(id, 0, "frame_rejected", e.class_key());
             (id, e)
@@ -288,7 +248,7 @@ impl CompileService {
     /// Builds the structured `FrameRejected` report for a refusal from
     /// [`CompileService::admit_frame`] (or a malformed control frame).
     pub fn frame_rejection(&self, id: u64, e: &FrameError) -> JobReport {
-        frame_reject_report(id, e, &self.ctx.config)
+        frame_reject_report(id, e, &self.config)
     }
 
     /// Refuses a line that never reached frame parsing (an unknown
@@ -296,12 +256,11 @@ impl CompileService {
     /// returns the report for the caller to deliver.
     pub fn refuse_frame(&self, e: &FrameError) -> JobReport {
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        self.ctx.counters.add(JobCounter::FramesMalformed, 1);
-        self.ctx
-            .metrics
+        self.metrics.count(JobCounter::FramesMalformed);
+        self.metrics
             .flight
             .record(id, 0, "frame_rejected", e.class_key());
-        frame_reject_report(id, e, &self.ctx.config)
+        frame_reject_report(id, e, &self.config)
     }
 
     /// Injects a report into the service's response stream (used by
@@ -329,9 +288,7 @@ impl CompileService {
                 Ok(id)
             }
             Err((id, e)) => {
-                let _ = self
-                    .reports
-                    .send(frame_reject_report(id, &e, &self.ctx.config));
+                let _ = self.reports.send(frame_reject_report(id, &e, &self.config));
                 Err(e)
             }
         }
@@ -346,7 +303,7 @@ impl CompileService {
             let _ = h.join();
         }
         drop(self.reports);
-        self.ctx.counters.snapshot()
+        self.metrics.job_counters()
     }
 }
 
@@ -478,8 +435,7 @@ impl Transient {
     }
 }
 
-fn process_job(ctx: &Ctx, job: &Job) -> JobReport {
-    let config = &ctx.config;
+fn process_job(config: &ServiceConfig, m: &ServiceMetrics, job: &Job) -> JobReport {
     let exp = job.req.experiment.unwrap_or(config.default_experiment);
     let bf = BenchFunction {
         func: job.req.func.clone(),
@@ -497,9 +453,9 @@ fn process_job(ctx: &Ctx, job: &Job) -> JobReport {
     loop {
         let fault = config.chaos.and_then(|c| c.draw(job.req.id, attempt));
         if fault.is_some() {
-            ctx.counters.add(JobCounter::ServiceFaultsInjected, 1);
+            m.count(JobCounter::ServiceFaultsInjected);
         }
-        ctx.metrics.flight.record(
+        m.flight.record(
             job.req.id,
             attempt,
             "attempt",
@@ -519,10 +475,6 @@ fn process_job(ctx: &Ctx, job: &Job) -> JobReport {
         }
 
         let meter = AllocMeter::arm();
-        let watch = ctx.watchdog.watch(
-            ctx.attempt_keys.fetch_add(1, Ordering::Relaxed),
-            config.budget.deadline,
-        );
         let started = Instant::now();
         // Containment boundary. AssertUnwindSafe is sound here: the
         // closure borrows only `bf`/`copts`/`fault`, and on unwind the
@@ -549,27 +501,29 @@ fn process_job(ctx: &Ctx, job: &Job) -> JobReport {
                 run_checked(&bf, exp, &CoalesceOptions::default(), &copts)
             })
         }));
-        let wall_ns = started.elapsed().as_nanos() as u64;
+        let elapsed = started.elapsed();
         let alloc_events = meter.events();
         let alloc_bytes = meter.bytes();
         drop(meter);
-        let deadline_blown = watch.blown();
-        drop(watch);
+        let wall_ns = elapsed.as_nanos() as u64;
+        // Attempts are never cancelled (see `budget`), so the verdict
+        // is read off the attempt's own clock once it has returned.
+        let deadline_blown = elapsed >= config.budget.deadline;
 
         // Classify transient failures (attempt discarded, retried).
         let transient = match &result {
             Err(payload) => {
                 panics_contained += 1;
-                ctx.counters.add(JobCounter::PanicsContained, 1);
+                m.count(JobCounter::PanicsContained);
                 Some(Transient::Panic(panic_message(&**payload)))
             }
             Ok(_) if deadline_blown => {
-                ctx.counters.add(JobCounter::DeadlinesBlown, 1);
+                m.count(JobCounter::DeadlinesBlown);
                 Some(Transient::Deadline)
             }
             Ok(_) => match config.budget.max_alloc_events {
                 Some(cap) if alloc_events > cap => {
-                    ctx.counters.add(JobCounter::AllocBudgetExceeded, 1);
+                    m.count(JobCounter::AllocBudgetExceeded);
                     Some(Transient::AllocBudget(alloc_events))
                 }
                 _ => None,
@@ -586,7 +540,6 @@ fn process_job(ctx: &Ctx, job: &Job) -> JobReport {
             Some(Transient::AllocBudget(_)) => AttemptResult::AllocBudget,
             None => AttemptResult::Ok,
         };
-        let m = &ctx.metrics;
         m.attempt_latency(attempt_result).record(wall_ns);
         m.stage_latency(Stage::Compile).record(wall_ns);
         m.alloc_events.record(alloc_events);
@@ -594,7 +547,7 @@ fn process_job(ctx: &Ctx, job: &Job) -> JobReport {
 
         if let Some(t) = transient {
             if attempt >= config.max_attempts {
-                ctx.counters.add(JobCounter::JobsQuarantined, 1);
+                m.count(JobCounter::JobsQuarantined);
                 m.flight
                     .record(job.req.id, attempt, "quarantine", t.class());
                 // The poisoned job's own trail goes to the log the
@@ -630,7 +583,7 @@ fn process_job(ctx: &Ctx, job: &Job) -> JobReport {
                     counters_json: None,
                 };
             }
-            ctx.counters.add(JobCounter::JobsRetried, 1);
+            m.count(JobCounter::JobsRetried);
             m.flight.record(job.req.id, attempt, "retry", t.class());
             std::thread::sleep(backoff(config.backoff_base, attempt));
             attempt += 1;
@@ -648,7 +601,7 @@ fn process_job(ctx: &Ctx, job: &Job) -> JobReport {
         let mut error_text = None;
         if let Some(e) = &outcome.error {
             if is_fuel_exhaustion(e) {
-                ctx.counters.add(JobCounter::FuelExhausted, 1);
+                m.count(JobCounter::FuelExhausted);
             }
             ladder.descend(e.class_key());
             error_class = Some(e.class_key().to_string());
@@ -656,7 +609,7 @@ fn process_job(ctx: &Ctx, job: &Job) -> JobReport {
             if let Some(fe) = &outcome.fallback_error {
                 // The fallback failed too: off the bottom of the ladder.
                 ladder.descend(fe.class_key());
-                ctx.counters.add(JobCounter::JobsRejected, 1);
+                m.count(JobCounter::JobsRejected);
                 return JobReport {
                     id: job.req.id,
                     function: bf.func.name.clone(),
@@ -685,8 +638,8 @@ fn process_job(ctx: &Ctx, job: &Job) -> JobReport {
         }
         let rung = ladder.current();
         match rung {
-            Rung::Checked => ctx.counters.add(JobCounter::JobsCompletedChecked, 1),
-            _ => ctx.counters.add(JobCounter::JobsCompletedFallback, 1),
+            Rung::Checked => m.count(JobCounter::JobsCompletedChecked),
+            _ => m.count(JobCounter::JobsCompletedFallback),
         }
         // Independent post-hoc differential check of the code actually
         // being returned (the pipeline's own guards already verified
@@ -861,6 +814,36 @@ mod tests {
         assert_eq!(
             r.error.as_deref(),
             Some("contained worker panic: chaos: injected worker panic")
+        );
+    }
+
+    #[test]
+    fn a_job_that_blows_its_deadline_on_every_attempt_is_quarantined() {
+        let chaos = ChaosConfig {
+            seed: 3,
+            rate_pct: 100,
+        };
+        let config = ServiceConfig {
+            workers: 1,
+            chaos: Some(chaos),
+            budget: Budget {
+                deadline: Duration::from_millis(20),
+                ..Budget::default()
+            },
+            ..ServiceConfig::default()
+        };
+        let blowout = Some(Fault::Service(ServiceFault::DeadlineBlowout));
+        let id = (1..100_000u64)
+            .find(|&id| (1..=config.max_attempts).all(|a| chaos.draw(id, a) == blowout))
+            .expect("a job that draws a deadline blowout on every attempt");
+        let (mut reports, counters) = run_batch(config, vec![job(id, ADD)]);
+        let r = reports.pop().unwrap();
+        assert_eq!(r.outcome, JobOutcome::Quarantined);
+        assert_eq!(r.error_class.as_deref(), Some("budget.deadline"));
+        assert!(r.deadline_blown);
+        assert_eq!(
+            counters.get(JobCounter::DeadlinesBlown),
+            u64::from(config.max_attempts)
         );
     }
 

@@ -21,6 +21,11 @@
 //! is a tiny recursive-descent well-formedness checker used by the CI
 //! schema tests.
 //!
+//! [`metrics`] holds the lock-free instruments (counters, gauges,
+//! log-linear histograms) a long-running process records into; which
+//! instruments the compile service keeps, and how it exports them, is
+//! `tossa_server::metrics`' business.
+//!
 //! [`AnalysisCache`]: https://docs.rs/tossa-analysis
 
 #![warn(missing_docs)]
@@ -28,7 +33,6 @@
 pub mod json;
 pub mod metrics;
 pub mod provenance;
-pub mod service;
 
 use std::cell::RefCell;
 use std::fmt::Write as _;

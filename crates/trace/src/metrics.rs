@@ -1,5 +1,5 @@
-//! Lock-free service metrics: counters, gauges, and log-linear-bucket
-//! histograms with deterministic boundaries.
+//! Lock-free service instruments: counters, gauges, and
+//! log-linear-bucket histograms with deterministic boundaries.
 //!
 //! The pipeline counters in [`crate::Counter`] answer "what did this
 //! compile do" — they are deterministic, captured thread-locally, and
@@ -10,14 +10,13 @@
 //! written from every worker thread at once and read while the writers
 //! keep going.
 //!
-//! This module provides that instrument with the same constraints as
-//! the rest of the crate: **no dependencies**, and **no locks on the
-//! hot path**. The write path of every instrument is a handful of
-//! relaxed atomic RMWs; histograms additionally stripe their buckets
-//! across [`SHARDS`] shards keyed by thread so concurrent recorders
-//! don't contend on one cache line. The only mutex in the module
-//! guards instrument *registration* (startup) and snapshotting (rare),
-//! never recording.
+//! This module provides those instruments with the same constraints as
+//! the rest of the crate: **no dependencies**, and **no locks**. The
+//! write path of every instrument is a handful of relaxed atomic RMWs;
+//! histograms additionally stripe their buckets across [`SHARDS`]
+//! shards keyed by thread so concurrent recorders don't contend on one
+//! cache line. Which instruments exist, and how they are exported, is
+//! the service's business (`tossa_server::metrics`).
 //!
 //! # Bucket scheme
 //!
@@ -36,7 +35,6 @@
 use std::cell::Cell;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicI64, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Linear sub-buckets per power-of-two octave.
 pub const SUB_BUCKETS: usize = 8;
@@ -370,307 +368,6 @@ impl HistogramSnapshot {
     }
 }
 
-/// What kind of instrument a registry entry is.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Kind {
-    Counter,
-    Gauge,
-    Histogram,
-}
-
-#[derive(Clone)]
-enum Instrument {
-    Counter(Arc<MetricCounter>),
-    Gauge(Arc<Gauge>),
-    Histogram(Arc<Histogram>),
-}
-
-impl Instrument {
-    fn kind(&self) -> Kind {
-        match self {
-            Instrument::Counter(_) => Kind::Counter,
-            Instrument::Gauge(_) => Kind::Gauge,
-            Instrument::Histogram(_) => Kind::Histogram,
-        }
-    }
-}
-
-struct Entry {
-    name: &'static str,
-    label: Option<(&'static str, &'static str)>,
-    inst: Instrument,
-}
-
-fn lock_ignoring_poison<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|p| p.into_inner())
-}
-
-/// A registry of named instruments. Registration (startup) and
-/// snapshotting take a mutex; the handles it returns are plain `Arc`s
-/// whose write paths never lock. Registering the same
-/// `(name, label, kind)` twice returns the existing instrument.
-#[derive(Default)]
-pub struct Registry {
-    entries: Mutex<Vec<Entry>>,
-}
-
-impl Registry {
-    /// A fresh empty registry.
-    pub fn new() -> Registry {
-        Registry::default()
-    }
-
-    fn find(&self, name: &str, label: Option<(&str, &str)>, kind: Kind) -> Option<Instrument> {
-        lock_ignoring_poison(&self.entries)
-            .iter()
-            .find(|e| e.name == name && e.label == label && e.inst.kind() == kind)
-            .map(|e| e.inst.clone())
-    }
-
-    fn register(
-        &self,
-        name: &'static str,
-        label: Option<(&'static str, &'static str)>,
-        inst: Instrument,
-    ) {
-        lock_ignoring_poison(&self.entries).push(Entry { name, label, inst });
-    }
-
-    /// Registers (or returns the existing) counter `name`.
-    pub fn counter(&self, name: &'static str) -> Arc<MetricCounter> {
-        if let Some(Instrument::Counter(c)) = self.find(name, None, Kind::Counter) {
-            return c;
-        }
-        let c = Arc::new(MetricCounter::new());
-        self.register(name, None, Instrument::Counter(Arc::clone(&c)));
-        c
-    }
-
-    /// Registers (or returns the existing) gauge `name`.
-    pub fn gauge(&self, name: &'static str) -> Arc<Gauge> {
-        if let Some(Instrument::Gauge(g)) = self.find(name, None, Kind::Gauge) {
-            return g;
-        }
-        let g = Arc::new(Gauge::new());
-        self.register(name, None, Instrument::Gauge(Arc::clone(&g)));
-        g
-    }
-
-    /// Registers (or returns the existing) unlabeled histogram `name`.
-    pub fn histogram(&self, name: &'static str) -> Arc<Histogram> {
-        if let Some(Instrument::Histogram(h)) = self.find(name, None, Kind::Histogram) {
-            return h;
-        }
-        let h = Arc::new(Histogram::new());
-        self.register(name, None, Instrument::Histogram(Arc::clone(&h)));
-        h
-    }
-
-    /// Registers (or returns the existing) histogram `name{key="val"}`.
-    /// Labeled variants of one name form a Prometheus metric family.
-    pub fn histogram_with_label(
-        &self,
-        name: &'static str,
-        key: &'static str,
-        val: &'static str,
-    ) -> Arc<Histogram> {
-        if let Some(Instrument::Histogram(h)) = self.find(name, Some((key, val)), Kind::Histogram) {
-            return h;
-        }
-        let h = Arc::new(Histogram::new());
-        self.register(
-            name,
-            Some((key, val)),
-            Instrument::Histogram(Arc::clone(&h)),
-        );
-        h
-    }
-
-    /// Freezes every instrument into a [`RegistrySnapshot`], sorted by
-    /// full name for deterministic rendering.
-    pub fn snapshot(&self) -> RegistrySnapshot {
-        let mut metrics: Vec<MetricSnapshot> = lock_ignoring_poison(&self.entries)
-            .iter()
-            .map(|e| MetricSnapshot {
-                name: e.name.to_string(),
-                label: e.label.map(|(k, v)| (k.to_string(), v.to_string())),
-                value: match &e.inst {
-                    Instrument::Counter(c) => MetricValue::Counter(c.get()),
-                    Instrument::Gauge(g) => MetricValue::Gauge(g.get()),
-                    Instrument::Histogram(h) => MetricValue::Histogram(h.snapshot()),
-                },
-            })
-            .collect();
-        metrics.sort_by_key(MetricSnapshot::full_name);
-        RegistrySnapshot { metrics }
-    }
-}
-
-/// One frozen instrument value.
-#[derive(Clone, Debug, PartialEq)]
-pub enum MetricValue {
-    /// A monotone counter total.
-    Counter(u64),
-    /// A gauge level.
-    Gauge(i64),
-    /// A histogram snapshot.
-    Histogram(HistogramSnapshot),
-}
-
-/// One frozen registry entry.
-#[derive(Clone, Debug)]
-pub struct MetricSnapshot {
-    /// Metric (family) name.
-    pub name: String,
-    /// Optional `(key, value)` label distinguishing family members.
-    pub label: Option<(String, String)>,
-    /// The frozen value.
-    pub value: MetricValue,
-}
-
-impl MetricSnapshot {
-    /// `name` or `name{key="value"}` — the stable JSON key.
-    pub fn full_name(&self) -> String {
-        match &self.label {
-            None => self.name.clone(),
-            Some((k, v)) => format!("{}{{{k}=\"{v}\"}}", self.name),
-        }
-    }
-}
-
-/// A frozen registry: every instrument's value at one instant, sorted
-/// by full name. Merge is per-instrument (counters and gauges add,
-/// histograms merge bucket-wise) and order-independent.
-#[derive(Clone, Debug, Default)]
-pub struct RegistrySnapshot {
-    /// The frozen instruments, sorted by [`MetricSnapshot::full_name`].
-    pub metrics: Vec<MetricSnapshot>,
-}
-
-impl RegistrySnapshot {
-    /// Accumulates `other` into `self`, matching instruments by full
-    /// name; unmatched instruments are appended. The result is
-    /// re-sorted, so merge order cannot be observed.
-    pub fn merge(&mut self, other: &RegistrySnapshot) {
-        for m in &other.metrics {
-            let full = m.full_name();
-            match self
-                .metrics
-                .iter_mut()
-                .find(|x| x.full_name() == full)
-                .map(|x| &mut x.value)
-            {
-                Some(MetricValue::Counter(a)) => {
-                    if let MetricValue::Counter(b) = &m.value {
-                        *a += b;
-                    }
-                }
-                Some(MetricValue::Gauge(a)) => {
-                    if let MetricValue::Gauge(b) = &m.value {
-                        *a += b;
-                    }
-                }
-                Some(MetricValue::Histogram(a)) => {
-                    if let MetricValue::Histogram(b) = &m.value {
-                        a.merge(b);
-                    }
-                }
-                None => self.metrics.push(m.clone()),
-            }
-        }
-        self.metrics.sort_by_key(MetricSnapshot::full_name);
-    }
-
-    /// Renders the snapshot as a JSON object fragment with one group
-    /// per instrument kind:
-    /// `{"counters": {…}, "gauges": {…}, "histograms": {…}}`.
-    pub fn to_json(&self) -> String {
-        let mut counters = String::new();
-        let mut gauges = String::new();
-        let mut histograms = String::new();
-        for m in &self.metrics {
-            let (buf, rendered) = match &m.value {
-                MetricValue::Counter(v) => (&mut counters, v.to_string()),
-                MetricValue::Gauge(v) => (&mut gauges, v.to_string()),
-                MetricValue::Histogram(h) => (&mut histograms, h.to_json()),
-            };
-            if !buf.is_empty() {
-                buf.push_str(", ");
-            }
-            let _ = write!(
-                buf,
-                "\"{}\": {rendered}",
-                crate::escape_json(&m.full_name())
-            );
-        }
-        format!("{{\"counters\": {{{counters}}}, \"gauges\": {{{gauges}}}, \"histograms\": {{{histograms}}}}}")
-    }
-
-    /// Renders the snapshot in the Prometheus text exposition format,
-    /// every metric name prefixed with `namespace_`. Histograms emit
-    /// cumulative `_bucket{le=…}` lines over their non-empty buckets
-    /// plus `le="+Inf"`, `_sum`, and `_count`.
-    pub fn prometheus_text(&self, namespace: &str) -> String {
-        let mut out = String::new();
-        let mut last_family = String::new();
-        for m in &self.metrics {
-            let family = format!("{namespace}_{}", m.name);
-            let labels = |extra: Option<String>| -> String {
-                let mut parts = Vec::new();
-                if let Some((k, v)) = &m.label {
-                    parts.push(format!("{k}=\"{v}\""));
-                }
-                if let Some(e) = extra {
-                    parts.push(e);
-                }
-                if parts.is_empty() {
-                    String::new()
-                } else {
-                    format!("{{{}}}", parts.join(","))
-                }
-            };
-            match &m.value {
-                MetricValue::Counter(v) => {
-                    if family != last_family {
-                        let _ = writeln!(out, "# TYPE {family} counter");
-                    }
-                    let _ = writeln!(out, "{family}{} {v}", labels(None));
-                }
-                MetricValue::Gauge(v) => {
-                    if family != last_family {
-                        let _ = writeln!(out, "# TYPE {family} gauge");
-                    }
-                    let _ = writeln!(out, "{family}{} {v}", labels(None));
-                }
-                MetricValue::Histogram(h) => {
-                    if family != last_family {
-                        let _ = writeln!(out, "# TYPE {family} histogram");
-                    }
-                    let mut cumulative = 0u64;
-                    for (le, c) in h.nonzero_buckets() {
-                        cumulative += c;
-                        let _ = writeln!(
-                            out,
-                            "{family}_bucket{} {cumulative}",
-                            labels(Some(format!("le=\"{le}\"")))
-                        );
-                    }
-                    let _ = writeln!(
-                        out,
-                        "{family}_bucket{} {}",
-                        labels(Some("le=\"+Inf\"".to_string())),
-                        h.count
-                    );
-                    let _ = writeln!(out, "{family}_sum{} {}", labels(None), h.sum);
-                    let _ = writeln!(out, "{family}_count{} {}", labels(None), h.count);
-                }
-            }
-            last_family = family;
-        }
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -733,26 +430,5 @@ mod tests {
         assert!((500..=563).contains(&p50), "p50 = {p50}");
         assert!((900..=1013).contains(&p90), "p90 = {p90}");
         assert_eq!(s.quantile(1.0), Some(1000));
-    }
-
-    #[test]
-    fn registry_dedups_and_snapshots_sorted() {
-        let r = Registry::new();
-        let c1 = r.counter("b_total");
-        let c2 = r.counter("b_total");
-        c1.inc();
-        c2.add(2);
-        assert_eq!(c1.get(), 3, "same name must alias one counter");
-        r.gauge("a_level").set(-4);
-        r.histogram_with_label("lat", "k", "x").record(5);
-        let s = r.snapshot();
-        let names: Vec<String> = s.metrics.iter().map(|m| m.full_name()).collect();
-        assert_eq!(names, vec!["a_level", "b_total", "lat{k=\"x\"}"]);
-        let json = s.to_json();
-        crate::validate_json(&json).expect("registry snapshot JSON is well-formed");
-        let prom = s.prometheus_text("t");
-        assert!(prom.contains("# TYPE t_b_total counter"));
-        assert!(prom.contains("t_lat_bucket{k=\"x\",le=\"+Inf\"} 1"));
-        assert!(prom.contains("t_lat_count{k=\"x\"} 1"));
     }
 }

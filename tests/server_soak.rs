@@ -7,6 +7,8 @@
 //! * no unwind escapes a worker (the soak itself completing proves the
 //!   process survived; the contained-panic counter proves panics
 //!   actually happened);
+//! * an attempt that overruns its wall-clock deadline is caught (the
+//!   blown-deadline counter proves overruns actually happened);
 //! * the thread-local trace collector never leaks across a contained
 //!   panic (the PR5 drop guards restore it mid-unwind);
 //! * every failure is a structured error with a stable class;
@@ -21,8 +23,7 @@ use tossa::ir::parse::parse_function;
 use tossa::server::proto::default_inputs;
 use tossa::server::report::{JobOutcome, SoakSummary};
 use tossa::server::service::{run_batch, Job, ServiceConfig};
-use tossa::server::{steps_are_contiguous, ChaosConfig, JobRequest, Rung};
-use tossa::trace::service::JobCounter;
+use tossa::server::{steps_are_contiguous, ChaosConfig, JobCounter, JobRequest, Rung};
 
 const SOAK_N: usize = 300;
 const SEED: u64 = 0x50AC;
@@ -92,6 +93,10 @@ fn chaos_soak_upholds_every_service_invariant() {
     assert!(
         counters.get(JobCounter::PanicsContained) > 0,
         "no panic was ever contained — the containment boundary is untested"
+    );
+    assert!(
+        counters.get(JobCounter::DeadlinesBlown) > 0,
+        "no attempt blew its deadline — the deadline verdict is untested"
     );
     assert!(
         !tossa::trace::enabled(),
