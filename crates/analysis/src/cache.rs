@@ -26,7 +26,7 @@
 //!   rather than trust an answer the pass under check may have left
 //!   stale;
 //! * `tossa_regalloc::intervals::build`, the cache-free entry point its
-//!   unit tests use (the allocator itself calls `build_cached_with`).
+//!   unit tests use (the allocator itself calls `build_cached`).
 //!
 //! # Invalidation rules
 //!

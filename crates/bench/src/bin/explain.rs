@@ -3,8 +3,7 @@
 //!
 //! Usage:
 //!   `explain [--suite NAME] [--experiment NAME] [--function NAME]`
-//!   `        [--naive] [--alloc] [--spill-everywhere] [--hull]`
-//!   `        [--spec N] [--json FILE] [--quiet]`
+//!   `        [--naive] [--alloc] [--spec N] [--json FILE] [--quiet]`
 //!   `explain --diff A.json B.json`
 //!
 //! * `--suite NAME`      — suite to run (default `VALcc1`);
@@ -18,14 +17,6 @@
 //!   knob `--diff` is meant to compare;
 //! * `--alloc`           — run the register allocator too, so spill
 //!   rationales appear;
-//! * `--spill-everywhere` — allocate under the PR4 spill-everywhere
-//!   policy instead of the cost-driven default; `--diff` two `--alloc`
-//!   dumps (one with this flag, one without) to list exactly the webs
-//!   whose spill decision flipped;
-//! * `--hull`            — allocate over hull intervals (the pre-PR9
-//!   model: no lifetime holes) instead of the per-range default;
-//!   `--diff` against a default dump to list exactly the spill
-//!   decisions that hole-precise liveness dissolves;
 //! * `--json FILE`       — also write the machine-readable
 //!   `tossa-explain/1` dump;
 //! * `--quiet`           — skip the human-readable report (JSON only);
@@ -34,32 +25,29 @@
 //!   difference.
 //!
 //! Any other argument, a value flag without its value, a `--spec` that
-//! is not a number, an unknown or shared experiment name (`C`), or
-//! `--spill-everywhere` / `--hull` without `--alloc` (they would change
-//! nothing) prints the usage line and exits 2 before anything runs.
+//! is not a number, or an unknown or shared experiment name (`C`)
+//! prints the usage line and exits 2 before anything runs.
 //!
 //! The human report groups each function's records by kind and ends
 //! with a pruning summary attributing every killed affinity edge to an
 //! interference class with its concrete witness pair.
 
-use tossa_bench::runner::{apply_alloc_with, run_experiment};
+use tossa_bench::runner::{apply_alloc, run_experiment};
 use tossa_bench::suites::{all_suites, spec_arg};
 use tossa_core::coalesce::CoalesceOptions;
 use tossa_core::interfere::InterferenceMode;
 use tossa_core::Experiment;
-use tossa_regalloc::{AllocOptions, IntervalPrecision, SpillPolicy};
 use tossa_trace::json::{parse_json, Json};
 use tossa_trace::provenance::{records_json, Kind, Record, Verdict};
 use tossa_trace::{escape_json, validate_json};
 
 const USAGE: &str =
     "usage: explain [--suite NAME] [--experiment NAME] [--function NAME] [--naive] \
-[--alloc [--spill-everywhere] [--hull]] [--spec N] [--json FILE] [--quiet]
+[--alloc] [--spec N] [--json FILE] [--quiet]
        explain --diff A.json B.json";
 
 /// Checks a report run's command line — every argument known, every
-/// value flag followed by its value, the allocator knobs only with
-/// `--alloc` — and returns the `--spec` scale.
+/// value flag followed by its value — and returns the `--spec` scale.
 fn check_args(args: &[String]) -> Result<usize, String> {
     let mut it = args.iter();
     while let Some(a) = it.next() {
@@ -67,14 +55,8 @@ fn check_args(args: &[String]) -> Result<usize, String> {
             "--suite" | "--experiment" | "--function" | "--spec" | "--json" => {
                 it.next().ok_or_else(|| format!("{a} wants a value"))?;
             }
-            "--naive" | "--alloc" | "--spill-everywhere" | "--hull" | "--quiet" => {}
+            "--naive" | "--alloc" | "--quiet" => {}
             other => return Err(format!("unknown argument {other:?}")),
-        }
-    }
-    let has = |name: &str| args.iter().any(|a| a == name);
-    for knob in ["--spill-everywhere", "--hull"] {
-        if has(knob) && !has("--alloc") {
-            return Err(format!("{knob} needs --alloc"));
         }
     }
     spec_arg(args)
@@ -92,7 +74,7 @@ fn run_dump(
     suite_name: &str,
     exp: Experiment,
     opts: &CoalesceOptions,
-    alloc: Option<&AllocOptions>,
+    alloc: bool,
     only: Option<&str>,
     spec_scale: usize,
 ) -> Vec<FunctionDump> {
@@ -111,8 +93,8 @@ fn run_dump(
         .map(|bf| {
             let (r, trace) = tossa_trace::capture(|| {
                 let mut r = run_experiment(&bf.func, exp, opts);
-                if let Some(aopts) = alloc {
-                    apply_alloc_with(&mut r, aopts);
+                if alloc {
+                    apply_alloc(&mut r);
                 }
                 r
             });
@@ -439,23 +421,11 @@ fn main() {
     };
     let mode = if naive { "pessimistic" } else { "exact" };
     let only = value("--function");
-    let alloc_opts = flag("--alloc").then(|| AllocOptions {
-        spill_policy: if flag("--spill-everywhere") {
-            SpillPolicy::Everywhere
-        } else {
-            SpillPolicy::default()
-        },
-        precision: if flag("--hull") {
-            IntervalPrecision::Hull
-        } else {
-            IntervalPrecision::default()
-        },
-    });
     let dumps = run_dump(
         &suite,
         exp,
         &opts,
-        alloc_opts.as_ref(),
+        flag("--alloc"),
         only.as_deref(),
         spec_scale,
     );

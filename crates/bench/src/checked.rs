@@ -21,7 +21,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use tossa_analysis::AnalysisCache;
 use tossa_baselines::naive_out_of_ssa;
 use tossa_core::chaos::{self, AllocCorruption, Catcher, Corruption};
-use tossa_core::checked::{check_form, IrForm, PassGuard};
+use tossa_core::checked::{IrForm, PassGuard};
 use tossa_core::coalesce::CoalesceOptions;
 use tossa_core::collect::naive_abi;
 use tossa_core::error::{CoalesceError, TossaError, VerifyError};
@@ -478,15 +478,6 @@ pub fn fuzz_suite(n: usize, seed_base: u64) -> Suite {
     }
 }
 
-/// Convenience check used by tests and the fuzz binary: a clean checked
-/// run must end in valid non-SSA code.
-pub fn assert_outcome_valid(o: &CheckedOutcome) -> Result<(), TossaError> {
-    check_form(&o.func, IrForm::NonSsa).map_err(|e| TossaError::Verify {
-        pass: "final",
-        error: e,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -620,6 +611,6 @@ mod tests {
         let o = run_checked(bf, Experiment::LphiC, &opts, &copts);
         assert!(o.fell_back);
         assert!(o.error.is_some());
-        assert_outcome_valid(&o).unwrap();
+        tossa_core::checked::check_form(&o.func, IrForm::NonSsa).unwrap();
     }
 }

@@ -244,16 +244,8 @@ fn run_pipeline(
 /// Panics when allocation fails — like a verification failure, an
 /// unallocatable function invalidates the whole table.
 pub fn apply_alloc(r: &mut RunResult) {
-    apply_alloc_with(r, &AllocOptions::default());
-}
-
-/// [`apply_alloc`] with explicit allocator options — the policy
-/// comparison hook (`explain --spill-everywhere`,
-/// `tests/alloc_differential.rs`) that pits the PR4 spill-everywhere
-/// policy against the cost-driven default on identical pipeline output.
-pub fn apply_alloc_with(r: &mut RunResult, opts: &AllocOptions) {
     let stats = tossa_trace::span("alloc_stage", || {
-        allocate(&mut r.func, opts)
+        allocate(&mut r.func, &AllocOptions::default())
             .unwrap_or_else(|e| panic!("allocation failed on {}: {e}\n{}", r.func.name, r.func))
     });
     r.alloc = Some(stats);
@@ -493,27 +485,10 @@ pub fn run_suite_each_allocated(
     opts: &CoalesceOptions,
     verify_each: bool,
 ) -> Vec<RunResult> {
-    run_suite_each_allocated_with(suite, exp, opts, &AllocOptions::default(), verify_each)
-}
-
-/// [`run_suite_each_allocated`] with explicit allocator options, so the
-/// differential layer can pit spill policies against each other on
-/// identical pipeline output.
-///
-/// # Panics
-/// Panics on an allocation or verification failure (propagated from any
-/// worker).
-pub fn run_suite_each_allocated_with(
-    suite: &Suite,
-    exp: Experiment,
-    opts: &CoalesceOptions,
-    alloc_opts: &AllocOptions,
-    verify_each: bool,
-) -> Vec<RunResult> {
     par_map(suite.functions.len(), |k| {
         let bf = &suite.functions[k];
         let mut r = run_experiment(&bf.func, exp, opts);
-        apply_alloc_with(&mut r, alloc_opts);
+        apply_alloc(&mut r);
         check(bf, exp, &r, verify_each);
         r
     })

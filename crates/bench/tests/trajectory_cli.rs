@@ -120,8 +120,8 @@ fn tables_explain_and_fuzz_refuse_unknown_arguments() {
         (FUZZ, "fuzz", &["--functions", "3", "--chaos", "bogus"][..]),
         (FUZZ, "fuzz", &["--functions", "3", "--experiment", "C"][..]),
         (EXPLAIN, "explain", &["--bogus"][..]),
-        (EXPLAIN, "explain", &["--spill-everywhere"][..]),
-        (EXPLAIN, "explain", &["--hull", "--quiet"][..]),
+        (EXPLAIN, "explain", &["--alloc", "--spill-everywhere"][..]),
+        (EXPLAIN, "explain", &["--alloc", "--hull", "--quiet"][..]),
         (EXPLAIN, "explain", &["--suite"][..]),
         (EXPLAIN, "explain", &["--spec", "x"][..]),
         (EXPLAIN, "explain", &["--diff", "a.json"][..]),

@@ -177,12 +177,6 @@ impl AffinityGraph {
         self.edges.len()
     }
 
-    /// Sum of multiplicities (the total φ-copy gain at stake).
-    pub fn total_multiplicity(&self) -> u32 {
-        self.assert_flushed();
-        self.edges.iter().map(|&(_, m)| m).sum()
-    }
-
     /// The vertices.
     pub fn vertices(&self) -> &[RVertex] {
         &self.verts
@@ -639,7 +633,7 @@ m:
         let g = create_affinity_graph(&s.f, s.merge_block(), None, &|_| true);
         assert_eq!(g.vertices().len(), 3);
         assert_eq!(g.num_edges(), 2);
-        assert_eq!(g.total_multiplicity(), 2);
+        assert_eq!(g.edges.iter().map(|&(_, m)| m).sum::<u32>(), 2);
     }
 
     #[test]

@@ -4,9 +4,9 @@
 //! keeps one dense slot per instruction plus two shared pools (operands
 //! and block references) indexed by `(start, len)` ranges. [`InstData`]
 //! is the *build-time* form — a small struct of `Vec`s used by the
-//! builder, the parser, and tests — which `push_inst` flattens into the
-//! pools. Reading code receives an [`InstRef`] view (slices into the
-//! pools), mutating code an [`InstMut`].
+//! parser, the passes that insert code, and tests — which `push_inst`
+//! flattens into the pools. Reading code receives an [`InstRef`] view
+//! (slices into the pools), mutating code an [`InstMut`].
 
 use crate::ids::{Block, Resource, Var};
 use crate::opcode::Opcode;

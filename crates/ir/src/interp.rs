@@ -358,17 +358,24 @@ pub fn default_mem(addr: i64) -> i64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::builder::FunctionBuilder;
     use crate::machine::Machine;
+    use crate::parse::parse_function;
+
+    fn parse(text: &str) -> Function {
+        parse_function(text, &Machine::dsp32()).unwrap()
+    }
 
     #[test]
     fn arithmetic_and_inputs() {
-        let mut fb = FunctionBuilder::new("t", Machine::dsp32());
-        let ins = fb.inputs(&["a", "b"]);
-        let s = fb.add("s", ins[0], ins[1]);
-        let d = fb.mul("d", s, s);
-        fb.ret(&[d]);
-        let f = fb.finish();
+        let f = parse(
+            "func @t {
+entry:
+  %a, %b = input
+  %s = add %a, %b
+  %d = mul %s, %s
+  ret %d
+}",
+        );
         let r = run(&f, &[3, 4], 100).unwrap();
         assert_eq!(r.outputs, vec![49]);
     }
@@ -376,37 +383,25 @@ mod tests {
     #[test]
     fn loop_with_phi() {
         // sum 0..n via φ
-        let mut fb = FunctionBuilder::new("sum", Machine::dsp32());
-        let n = fb.inputs(&["n"])[0];
-        let z = fb.make("z", 0);
-        let head = fb.block("head");
-        let body = fb.block("body");
-        let exit = fb.block("exit");
-        fb.jump(head);
-        fb.switch_to(body);
-        let i = fb.var("i");
-        let acc = fb.var("acc");
-        let i2 = fb.addi("i2", i, 1);
-        let acc2 = fb.add("acc2", acc, i);
-        fb.jump(head);
-        fb.switch_to(head);
-        let entry = fb.func().entry;
-        let iphi = fb.phi("i", &[(entry, z), (body, i2)]);
-        let accphi = fb.phi("acc", &[(entry, z), (body, acc2)]);
-        let c = fb.cmplt("c", iphi, n);
-        fb.br(c, body, exit);
-        fb.switch_to(exit);
-        fb.ret(&[accphi]);
-        let mut f = fb.finish();
-        f.rewrite_vars(|v| {
-            if v == i {
-                iphi
-            } else if v == acc {
-                accphi
-            } else {
-                v
-            }
-        });
+        let f = parse(
+            "func @sum {
+entry:
+  %n = input
+  %z = make 0
+  jump head
+head:
+  %i = phi [entry: %z], [body: %i2]
+  %acc = phi [entry: %z], [body: %acc2]
+  %c = cmplt %i, %n
+  br %c, body, exit
+body:
+  %i2 = addi %i, 1
+  %acc2 = add %acc, %i
+  jump head
+exit:
+  ret %acc
+}",
+        );
         assert!(f.validate().is_ok(), "{:?}", f.validate());
         let r = run(&f, &[5], 1000).unwrap();
         assert_eq!(r.outputs, vec![10]); // 0+1+2+3+4
@@ -433,7 +428,7 @@ body:
 exit:
   ret %x, %y
 }";
-        let f = crate::parse::parse_function(text, &Machine::dsp32()).unwrap();
+        let f = parse(text);
         // one iteration: n = 1 -> swapped once
         let r = run(&f, &[7, 9, 1], 1000).unwrap();
         assert_eq!(r.outputs, vec![9, 7]);
@@ -444,17 +439,20 @@ exit:
 
     #[test]
     fn memory_and_calls_are_deterministic() {
-        let mut fb = FunctionBuilder::new("m", Machine::dsp32());
-        let p = fb.inputs(&["p"])[0];
-        let v = fb.load("v", p);
-        let q = fb.autoadd("q", p, 1);
-        let w = fb.load("w", q);
-        let s = fb.add("s", v, w);
-        fb.store(p, s);
-        let v2 = fb.load("v2", p);
-        let r = fb.call("r", "f", &[v2, s]);
-        fb.ret(&[r]);
-        let f = fb.finish();
+        let f = parse(
+            "func @m {
+entry:
+  %p = input
+  %v = load %p
+  %q = autoadd %p, 1
+  %w = load %q
+  %s = add %v, %w
+  store %p, %s
+  %v2 = load %p
+  %r = call f(%v2, %s)
+  ret %r
+}",
+        );
         let r1 = run(&f, &[100], 100).unwrap();
         let r2 = run(&f, &[100], 100).unwrap();
         assert_eq!(r1.outputs, r2.outputs);
@@ -469,14 +467,14 @@ exit:
     #[test]
     fn fuel_limits_infinite_loops() {
         let text = "func @inf {\nentry:\n  jump entry\n}";
-        let f = crate::parse::parse_function(text, &Machine::dsp32()).unwrap();
+        let f = parse(text);
         assert_eq!(run(&f, &[], 50), Err(Trap::OutOfFuel));
     }
 
     #[test]
     fn undefined_read_traps() {
         let text = "func @u {\nentry:\n  %y = mov %x\n  ret %y\n}";
-        let f = crate::parse::parse_function(text, &Machine::dsp32()).unwrap();
+        let f = parse(text);
         match run(&f, &[], 50) {
             Err(Trap::UndefinedVar(_, name)) => assert_eq!(name, "x"),
             other => panic!("expected undefined var, got {other:?}"),
@@ -493,11 +491,11 @@ entry:
   %b = spillld 3
   ret %b
 }";
-        let f = crate::parse::parse_function(text, &Machine::dsp32()).unwrap();
+        let f = parse(text);
         assert!(f.validate().is_ok(), "{:?}", f.validate());
         assert_eq!(run(&f, &[42], 50).unwrap().outputs, vec![42]);
         let bad = "func @sp {\nentry:\n  %b = spillld 7\n  ret %b\n}";
-        let f2 = crate::parse::parse_function(bad, &Machine::dsp32()).unwrap();
+        let f2 = parse(bad);
         assert_eq!(run(&f2, &[], 50), Err(Trap::UnwrittenSlot(7)));
     }
 
@@ -510,7 +508,7 @@ entry:
   %x = psi %p1 ? %a1, %p2 ? %a2
   ret %x
 }";
-        let f = crate::parse::parse_function(text, &Machine::dsp32()).unwrap();
+        let f = parse(text);
         assert_eq!(run(&f, &[1, 10, 1, 20], 50).unwrap().outputs, vec![20]);
         assert_eq!(run(&f, &[1, 10, 0, 20], 50).unwrap().outputs, vec![10]);
         assert_eq!(run(&f, &[0, 10, 0, 20], 50).unwrap().outputs, vec![0]);

@@ -12,7 +12,7 @@
 //! * instructions, φ/ψ pseudo-instructions, and operand/variable
 //!   *pinning* to renaming resources ([`instr`], [`resources`]);
 //! * the [`function::Function`] container with a structural validator;
-//! * a builder ([`builder`]), printer ([`print`](mod@print)) and parser ([`parse`]);
+//! * a printer ([`print`](mod@print)) and parser ([`parse`]);
 //! * CFG utilities including critical-edge splitting ([`cfg`](mod@cfg));
 //! * parallel-copy sequentialization ([`parallel_copy`]);
 //! * a reference interpreter ([`interp`]) used to check every out-of-SSA
@@ -21,15 +21,11 @@
 //! ## Example
 //!
 //! ```
-//! use tossa_ir::builder::FunctionBuilder;
 //! use tossa_ir::machine::Machine;
-//! use tossa_ir::interp;
+//! use tossa_ir::{interp, parse::parse_function};
 //!
-//! let mut fb = FunctionBuilder::new("double", Machine::dsp32());
-//! let x = fb.inputs(&["x"])[0];
-//! let y = fb.add("y", x, x);
-//! fb.ret(&[y]);
-//! let f = fb.finish();
+//! let text = "func @double {\nentry:\n  %x = input\n  %y = add %x, %x\n  ret %y\n}";
+//! let f = parse_function(text, &Machine::dsp32())?;
 //! f.validate()?;
 //! assert_eq!(interp::run(&f, &[21], 100)?.outputs, vec![42]);
 //! # Ok::<(), Box<dyn std::error::Error>>(())
@@ -37,7 +33,6 @@
 
 #![warn(missing_docs)]
 
-pub mod builder;
 pub mod cfg;
 pub mod function;
 pub mod ids;

@@ -161,16 +161,20 @@ impl fmt::Display for Function {
 #[cfg(test)]
 mod tests {
     use super::{inst_str, var_str};
-    use crate::builder::FunctionBuilder;
     use crate::function::pin_var_to_reg;
     use crate::machine::Machine;
+    use crate::parse::parse_function;
+    use crate::{Function, Var};
+
+    fn parse(text: &str) -> Function {
+        parse_function(text, &Machine::dsp32()).unwrap()
+    }
 
     #[test]
     fn var_and_inst_str_helpers() {
-        let mut fb = FunctionBuilder::new("h", Machine::dsp32());
-        let a = fb.make("a value", 2); // name is sanitized
-        fb.ret(&[a]);
-        let f = fb.finish();
+        let mut f = parse("func @h {\nentry:\n  %a = make 2\n  ret %a\n}");
+        let a = Var::new(0);
+        f.var_mut(a).name = "a value".into(); // name is sanitized
         assert_eq!(var_str(&f, a), "%a_value.0");
         let first = f.block_insts(f.entry).next().unwrap();
         assert_eq!(inst_str(&f, first), "%a_value.0 = make 2");
@@ -178,11 +182,7 @@ mod tests {
 
     #[test]
     fn prints_straightline() {
-        let mut fb = FunctionBuilder::new("t", Machine::dsp32());
-        let ins = fb.inputs(&["a", "b"]);
-        let s = fb.add("s", ins[0], ins[1]);
-        fb.ret(&[s]);
-        let f = fb.finish();
+        let f = parse("func @t {\nentry:\n  %a, %b = input\n  %s = add %a, %b\n  ret %s\n}");
         let text = f.to_string();
         assert!(text.contains("func @t {"), "{text}");
         assert!(text.contains("%a.0, %b.1 = input"), "{text}");
@@ -192,28 +192,19 @@ mod tests {
 
     #[test]
     fn prints_pins_and_phis() {
-        let mut fb = FunctionBuilder::new("t", Machine::dsp32());
-        let a = fb.make("a", 5);
-        let merge = fb.block("m");
-        fb.jump(merge);
-        fb.switch_to(merge);
-        fb.ret(&[a]);
-        let entry = fb.func().entry;
-        let x = fb.phi("x", &[(entry, a)]);
-        let mut f = fb.finish();
+        let mut f = parse(
+            "func @t {\nentry:\n  %a = make 5\n  jump m\nm:\n  %x = phi [entry: %a]\n  ret %a\n}",
+        );
         let reg = f.machine.abi.ret_reg;
-        pin_var_to_reg(&mut f, x, reg);
+        pin_var_to_reg(&mut f, Var::new(1), reg);
         let text = f.to_string();
         assert!(text.contains("%x.1!R0 = phi [bb0: %a.0]"), "{text}");
     }
 
     #[test]
     fn reg_identity_prints_as_register() {
-        let mut fb = FunctionBuilder::new("t", Machine::dsp32());
-        let a = fb.make("a", 1);
-        fb.ret(&[a]);
-        let mut f = fb.finish();
-        f.var_mut(a).reg = Some(f.machine.abi.ret_reg);
+        let mut f = parse("func @t {\nentry:\n  %a = make 1\n  ret %a\n}");
+        f.var_mut(Var::new(0)).reg = Some(f.machine.abi.ret_reg);
         let text = f.to_string();
         assert!(text.contains("R0 = make 1"), "{text}");
         assert!(text.contains("ret R0"), "{text}");
@@ -221,14 +212,17 @@ mod tests {
 
     #[test]
     fn prints_calls_and_imm_ops() {
-        let mut fb = FunctionBuilder::new("t", Machine::dsp32());
-        let a = fb.make("a", 161);
-        let k = fb.more("k", a, 11258);
-        let p = fb.inputs(&["p"])[0];
-        let q = fb.autoadd("q", p, 4);
-        let r = fb.call("r", "f", &[k, q]);
-        fb.ret(&[r]);
-        let f = fb.finish();
+        let f = parse(
+            "func @t {
+entry:
+  %a = make 161
+  %k = more %a, 11258
+  %p = input
+  %q = autoadd %p, 4
+  %r = call f(%k, %q)
+  ret %r
+}",
+        );
         let text = f.to_string();
         assert!(text.contains("%k.1 = more %a.0, 11258"), "{text}");
         assert!(text.contains("%q.3 = autoadd %p.2, 4"), "{text}");

@@ -49,11 +49,6 @@ impl ResourceTable {
         r
     }
 
-    /// Returns the interned resource for a physical register if it exists.
-    pub fn phys_existing(&self, reg: PhysReg) -> Option<Resource> {
-        self.phys.get(&reg).copied()
-    }
-
     /// Creates a fresh virtual resource with a display name.
     pub fn new_virt(&mut self, name: impl Into<String>) -> Resource {
         let r = Resource::new(self.kinds.len());
@@ -121,8 +116,8 @@ mod tests {
         assert_ne!(a, c);
         assert_eq!(t.as_phys(a), Some(PhysReg(0)));
         assert_eq!(t.name(c), "R1");
-        assert_eq!(t.phys_existing(PhysReg(1)), Some(c));
-        assert_eq!(t.phys_existing(PhysReg(9)), None);
+        assert_eq!(t.phys.get(&PhysReg(1)), Some(&c));
+        assert_eq!(t.phys.get(&PhysReg(9)), None);
     }
 
     #[test]

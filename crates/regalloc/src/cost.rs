@@ -3,10 +3,9 @@
 //! The cost of spilling a web is what the spill code would execute: one
 //! memory operation per occurrence, weighted by the Table 5 execution
 //! frequency of the block holding it (`5^depth` from
-//! [`tossa_analysis::LoopInfo`]). The cost-driven policy evicts the
-//! *cheapest* candidate at each pressure point, so hot loop-carried webs
-//! keep their registers while cold webs take the slots — the opposite of
-//! the PR4 furthest-end heuristic, which is cost-blind.
+//! [`tossa_analysis::LoopInfo`]). Linear scan ([`crate::scan`]) evicts
+//! the *cheapest* candidate at each pressure point, so hot loop-carried
+//! webs keep their registers while cold webs take the slots.
 //!
 //! A web whose single definition is a pure constant builder
 //! ([`tossa_ir::Opcode::Make`]: immediate in, no uses, no side effects)
@@ -114,9 +113,8 @@ impl SpillCosts {
         }
     }
 
-    /// The `cost:` provenance rationale for spilling `v` (the grammar of
-    /// [`tossa_trace::provenance::Kind::Spill`] under the cost-driven
-    /// policy).
+    /// The `cost:` provenance rationale for spilling `v` (one cause of
+    /// the [`tossa_trace::provenance::Kind::Spill`] grammar).
     pub fn rationale(&self, v: Var) -> String {
         let c = self.cost(v);
         format!("cost:weight={},depth={}", c.weight, c.depth)

@@ -10,8 +10,7 @@
 //! Each variable carries two views of its lifetime:
 //!
 //! * the *hull* `[min, max]` (inclusive) over all live positions — a
-//!   cheap prefilter, and the whole story under
-//!   [`IntervalPrecision::Hull`];
+//!   cheap prefilter;
 //! * a sorted list of disjoint half-open `[start, end)` *ranges* with
 //!   lifetime holes between them, built by a backward per-block walk
 //!   over the same worklist liveness. Two webs interfere only where
@@ -29,21 +28,6 @@ use tossa_ir::cfg::Cfg;
 use tossa_ir::ids::{group_by_key, Block, Var};
 use tossa_ir::machine::{PhysReg, RegClass};
 use tossa_ir::{Function, Opcode};
-
-/// How precisely intervals model liveness.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum IntervalPrecision {
-    /// One `[min, max]` hull per web (the pre-PR9 model): every position
-    /// between the first and last live position counts as occupied.
-    /// Each interval gets a single range equal to its envelope, so the
-    /// downstream code needs no mode switches.
-    Hull,
-    /// Sorted disjoint `[start, end)` ranges with lifetime holes between
-    /// them; interference consults the ranges and the hull is only a
-    /// prefilter.
-    #[default]
-    Ranges,
-}
 
 /// One variable's live interval plus its allocation preferences.
 #[derive(Clone, Copy, Debug)]
@@ -91,8 +75,6 @@ pub struct Intervals {
     /// order, indexed by `Block::index()`. Used by the spill layer to
     /// reason about region boundaries in position space.
     pub block_span: Vec<(u32, u32)>,
-    /// The precision these intervals were built at.
-    pub precision: IntervalPrecision,
     /// Half-open `[start, end)` ranges, grouped per interval (see
     /// [`Intervals::ranges_of`]); within a group sorted, disjoint and
     /// nonempty.
@@ -183,36 +165,22 @@ pub(crate) fn linear_order(f: &Function, cfg: &Cfg) -> Vec<Block> {
 
 /// Builds per-range intervals from the worklist liveness.
 pub fn build(f: &Function) -> Intervals {
-    build_with(f, IntervalPrecision::Ranges)
-}
-
-/// [`build`] at an explicit precision.
-pub fn build_with(f: &Function, precision: IntervalPrecision) -> Intervals {
     let cfg = Cfg::compute(f);
     let live = Liveness::compute(f, &cfg);
-    build_inner(f, &cfg, &live, precision)
+    build_inner(f, &cfg, &live)
 }
 
-/// [`build_with`] with analyses drawn from `cache` — the spill loop's
-/// fast path. Spill rewriting inserts and removes instructions but never
+/// [`build`] with analyses drawn from `cache` — the spill loop's fast
+/// path. Spill rewriting inserts and removes instructions but never
 /// touches block structure, so rounds after the first reuse the cached
 /// CFG and only recompute liveness (instructions-only invalidation).
-pub fn build_cached_with(
-    f: &Function,
-    cache: &mut AnalysisCache,
-    precision: IntervalPrecision,
-) -> Intervals {
+pub fn build_cached(f: &Function, cache: &mut AnalysisCache) -> Intervals {
     let cfg = cache.cfg(f);
     let live = cache.liveness(f);
-    build_inner(f, &cfg, &live, precision)
+    build_inner(f, &cfg, &live)
 }
 
-fn build_inner(
-    f: &Function,
-    cfg: &Cfg,
-    live: &Liveness,
-    precision: IntervalPrecision,
-) -> Intervals {
+fn build_inner(f: &Function, cfg: &Cfg, live: &Liveness) -> Intervals {
     let order = linear_order(f, cfg);
 
     // Dense per-variable tables; the backward walk runs once per
@@ -332,11 +300,6 @@ fn build_inner(
         }
         ranges.push((cur_s, cur_e));
         let (start, end) = (ranges[range_start as usize].0, cur_e - 1);
-        if precision == IntervalPrecision::Hull {
-            // Collapse to the envelope: one range, no holes.
-            ranges.truncate(range_start as usize);
-            ranges.push((start, end + 1));
-        }
         let var = Var::new(var_idx);
         items.push(Interval {
             var,
@@ -357,7 +320,6 @@ fn build_inner(
     Intervals {
         items,
         block_span,
-        precision,
         ranges,
     }
 }
@@ -464,32 +426,6 @@ entry:
         assert!(!ivs.overlap(a, b), "ranges must expose the hole");
         assert!(!ivs.covers(a, b.start), "%a is dead where %b starts");
         assert!(ivs.covered_len(a) < u64::from(a.end - a.start) + 1);
-    }
-
-    /// Hull precision collapses every interval to a single envelope
-    /// range, reproducing the pre-PR9 interference exactly.
-    #[test]
-    fn hull_precision_collapses_ranges_to_the_envelope() {
-        let f = parse_function(
-            "func @h {
-entry:
-  %a = input
-  %b = add %a, %a
-  %a = make 1
-  %r = add %a, %b
-  ret %r
-}",
-            &Machine::dsp32(),
-        )
-        .unwrap();
-        let ranged = build_with(&f, IntervalPrecision::Ranges);
-        let hulled = build_with(&f, IntervalPrecision::Hull);
-        for (rv, hv) in ranged.items.iter().zip(&hulled.items) {
-            assert_eq!(rv.var, hv.var);
-            assert_eq!((rv.start, rv.end), (hv.start, hv.end), "hulls agree");
-            assert_eq!(hulled.ranges_of(hv), &[(hv.start, hv.end + 1)]);
-            assert_eq!(hulled.covered_len(hv), u64::from(hv.end - hv.start) + 1);
-        }
     }
 
     /// A web live across a block boundary keeps one merged range over

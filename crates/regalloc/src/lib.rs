@@ -49,32 +49,16 @@ use tossa_ir::machine::{PhysReg, RegClass};
 use tossa_ir::Function;
 use tossa_trace::Counter;
 
-pub use intervals::IntervalPrecision;
 pub use verify::verify_allocation;
 
-/// How eviction victims are chosen and rewritten.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum SpillPolicy {
-    /// The PR4 policy: evict the furthest-ending spillable interval and
-    /// rewrite it through a slot at every occurrence. Cost-blind.
-    Everywhere,
-    /// Cost-driven: evict the candidate with the lowest loop-weighted
-    /// spill cost ([`cost::SpillCosts`]); rematerialize single-`make`
-    /// webs instead of reloading them; split live ranges at loop-region
-    /// boundaries when the pressure point lies outside a hot loop.
-    #[default]
-    CostDriven,
-}
-
-/// Allocator configuration.
+/// Allocator configuration. It has no field: the allocator runs in one
+/// configuration, cost-driven victims ([`cost::SpillCosts`]) over
+/// per-range intervals. The struct and the `opts` parameter of
+/// [`allocate`] and [`prepare`] stay only because the repository
+/// benchmark calls both with `&AllocOptions::default()`; they go with
+/// the next revision of the benchmark.
 #[derive(Clone, Debug, Default)]
-pub struct AllocOptions {
-    /// Victim selection and spill-rewrite policy.
-    pub spill_policy: SpillPolicy,
-    /// Liveness model for interference: per-range intervals with
-    /// lifetime holes (default) or the pre-PR9 `[min, max]` hulls.
-    pub precision: IntervalPrecision,
-}
+pub struct AllocOptions {}
 
 /// Per-function allocation statistics (the end-to-end table columns).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -353,7 +337,7 @@ pub struct Prepared {
 /// on contradictory precoloring, [`AllocError::OutOfRegisters`] when an
 /// unspillable web finds no register (or, should the argument above
 /// break, when the cap is reached; it names a victim of the last round).
-pub fn prepare(f: &mut Function, opts: &AllocOptions) -> Result<Prepared, AllocError> {
+pub fn prepare(f: &mut Function, _opts: &AllocOptions) -> Result<Prepared, AllocError> {
     for (b, i) in f.all_insts() {
         if f.inst(i).is_phi() {
             return Err(AllocError::ResidualPhi { block: b });
@@ -374,21 +358,14 @@ pub fn prepare(f: &mut Function, opts: &AllocOptions) -> Result<Prepared, AllocE
     let max_rounds = 2 * f.num_vars() + 1;
     loop {
         stats.rounds += 1;
-        let ivs = intervals::build_cached_with(f, &mut cache, opts.precision);
-        // Round-scoped analyses for the cost-driven policy, pulled from
-        // the cache *before* any rewrite mutates `f`.
-        let round = match opts.spill_policy {
-            SpillPolicy::Everywhere => None,
-            SpillPolicy::CostDriven => {
-                let cfg = cache.cfg(f);
-                let live = cache.liveness(f);
-                let loops = cache.loops(f);
-                let costs = cost::SpillCosts::compute(f, &loops);
-                Some((cfg, live, loops, costs))
-            }
-        };
-        let costs = round.as_ref().map(|(_, _, _, c)| c);
-        let (reqs, partial) = match scan::scan(f, &ivs, &temps, costs) {
+        let ivs = intervals::build_cached(f, &mut cache);
+        // Round-scoped analyses, pulled from the cache *before* any
+        // rewrite mutates `f`.
+        let cfg = cache.cfg(f);
+        let live = cache.liveness(f);
+        let loops = cache.loops(f);
+        let costs = cost::SpillCosts::compute(f, &loops);
+        let (reqs, partial) = match scan::scan(f, &ivs, &temps, &costs) {
             Ok(assignment) => return Ok(Prepared { assignment, stats }),
             Err(scan::ScanFail::Spill { reqs, partial }) => (reqs, partial),
             Err(scan::ScanFail::Hard(e)) => return Err(e),
@@ -451,57 +428,47 @@ pub fn prepare(f: &mut Function, opts: &AllocOptions) -> Result<Prepared, AllocE
             if rescued(v) {
                 continue;
             }
-            if let Some((cfg, live, loops, costs)) = &round {
-                if let Some(imm) = costs.remat_imm(v) {
-                    record_spill_cause(f, &ivs, v, "remat:make");
-                    let n = spill::rematerialize(f, v, imm, costs.occurrence_blocks(v), &mut temps);
-                    stats.remats += n;
-                    continue;
-                }
-                if let Some(out) = split::try_split(
-                    f,
-                    v,
-                    req.at,
-                    &ivs,
-                    loops,
-                    live,
-                    cfg,
-                    costs,
-                    next_slot,
-                    &mut temps,
-                    &mut split_webs,
-                ) {
-                    next_slot += 1;
-                    stats.splits += 1;
-                    stats.spilled_vars += 1;
-                    stats.stores += out.stores;
-                    stats.reloads += out.reloads;
-                    tossa_trace::count(Counter::AllocSpilledVars, 1);
-                    tossa_trace::count(Counter::AllocStores, out.stores as u64);
-                    tossa_trace::count(Counter::AllocReloads, out.reloads as u64);
-                    continue;
-                }
+            if let Some(imm) = costs.remat_imm(v) {
+                record_spill_cause(f, &ivs, v, "remat:make");
+                let n = spill::rematerialize(f, v, imm, costs.occurrence_blocks(v), &mut temps);
+                stats.remats += n;
+                continue;
+            }
+            if let Some(out) = split::try_split(
+                f,
+                v,
+                req.at,
+                &ivs,
+                &loops,
+                &live,
+                &cfg,
+                &costs,
+                next_slot,
+                &mut temps,
+                &mut split_webs,
+            ) {
+                next_slot += 1;
+                stats.splits += 1;
+                stats.spilled_vars += 1;
+                stats.stores += out.stores;
+                stats.reloads += out.reloads;
+                tossa_trace::count(Counter::AllocSpilledVars, 1);
+                tossa_trace::count(Counter::AllocStores, out.stores as u64);
+                tossa_trace::count(Counter::AllocReloads, out.reloads as u64);
+                continue;
             }
             everywhere.push((v, next_slot));
             next_slot += 1;
         }
         if !everywhere.is_empty() {
             // The blocks the victims occur in, in increasing index order,
-            // so temporaries are created in program order. Without the
-            // cost-driven analyses no occurrence table exists: every
-            // block is visited.
-            let blocks: Vec<Block> = match &round {
-                Some((_, _, _, costs)) => {
-                    let mut blocks: Vec<Block> = everywhere
-                        .iter()
-                        .flat_map(|&(v, _)| costs.occurrence_blocks(v).iter().copied())
-                        .collect();
-                    blocks.sort_unstable();
-                    blocks.dedup();
-                    blocks
-                }
-                None => f.blocks().collect(),
-            };
+            // so temporaries are created in program order.
+            let mut blocks: Vec<Block> = everywhere
+                .iter()
+                .flat_map(|&(v, _)| costs.occurrence_blocks(v).iter().copied())
+                .collect();
+            blocks.sort_unstable();
+            blocks.dedup();
             let (st, rl) = spill::rewrite_spills_in(f, &everywhere, &blocks, &mut temps);
             stats.spilled_vars += everywhere.len();
             stats.stores += st;

@@ -11,13 +11,10 @@
 //! unspillable, which bounds the iteration: each round strictly shrinks
 //! the set of long intervals.
 //!
-//! Victim choice is policy-dependent. The PR4 policy (`costs: None`)
-//! evicts the furthest-ending spillable interval (possibly the current
-//! one). The cost-driven policy (`costs: Some(..)`) evicts the candidate
-//! with the *lowest* loop-weighted spill cost ([`crate::cost`]),
-//! normalized by the positions its ranges actually cover, ties broken
-//! toward the furthest end, so hot loop-carried webs stay in registers
-//! while cold webs take the slots.
+//! The victim is the candidate with the *lowest* loop-weighted spill
+//! cost ([`crate::cost`]), normalized by the positions its ranges
+//! actually cover, ties broken toward the furthest end, so hot
+//! loop-carried webs stay in registers while cold webs take the slots.
 //!
 //! A failed round returns the eviction set *and* the partial assignment
 //! of everything that did fit — the driver's second-chance pass re-tests
@@ -120,7 +117,7 @@ pub fn scan(
     f: &Function,
     ivs: &Intervals,
     temps: &VarSet,
-    costs: Option<&SpillCosts>,
+    costs: &SpillCosts,
 ) -> Result<Assignment, ScanFail> {
     let blocked = Blocked::collect(ivs).map_err(ScanFail::Hard)?;
     // Covered lengths for weight normalization: the cost-driven victim
@@ -194,48 +191,38 @@ pub fn scan(
         // No free register: evict a spillable *sole* overlapping holder
         // of a register this interval could use — or the interval
         // itself. (A register whose pressure comes from two hole-sharing
-        // holders cannot be freed by one eviction.) The PR4 policy picks
-        // the furthest-ending holder; the cost-driven policy picks the
-        // cheapest by loop weight per covered position, ties toward the
-        // furthest end.
-        let candidates = active
+        // holders cannot be freed by one eviction.) The victim is the
+        // cheapest holder by loop weight per covered position, ties
+        // toward the furthest end.
+        let victim = active
             .iter()
             .enumerate()
             .filter(|&(ai, &(_, r, _, sp))| {
                 sp && over_count[r.0 as usize] == 1 && sole[r.0 as usize] == ai && usable(r)
             })
-            .map(|(ai, &(end, r, aidx, _))| (ai, end, r, ivs.items[aidx].var));
-        let victim = match costs {
-            None => candidates.max_by_key(|&(_, end, _, _)| end),
-            Some(c) => candidates.min_by(|&(_, enda, _, va), &(_, endb, _, vb)| {
-                let (wa, la) = norm(c.cost(va).weight, va);
-                let (wb, lb) = norm(c.cost(vb).weight, vb);
+            .map(|(ai, &(end, r, aidx, _))| (ai, end, r, ivs.items[aidx].var))
+            .min_by(|&(_, enda, _, va), &(_, endb, _, vb)| {
+                let (wa, la) = norm(costs.cost(va).weight, va);
+                let (wb, lb) = norm(costs.cost(vb).weight, vb);
                 // wa/la vs wb/lb, cross-multiplied; ties prefer the
                 // furthest end (most relief), then the lowest index.
                 (wa * lb)
                     .cmp(&(wb * la))
                     .then(endb.cmp(&enda))
                     .then(va.index().cmp(&vb.index()))
-            }),
-        };
-        let evict = match (costs, victim) {
-            // Legacy: evict only a holder reaching further than we do.
-            (None, Some((_, end, _, _))) => !spillable || end > iv.end,
-            // Cost-driven: evict a holder whose normalized cost (spill
-            // weight per position of relief) is below our own; on a tie
-            // keep the legacy bias toward the furthest end (progress at
-            // the pressure point).
-            (Some(c), Some((_, end, _, v))) => {
-                !spillable || {
-                    let (vw, vl) = norm(c.cost(v).weight, v);
-                    let (sw, sl) = norm(c.cost(iv.var).weight, iv.var);
-                    vw * sl < sw * vl || (vw * sl == sw * vl && end > iv.end)
-                }
+            });
+        // Evict a holder whose normalized cost (spill weight per
+        // position of relief) is below our own; on a tie, one reaching
+        // further than we do (progress at the pressure point).
+        let evict = |v: Var, end: u32| {
+            !spillable || {
+                let (vw, vl) = norm(costs.cost(v).weight, v);
+                let (sw, sl) = norm(costs.cost(iv.var).weight, iv.var);
+                vw * sl < sw * vl || (vw * sl == sw * vl && end > iv.end)
             }
-            (_, None) => false,
         };
         match victim {
-            Some((ai, end, r, v)) if evict => {
+            Some((ai, end, r, v)) if evict(v, end) => {
                 active.remove(ai);
                 asg.clear(v);
                 spills.push(SpillReq {
@@ -248,14 +235,7 @@ pub fn scan(
                         var: var_str(f, v),
                         start: vs,
                         end: ve,
-                        cause: match costs {
-                            Some(c) => c.rationale(v),
-                            None => format!(
-                                "evicted-by:{}@{}",
-                                var_str(f, iv.var),
-                                f.machine.reg_name(r)
-                            ),
-                        },
+                        cause: costs.rationale(v),
                     }
                 });
                 asg.set(iv.var, r);
@@ -266,22 +246,11 @@ pub fn scan(
                     var: iv.var,
                     at: iv.start,
                 });
-                provenance::record(|| {
-                    let hint = iv.hint.and_then(|h| asg.get(h));
-                    provenance::Kind::Spill {
-                        var: var_str(f, iv.var),
-                        start: iv.start,
-                        end: iv.end,
-                        cause: match costs {
-                            Some(c) => c.rationale(iv.var),
-                            None => match hint {
-                                Some(r) => {
-                                    format!("no-register:hint-failed={}", f.machine.reg_name(r))
-                                }
-                                None => "no-register".to_string(),
-                            },
-                        },
-                    }
+                provenance::record(|| provenance::Kind::Spill {
+                    var: var_str(f, iv.var),
+                    start: iv.start,
+                    end: iv.end,
+                    cause: costs.rationale(iv.var),
                 });
             }
             _ => return Err(ScanFail::Hard(AllocError::OutOfRegisters { var: iv.var })),
@@ -301,11 +270,19 @@ pub fn scan(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::intervals;
+    use tossa_analysis::AnalysisCache;
     use tossa_ir::machine::Machine;
     use tossa_ir::parse::parse_function;
+
+    /// One scan round over `f` with its own spill costs.
+    pub(crate) fn scan_once(f: &Function) -> Result<Assignment, ScanFail> {
+        let ivs = intervals::build(f);
+        let costs = SpillCosts::compute(f, &AnalysisCache::new().loops(f));
+        scan(f, &ivs, &VarSet::default(), &costs)
+    }
 
     #[test]
     fn overlapping_precolored_pair_is_a_pin_conflict() {
@@ -325,8 +302,7 @@ mod tests {
         };
         f.var_mut(va).reg = Some(r5);
         f.var_mut(vb).reg = Some(r5);
-        let ivs = intervals::build(&f);
-        let err = scan(&f, &ivs, &VarSet::default(), None).unwrap_err();
+        let err = scan_once(&f).unwrap_err();
         assert!(
             matches!(err, ScanFail::Hard(AllocError::PinConflict { .. })),
             "{err:?}"
@@ -348,9 +324,8 @@ mod tests {
                 f.var_mut(v).reg = Some(r5);
             }
         }
-        let ivs = intervals::build(&f);
-        let asg = scan(&f, &ivs, &VarSet::default(), None).unwrap();
-        for iv in &ivs.items {
+        let asg = scan_once(&f).unwrap();
+        for iv in &intervals::build(&f).items {
             if iv.pre.is_some() {
                 assert_eq!(asg.get(iv.var), Some(r5));
             }
@@ -359,9 +334,9 @@ mod tests {
 
     /// Two precolored lives of one register whose *hulls* overlap but
     /// whose ranges do not (one sits in the other's hole) must be
-    /// accepted — and under hull precision they must still conflict.
+    /// accepted.
     #[test]
-    fn precolored_hole_sharing_is_allowed_only_under_range_precision() {
+    fn precolored_hole_sharing_is_not_a_pin_conflict() {
         let text = "func @ph {
 entry:
   %a = input
@@ -380,14 +355,11 @@ entry:
             }
         }
         let ivs = intervals::build(&f);
+        let by_name = |n: &str| ivs.items.iter().find(|iv| f.var(iv.var).name == n).unwrap();
+        assert!(by_name("a").overlaps(by_name("b")), "the hulls overlap");
         assert!(
             Blocked::collect(&ivs).is_ok(),
             "%b lives in %a's hole — no pin conflict"
-        );
-        let hull = intervals::build_with(&f, intervals::IntervalPrecision::Hull);
-        assert!(
-            matches!(Blocked::collect(&hull), Err(AllocError::PinConflict { .. })),
-            "hull precision must reject the same pinning"
         );
     }
 }

@@ -229,7 +229,8 @@ fn verify_slots(f: &Function, cfg: &Cfg) -> Result<(), AllocError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{intervals, scan, AllocOptions};
+    use crate::scan::tests::scan_once;
+    use crate::AllocOptions;
     use tossa_ir::machine::Machine;
     use tossa_ir::parse::parse_function;
 
@@ -320,8 +321,7 @@ entry:
             &Machine::dsp32(),
         )
         .unwrap();
-        let ivs = intervals::build(&f);
-        let asg = match scan::scan(&f, &ivs, &crate::VarSet::default(), None) {
+        let asg = match scan_once(&f) {
             Ok(a) => a,
             Err(e) => panic!("{e:?}"),
         };
@@ -336,8 +336,7 @@ entry:
             &Machine::dsp32(),
         )
         .unwrap();
-        let ivs = intervals::build(&f);
-        let asg = scan::scan(&f, &ivs, &crate::VarSet::default(), None).unwrap();
+        let asg = scan_once(&f).unwrap();
         let e = verify_allocation(&f, &asg).unwrap_err();
         assert!(matches!(e, AllocError::UndefinedUse { .. }), "{e}");
     }

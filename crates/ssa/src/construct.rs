@@ -170,29 +170,6 @@ pub fn count_phis(f: &Function) -> usize {
     f.all_insts().filter(|&(_, i)| f.inst(i).is_phi()).count()
 }
 
-/// Counts φ argument slots (the naive copy count of a φ replacement).
-pub fn count_phi_args(f: &Function) -> usize {
-    f.all_insts()
-        .filter(|&(_, i)| f.inst(i).is_phi())
-        .map(|(_, i)| f.inst(i).uses.len())
-        .sum()
-}
-
-/// Removes unreachable blocks' instructions (keeps empty `ret` so the
-/// validator stays happy) — a cleanup used after CFG surgery in tests.
-pub fn trim_unreachable(f: &mut Function) {
-    let reach = tossa_ir::cfg::reachable(f);
-    for b in f.blocks().collect::<Vec<_>>() {
-        if !reach[b.index()] {
-            f.block_mut(b).insts.clear();
-            f.push_inst(
-                b,
-                InstData::new(Opcode::Ret).with_uses(Vec::<Operand>::new()),
-            );
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -329,20 +306,12 @@ m:
         );
         assert!(has_phis(&f));
         assert_eq!(count_phis(&f), 1);
-        assert_eq!(count_phi_args(&f), 2);
-    }
-
-    #[test]
-    fn trim_unreachable_clears_dead_blocks() {
-        let mut f = parse_function(
-            "func @t {\nentry:\n  ret\ndead:\n  %x = make 1\n  ret %x\n}",
-            &Machine::dsp32(),
-        )
-        .unwrap();
-        trim_unreachable(&mut f);
-        f.validate().unwrap();
-        let dead = tossa_ir::ids::Block::new(1);
-        assert_eq!(f.block_insts(dead).count(), 1);
+        let phi_args: usize = f
+            .all_insts()
+            .filter(|&(_, i)| f.inst(i).is_phi())
+            .map(|(_, i)| f.inst(i).uses.len())
+            .sum();
+        assert_eq!(phi_args, 2);
     }
 
     #[test]

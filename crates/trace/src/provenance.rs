@@ -127,15 +127,13 @@ pub enum Kind {
         start: u32,
         /// Interval end.
         end: u32,
-        /// Rationale. Under the spill-everywhere policy:
-        /// `"evicted-by:<var>@<reg>"` (a further-reaching candidate took
-        /// its register) or `"no-register[:hint-failed=<reg>]"`
-        /// (self-spill under pressure). Under the cost-driven policy:
-        /// `"cost:weight=<w>,depth=<d>"` (cheapest loop-weighted victim
-        /// at the pressure point), `"remat:<opcode>"` (def re-issued
-        /// before each use instead of reloading), or
-        /// `"split-at:<block>"` (one record per region boundary block
-        /// that received a split copy).
+        /// Rationale: `"cost:weight=<w>,depth=<d>"` (cheapest
+        /// loop-weighted victim at the pressure point),
+        /// `"remat:<opcode>"` (def re-issued before each use instead of
+        /// reloading), `"split-at:<block>"` (one record per region
+        /// boundary block that received a split copy), or
+        /// `"second-chance:<reg>"` (an evicted split sub-web re-assigned
+        /// a register left free across its ranges; no spill code).
         cause: String,
     },
 }
@@ -341,7 +339,7 @@ mod tests {
                     var: "z\"q".into(),
                     start: 3,
                     end: 17,
-                    cause: "no-register".into(),
+                    cause: "cost:weight=25,depth=1".into(),
                 },
             },
         ];

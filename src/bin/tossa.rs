@@ -69,7 +69,12 @@ fn main() {
                 );
                 return;
             }
-            other if !other.starts_with('-') => file = Some(other.to_string()),
+            other if !other.starts_with('-') => {
+                if let Some(first) = &file {
+                    fail(&format!("one FILE at most, got `{first}` and `{other}`"));
+                }
+                file = Some(other.to_string());
+            }
             other => fail(&format!("unknown option `{other}`")),
         }
     }

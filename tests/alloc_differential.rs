@@ -7,16 +7,12 @@
 //! `check` panics on the first divergence or trap, naming the function
 //! and inputs.
 
-use tossa::bench::runner::{
-    self, run_experiment, run_suite_each_allocated, run_suite_each_allocated_with,
-};
+use tossa::bench::runner::{self, run_experiment, run_suite_each_allocated};
 use tossa::bench::suites::synth::{generate_function, SynthConfig};
 use tossa::bench::suites::{all_suites, Suite};
 use tossa::core::coalesce::CoalesceOptions;
 use tossa::core::Experiment;
-use tossa::regalloc::{
-    finish, prepare, verify_allocation, AllocOptions, IntervalPrecision, SpillPolicy,
-};
+use tossa::regalloc::{finish, prepare, verify_allocation, AllocOptions};
 
 /// Small synthetic-population scale: keeps the full 10-experiment matrix
 /// affordable in CI; the perf trajectory run covers the full scale.
@@ -55,148 +51,11 @@ fn allocated_code_matches_source_on_every_suite_and_experiment() {
     assert!(functions > 0);
 }
 
-/// Both spill policies run the full matrix on the loop-heavy SPECint
-/// suite with differential execution on — allocated output bit-identical
-/// to the pre-SSA source under either policy — and the cost-driven
-/// policy actually earns its keep: its static spill+move total never
-/// exceeds spill-everywhere's, beats it strictly on at least one cell,
-/// and its remat/split machinery demonstrably fires (while never firing
-/// under the legacy policy).
-///
-/// Pinned to hull precision: per-range intervals dissolve every spill
-/// on these populations (see `hole_precision_dominates_hull_intervals`
-/// below), which would make a spill-policy comparison vacuous.
-#[test]
-fn spill_policies_are_execution_equivalent_and_cost_driven_wins_statically() {
-    let opts = CoalesceOptions::default();
-    let suite = all_suites(SPEC_SCALE)
-        .into_iter()
-        .find(|s| s.name == "SPECint")
-        .expect("the loop-heavy suite exists");
-    let policy_opts = |p: SpillPolicy| AllocOptions {
-        spill_policy: p,
-        precision: IntervalPrecision::Hull,
-    };
-    let mut strict_wins = 0usize;
-    let (mut remats, mut splits) = (0usize, 0usize);
-    for &exp in Experiment::all() {
-        let total = |rs: &[tossa::bench::runner::RunResult]| -> (usize, usize, usize) {
-            rs.iter()
-                .map(|r| r.alloc.as_ref().expect("alloc ran"))
-                .fold((0, 0, 0), |(t, rm, sp), s| {
-                    (t + s.spill_move_total(), rm + s.remats, sp + s.splits)
-                })
-        };
-        // Differential execution (verify_each = true) panics on the
-        // first output divergence from the pre-SSA source.
-        let everywhere = total(&run_suite_each_allocated_with(
-            &suite,
-            exp,
-            &opts,
-            &policy_opts(SpillPolicy::Everywhere),
-            true,
-        ));
-        let cost = total(&run_suite_each_allocated_with(
-            &suite,
-            exp,
-            &opts,
-            &policy_opts(SpillPolicy::CostDriven),
-            true,
-        ));
-        assert_eq!(
-            (everywhere.1, everywhere.2),
-            (0, 0),
-            "{exp:?}: spill-everywhere must never remat or split"
-        );
-        assert!(
-            cost.0 <= everywhere.0,
-            "{exp:?}: cost-driven regressed the spill+move total ({} > {})",
-            cost.0,
-            everywhere.0
-        );
-        if cost.0 < everywhere.0 {
-            strict_wins += 1;
-        }
-        remats += cost.1;
-        splits += cost.2;
-    }
-    assert!(strict_wins > 0, "cost-driven never beat spill-everywhere");
-    assert!(
-        remats > 0 && splits > 0,
-        "remat ({remats}) and splitting ({splits}) must both fire on SPECint"
-    );
-}
-
-/// The hole-aware intervals against their own hull collapse, across
-/// every suite × experiment cell with differential execution on for
-/// both sides: hole-based allocation never produces more spill+move
-/// traffic than hull-based, and on the loop-heavy SPECint suite it wins
-/// strictly on every cell (redefined loop webs are exactly where holes
-/// open up).
-#[test]
-fn hole_precision_dominates_hull_intervals() {
-    let opts = CoalesceOptions::default();
-    let precision_opts = |p: IntervalPrecision| AllocOptions {
-        precision: p,
-        ..Default::default()
-    };
-    let total = |rs: &[tossa::bench::runner::RunResult]| -> usize {
-        rs.iter()
-            .map(|r| r.alloc.as_ref().expect("alloc ran").spill_move_total())
-            .sum()
-    };
-    let mut cells = 0usize;
-    for suite in all_suites(SPEC_SCALE) {
-        // Differential execution on both sides for the headline suite:
-        // each side individually executes bit-identically to the
-        // pre-SSA source, so the two sides are execution-equivalent to
-        // each other by transitivity. The remaining suites' hole-based
-        // cells are execution-verified by the matrix test above, so
-        // here they only contribute their static totals.
-        let verify = suite.name == "SPECint";
-        for &exp in Experiment::all() {
-            let hull = total(&run_suite_each_allocated_with(
-                &suite,
-                exp,
-                &opts,
-                &precision_opts(IntervalPrecision::Hull),
-                verify,
-            ));
-            let holes = total(&run_suite_each_allocated_with(
-                &suite,
-                exp,
-                &opts,
-                &precision_opts(IntervalPrecision::Ranges),
-                verify,
-            ));
-            assert!(
-                holes <= hull,
-                "{} / {exp:?}: hole precision regressed spill+move total ({holes} > {hull})",
-                suite.name
-            );
-            if suite.name == "SPECint" {
-                assert!(
-                    holes < hull,
-                    "{} / {exp:?}: hole precision must win strictly here ({holes} == {hull})",
-                    suite.name
-                );
-            }
-            cells += 1;
-        }
-    }
-    assert_eq!(
-        cells,
-        all_suites(SPEC_SCALE).len() * Experiment::all().len()
-    );
-}
-
 /// The second-chance pass is live on real pipeline output: a seeded
 /// high-pressure population (48-var pool, depth-2 loops — found by
 /// deterministic seed search) makes a scan round evict split sub-webs
 /// that the pass then re-assigns to registers left free across their
-/// ranges. Execution stays bit-identical to the pre-SSA source under
-/// both precisions, and the rescues never fire under hull precision
-/// (no holes, nothing left free to probe).
+/// ranges. Execution stays bit-identical to the pre-SSA source.
 #[test]
 fn second_chance_rescues_fire_on_the_pressure_population() {
     let opts = CoalesceOptions::default();
@@ -213,32 +72,12 @@ fn second_chance_rescues_fire_on_the_pressure_population() {
             .map(|s| generate_function(s, &cfg))
             .collect(),
     };
-    let precision_opts = |p: IntervalPrecision| AllocOptions {
-        precision: p,
-        ..Default::default()
-    };
-    let chances = |rs: &[tossa::bench::runner::RunResult]| -> usize {
-        rs.iter()
-            .map(|r| r.alloc.as_ref().expect("alloc ran").second_chances)
-            .sum()
-    };
-    let hull = chances(&run_suite_each_allocated_with(
-        &suite,
-        Experiment::LphiAbiC,
-        &opts,
-        &precision_opts(IntervalPrecision::Hull),
-        true,
-    ));
-    assert_eq!(hull, 0, "hull precision has no holes to rescue into");
-    let holes = chances(&run_suite_each_allocated_with(
-        &suite,
-        Experiment::LphiAbiC,
-        &opts,
-        &precision_opts(IntervalPrecision::Ranges),
-        true,
-    ));
+    let rescues: usize = run_suite_each_allocated(&suite, Experiment::LphiAbiC, &opts, true)
+        .iter()
+        .map(|r| r.alloc.as_ref().expect("alloc ran").second_chances)
+        .sum();
     assert!(
-        holes > 0,
+        rescues > 0,
         "the pressure population must trigger at least one second-chance rescue"
     );
 }

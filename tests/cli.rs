@@ -1,6 +1,6 @@
 //! The `tossa` command line end to end: `--experiment` takes a key or a label
-//! no other experiment shares, and `--print-ssa` shows the pinned SSA
-//! that reconstruction receives.
+//! no other experiment shares, `--print-ssa` shows the pinned SSA
+//! that reconstruction receives, and a second FILE is refused.
 
 use std::io::Write as _;
 use std::process::{Command, Output, Stdio};
@@ -78,4 +78,32 @@ fn experiment_takes_a_key_or_a_unique_label() {
     let err = String::from_utf8_lossy(&o.stderr);
     assert!(err.contains("CNoAbi") && err.contains("CAbi"), "{err}");
     assert!(o.stdout.is_empty());
+}
+
+#[test]
+fn a_second_file_is_refused() {
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("cli_two_files");
+    std::fs::create_dir_all(&dir).expect("creating the test directory");
+    let (a, b) = (dir.join("a.lai"), dir.join("b.lai"));
+    for path in [&a, &b] {
+        std::fs::write(path, SWAP).expect("writing an input file");
+    }
+    // Stdin is not piped: a refusal must not race a write to it.
+    let run = |files: &[&std::path::Path]| {
+        Command::new(TOSSA)
+            .args(files)
+            .output()
+            .expect("running tossa")
+    };
+    let one = run(&[&a]);
+    assert_eq!(one.status.code(), Some(0), "{one:?}");
+    let o = run(&[&a, &b]);
+    assert_eq!(o.status.code(), Some(2), "{o:?}");
+    let err = String::from_utf8_lossy(&o.stderr);
+    assert!(err.starts_with("tossa: "), "{err}");
+    assert!(
+        o.stdout.is_empty(),
+        "{}",
+        String::from_utf8_lossy(&o.stdout)
+    );
 }

@@ -248,7 +248,7 @@ fn spill_requests_respect_the_cost_order() {
         let loops = LoopInfo::compute(&f, &cfg, &dt);
         let costs = SpillCosts::compute(&f, &loops);
         let ivs = intervals::build(&f);
-        let reqs = match scan(&f, &ivs, &VarSet::default(), Some(&costs)) {
+        let reqs = match scan(&f, &ivs, &VarSet::default(), &costs) {
             Ok(_) => continue,
             Err(ScanFail::Spill { reqs, .. }) => reqs,
             Err(ScanFail::Hard(e)) => panic!("seed {seed}: {e}"),
