@@ -448,7 +448,7 @@ exit:
         let mut cache = AnalysisCache::new();
         cache.set_deferred_staleness(true);
         let _ = cache.liveness(&f);
-        let var = |f: &Function, name: &str| f.vars().find(|&v| f.var(v).name == name).unwrap();
+        let var = |f: &Function, name: &str| f.vars().find(|&v| &*f.var(v).name == name).unwrap();
         let i = var(&f, "i");
         let r = f.resources.new_virt("r");
         f.set_pin(i, Some(r));
@@ -471,7 +471,7 @@ exit:
         let mut f = sample();
         let mut cache = AnalysisCache::new();
         let _ = cache.liveness(&f);
-        let i = f.vars().find(|&v| f.var(v).name == "i").unwrap();
+        let i = f.vars().find(|&v| &*f.var(v).name == "i").unwrap();
         tossa_ir::function::pin_var_to_reg(&mut f, i, tossa_ir::PhysReg(0));
         // Pins are not analysis inputs; no invalidation required.
         let _ = cache.domtree(&f);

@@ -246,7 +246,7 @@ mod tests {
     }
 
     fn var(f: &Function, name: &str) -> Var {
-        f.vars().find(|&v| f.var(v).name == name).unwrap()
+        f.vars().find(|&v| &*f.var(v).name == name).unwrap()
     }
 
     #[test]

@@ -364,7 +364,7 @@ mod tests {
 
     fn var(f: &Function, name: &str) -> Var {
         f.vars()
-            .find(|&v| f.var(v).name == name)
+            .find(|&v| &*f.var(v).name == name)
             .unwrap_or_else(|| panic!("no var {name}"))
     }
 
@@ -502,7 +502,7 @@ m:
         let live = Liveness::compute(&f, &cfg);
         assert!(live.live_out(f.entry).is_empty());
         let exit = live.live_exit(&f, f.entry);
-        let names: Vec<&str> = exit.iter().map(|v| f.var(v).name.as_str()).collect();
+        let names: Vec<&str> = exit.iter().map(|v| &*f.var(v).name).collect();
         assert_eq!(names, vec!["a", "b"]);
     }
 }

@@ -21,7 +21,7 @@ use std::rc::Rc;
 use tossa_analysis::{AnalysisCache, DefMap, LiveAtDefs, Liveness};
 use tossa_ir::ids::{Block, Inst, Var};
 use tossa_ir::instr::InstData;
-use tossa_ir::Function;
+use tossa_ir::{derived_name, Function};
 
 /// Statistics of a CSSA conversion.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -258,7 +258,7 @@ fn to_cssa_inner(f: &mut Function, cache: &mut AnalysisCache) -> CssaStats {
             match arg_slot {
                 Some(k) => {
                     // xi' = xi at the end of the predecessor l.
-                    let nv = f.new_var(format!("{}_c", f.var(x).name));
+                    let nv = f.new_var(derived_name(format_args!("{}_c", f.var(x).name)));
                     let at = f.block(l).insts.len().saturating_sub(1);
                     f.insert_inst(l, at, InstData::mov(nv, x));
                     f.inst_mut(phi).uses[k].var = nv;
@@ -267,7 +267,7 @@ fn to_cssa_inner(f: &mut Function, cache: &mut AnalysisCache) -> CssaStats {
                 }
                 None => {
                     // x0' = φ(...); x0 = x0' at the head of the block.
-                    let nv = f.new_var(format!("{}_c", f.var(x).name));
+                    let nv = f.new_var(derived_name(format_args!("{}_c", f.var(x).name)));
                     f.inst_mut(phi).defs[0].var = nv;
                     let at = f.first_non_phi(l);
                     f.insert_inst(l, at, InstData::mov(x, nv));
@@ -394,7 +394,7 @@ fn safety_pass(f: &mut Function, cache: &mut AnalysisCache) -> usize {
         let inst = f.inst(p);
         let u = inst.uses[k].var;
         let l = inst.phi_preds[k];
-        let nv = f.new_var(format!("{}_s", f.var(u).name));
+        let nv = f.new_var(derived_name(format_args!("{}_s", f.var(u).name)));
         let at = f.block(l).insts.len().saturating_sub(1);
         f.insert_inst(l, at, InstData::mov(nv, u));
         f.inst_mut(p).uses[k].var = nv;

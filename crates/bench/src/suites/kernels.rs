@@ -14,7 +14,7 @@ use crate::suites::BenchFunction;
 use tossa_ir::instr::InstData;
 use tossa_ir::machine::Machine;
 use tossa_ir::parse::parse_function;
-use tossa_ir::{Function, Opcode};
+use tossa_ir::{derived_name, Function, Opcode};
 
 /// One kernel: name, LAI text, and sample input sets for equivalence
 /// checking.
@@ -748,7 +748,7 @@ pub fn temp_heavy(f: &Function) -> Function {
             // Route every operand through a redundant `addi t, x, 0`.
             let uses = g.inst(i).uses.to_vec();
             for (k, u) in uses.iter().enumerate() {
-                let t = g.new_var(format!("t{}", k));
+                let t = g.new_var(derived_name(format_args!("t{k}")));
                 g.insert_inst(
                     b,
                     pos,

@@ -601,7 +601,10 @@ mod tests {
             self.handles.env(&self.f, InterferenceMode::Exact)
         }
         fn var(&self, name: &str) -> Var {
-            self.f.vars().find(|&v| self.f.var(v).name == name).unwrap()
+            self.f
+                .vars()
+                .find(|&v| &*self.f.var(v).name == name)
+                .unwrap()
         }
         fn merge_block(&self) -> Block {
             self.f
@@ -687,8 +690,8 @@ m:
         assert_eq!((p.a, p.b), p.offenders);
         assert_eq!(p.reason.class, crate::interfere::InterfereClass::Class1);
         let (wa, wb) = p.reason.witness.expect("variable witness");
-        assert_eq!(s.f.var(wa).name, "x");
-        assert_eq!(s.f.var(wb).name, "a");
+        assert_eq!(&*s.f.var(wa).name, "x");
+        assert_eq!(&*s.f.var(wb).name, "a");
         // The surviving component coalesces x with b only.
         let comps = components(&g);
         assert_eq!(comps.len(), 1);

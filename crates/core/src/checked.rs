@@ -305,7 +305,7 @@ mod tests {
         // both to one resource is Fig. 4 case 1/6.
         let r = f.resources.new_virt("bad");
         for name in ["a", "b"] {
-            let v = f.vars().find(|&v| f.var(v).name == name).unwrap();
+            let v = f.vars().find(|&v| &*f.var(v).name == name).unwrap();
             f.var_mut(v).pin = Some(r);
         }
         let e = check_form(&f, IrForm::PinnedSsa).unwrap_err();
@@ -342,7 +342,7 @@ mod tests {
         // Fig. 4 case 1, written through the stamp-neutral setter.
         let r = f.resources.new_virt("bad");
         for name in ["a", "b"] {
-            let v = f.vars().find(|&v| f.var(v).name == name).unwrap();
+            let v = f.vars().find(|&v| &*f.var(v).name == name).unwrap();
             f.set_pin(v, Some(r));
         }
         let (second, counters) =

@@ -227,7 +227,7 @@ fn program_pinning_inner(
                     let class = p.reason.class.provenance();
                     let witness = witness_strs(f, p);
                     provenance::Kind::Edge {
-                        block: f.block(b).name.clone(),
+                        block: f.block(b).name.to_string(),
                         a: vert_str(f, p.a),
                         b: vert_str(f, p.b),
                         weight: p.weight,
@@ -252,7 +252,7 @@ fn program_pinning_inner(
                         RVertex::Res(r) => Some(resolve(&alias, r)),
                     };
                     provenance::Kind::Edge {
-                        block: f.block(b).name.clone(),
+                        block: f.block(b).name.to_string(),
                         a: vert_str(f, va),
                         b: vert_str(f, vb),
                         weight: w,
@@ -322,7 +322,7 @@ fn merge_component(
                 RVertex::Bare(x) => Some(f.var(x).name.clone()),
                 _ => None,
             })
-            .unwrap_or_else(|| "coalesced".to_string());
+            .unwrap_or_else(|| "coalesced".into());
         f.resources.new_virt(name)
     });
     members.grow_to(f.resources.len(), Vec::new());
@@ -397,7 +397,7 @@ mod tests {
     }
 
     fn var(f: &Function, name: &str) -> Var {
-        f.vars().find(|&v| f.var(v).name == name).unwrap()
+        f.vars().find(|&v| &*f.var(v).name == name).unwrap()
     }
 
     #[test]

@@ -7,12 +7,11 @@ use tossa_ir::ids::{Resource, Var};
 use tossa_ir::instr::InstData;
 use tossa_ir::machine::PhysReg;
 use tossa_ir::print::{res_str, var_str};
-use tossa_ir::{Function, Opcode};
+use tossa_ir::{derived_name, Function, Opcode};
 use tossa_trace::provenance;
 
 fn phys_resource(f: &mut Function, reg: PhysReg) -> Resource {
-    let name = f.machine.reg_name(reg).to_string();
-    f.resources.phys(reg, &name)
+    f.resources.phys(reg, f.machine.reg_name(reg))
 }
 
 /// Records one pin decision on the provenance stream (no-op when
@@ -92,8 +91,8 @@ pub fn pinning_abi(f: &mut Function) -> usize {
 }
 
 fn pinning_abi_inner(f: &mut Function) -> usize {
-    let arg_regs: Vec<PhysReg> = f.machine.abi.arg_regs.clone();
-    let ptr_regs: Vec<PhysReg> = f.machine.abi.ptr_arg_regs.clone();
+    let arg_regs = f.machine.abi.arg_regs;
+    let ptr_regs = f.machine.abi.ptr_arg_regs;
     let ret_reg = f.machine.abi.ret_reg;
     let mut n = 0;
     for (b, i) in f.all_insts().collect::<Vec<_>>() {
@@ -101,10 +100,9 @@ fn pinning_abi_inner(f: &mut Function) -> usize {
         match opcode {
             Opcode::Input => {
                 // Scalar args take R0..R3, then pointer regs P0..P1.
-                let order: Vec<PhysReg> = arg_regs.iter().chain(ptr_regs.iter()).copied().collect();
+                let order = arg_regs.iter().chain(ptr_regs).copied();
                 let ndefs = f.inst(i).defs.len();
-                for k in 0..ndefs {
-                    let Some(&reg) = order.get(k) else { break };
+                for (k, reg) in order.take(ndefs).enumerate() {
                     n += pin_hard_def(f, b, i, k, reg, "abi:input");
                 }
             }
@@ -167,7 +165,7 @@ fn pin_hard_def(
         }
         Some(existing) if existing == r => 0,
         Some(_) => {
-            let fresh = f.new_var(format!("{}_abi", f.var(d).name));
+            let fresh = f.new_var(derived_name(format_args!("{}_abi", f.var(d).name)));
             f.set_pin(fresh, Some(r));
             f.inst_mut(i).defs[k].var = fresh;
             record_pin(f, fresh, r, site);
@@ -322,8 +320,8 @@ pub fn naive_abi(f: &mut Function) -> usize {
 }
 
 fn naive_abi_inner(f: &mut Function) -> usize {
-    let arg_regs: Vec<PhysReg> = f.machine.abi.arg_regs.clone();
-    let ptr_regs: Vec<PhysReg> = f.machine.abi.ptr_arg_regs.clone();
+    let arg_regs = f.machine.abi.arg_regs;
+    let ptr_regs = f.machine.abi.ptr_arg_regs;
     let ret_reg = f.machine.abi.ret_reg;
     // The variable standing for each register, indexed by register.
     let mut reg_vars: Vec<Option<Var>> = vec![None; f.machine.num_regs()];
@@ -340,11 +338,9 @@ fn naive_abi_inner(f: &mut Function) -> usize {
             let opcode = f.inst(i).opcode;
             match opcode {
                 Opcode::Input => {
-                    let order: Vec<PhysReg> =
-                        arg_regs.iter().chain(ptr_regs.iter()).copied().collect();
+                    let order = arg_regs.iter().chain(ptr_regs).copied();
                     let defs = f.inst(i).defs.to_vec();
-                    for (k, d) in defs.iter().enumerate() {
-                        let Some(&reg) = order.get(k) else { break };
+                    for ((k, d), reg) in defs.iter().enumerate().zip(order) {
                         let rv = reg_var(f, &mut reg_vars, reg);
                         if rv == d.var {
                             continue;
@@ -402,7 +398,8 @@ fn naive_abi_inner(f: &mut Function) -> usize {
                         let nuses = f.inst(i).uses.len();
                         for j in 0..nuses {
                             if j != tied && f.inst(i).uses[j].var == d {
-                                let tmp = f.new_var(format!("{}_sav", f.var(d).name));
+                                let tmp =
+                                    f.new_var(derived_name(format_args!("{}_sav", f.var(d).name)));
                                 f.insert_inst(b, pos, InstData::mov(tmp, d));
                                 moves += 1;
                                 pos += 1;
@@ -450,8 +447,7 @@ fn reg_var(f: &mut Function, reg_vars: &mut [Option<Var>], reg: PhysReg) -> Var 
     if let Some(v) = reg_vars[reg.index()] {
         return v;
     }
-    let name = f.machine.reg_name(reg).to_string();
-    let v = f.new_var(name);
+    let v = f.new_var(f.machine.reg_name(reg));
     f.var_mut(v).reg = Some(reg);
     reg_vars[reg.index()] = Some(v);
     v
@@ -485,7 +481,7 @@ entry:
         // 2 input defs + 2 call arg uses + 1 call def + 1 ret use.
         assert_eq!(n, 6);
         let r0 = f.resources.by_name("R0").unwrap();
-        let a = f.vars().find(|&v| f.var(v).name == "a").unwrap();
+        let a = f.vars().find(|&v| &*f.var(v).name == "a").unwrap();
         assert_eq!(f.var(a).pin, Some(r0));
     }
 
@@ -514,11 +510,11 @@ entry:
         // p arrives in a register (ABI input pin), and the two-operand
         // constraint chains q onto p's resource: the whole pointer web
         // lives in that register.
-        let pvar = f.vars().find(|&v| f.var(v).name == "p").unwrap();
+        let pvar = f.vars().find(|&v| &*f.var(v).name == "p").unwrap();
         assert_eq!(f.var(pvar).pin, Some(pin));
         // The more-instruction's operands build a fresh virtual resource
         // (no prior pin on either side).
-        let k = f.vars().find(|&v| f.var(v).name == "k").unwrap();
+        let k = f.vars().find(|&v| &*f.var(v).name == "k").unwrap();
         let kpin = f.var(k).pin.expect("def pinned");
         assert!(
             f.resources.as_phys(kpin).is_none(),
@@ -567,9 +563,9 @@ m:
         );
         let n = pinning_cssa(&mut f);
         assert_eq!(n, 3);
-        let x = f.vars().find(|&v| f.var(v).name == "x").unwrap();
-        let a = f.vars().find(|&v| f.var(v).name == "a").unwrap();
-        let b = f.vars().find(|&v| f.var(v).name == "b").unwrap();
+        let x = f.vars().find(|&v| &*f.var(v).name == "x").unwrap();
+        let a = f.vars().find(|&v| &*f.var(v).name == "a").unwrap();
+        let b = f.vars().find(|&v| &*f.var(v).name == "b").unwrap();
         assert_eq!(f.var(x).pin, f.var(a).pin);
         assert_eq!(f.var(a).pin, f.var(b).pin);
         assert!(f.var(x).pin.is_some());

@@ -370,7 +370,7 @@ mod tests {
         fn var(&self, name: &str) -> Var {
             self.f
                 .vars()
-                .find(|&v| self.f.var(v).name == name)
+                .find(|&v| &*self.f.var(v).name == name)
                 .unwrap_or_else(|| panic!("no var {name}"))
         }
     }

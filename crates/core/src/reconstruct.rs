@@ -26,11 +26,12 @@
 //! (non-SSA) machine code.
 
 use crate::error::ReconstructError;
+use std::sync::Arc;
 use tossa_ir::ids::{Block, EntityVec, Inst, Resource, Var};
 use tossa_ir::instr::InstData;
 use tossa_ir::parallel_copy::sequentialize_checked;
 use tossa_ir::print::{res_str, var_str};
-use tossa_ir::{Function, Opcode};
+use tossa_ir::{derived_name, Function, Opcode};
 use tossa_trace::provenance;
 
 /// Copy counts produced by one translation.
@@ -84,7 +85,7 @@ pub fn split_edges_for_phis(f: &mut Function) -> usize {
             if f.phis(s).next().is_none() {
                 continue;
             }
-            let mid = f.add_block(format!("edge{split}"));
+            let mid = f.add_block(derived_name(format_args!("edge{split}")));
             f.push_inst(mid, InstData::new(Opcode::Jump).with_targets(vec![s]));
             let term = f.terminator(b).expect("has successors");
             f.inst_mut(term).targets[slot] = mid;
@@ -415,8 +416,7 @@ fn translate(f: &mut Function) -> Result<ReconstructStats, ReconstructError> {
     // killed variable's repair at its own index (None elsewhere).
     let mut res_var: Vec<Var> = Vec::with_capacity(f.resources.len());
     for r in f.resources.iter() {
-        let name = f.resources.name(r).to_string();
-        let v = f.new_var(name);
+        let v = f.new_var(Arc::clone(f.resources.name(r)));
         if let Some(reg) = f.resources.as_phys(r) {
             f.var_mut(v).reg = Some(reg);
         }
@@ -424,8 +424,7 @@ fn translate(f: &mut Function) -> Result<ReconstructStats, ReconstructError> {
     }
     let mut repair_var: Vec<Option<Var>> = vec![None; f.num_vars()];
     for v in needs_repair.keys().filter(|&v| needs_repair[v]) {
-        let name = format!("{}_rep", f.var(v).name);
-        let rv = f.new_var(name);
+        let rv = f.new_var(derived_name(format_args!("{}_rep", f.var(v).name)));
         repair_var[v.index()] = Some(rv);
     }
     // The final name of a variable: its resource's variable, or itself.
@@ -538,7 +537,7 @@ fn translate(f: &mut Function) -> Result<ReconstructStats, ReconstructError> {
                     sequentialize_checked(&group, || {
                         temp_counter += 1;
                         stats.temp_copies += 1;
-                        f.new_var(format!("pcopy{temp_counter}"))
+                        f.new_var(derived_name(format_args!("pcopy{temp_counter}")))
                     })
                 })
                 .map_err(ReconstructError::ParallelCopy)?;
@@ -762,6 +761,43 @@ m:
     }
 
     #[test]
+    fn final_variables_share_their_resource_names() {
+        let mut f = parse(
+            "func @d {
+entry:
+  %c = input
+  br %c, l, r
+l:
+  %a = make 1
+  jump m
+r:
+  %b = make 2
+  jump m
+m:
+  %x = phi [l: %a], [r: %b]
+  ret %x
+}",
+        );
+        crate::coalesce::program_pinning(&mut f, &Default::default());
+        // The coalescer names its resource after a member variable.
+        let shares_member_name = |f: &Function, r: Resource| {
+            f.vars().any(|v| {
+                f.var(v).pin == Some(r) && Arc::ptr_eq(&f.var(v).name, f.resources.name(r))
+            })
+        };
+        assert!(!f.resources.is_empty());
+        assert!(f.resources.iter().all(|r| shares_member_name(&f, r)), "{f}");
+        // Reconstruction creates each resource's final variable first,
+        // in resource order.
+        let first = f.num_vars();
+        out_of_pinned_ssa(&mut f);
+        for r in f.resources.iter() {
+            let v = Var::new(first + r.index());
+            assert!(Arc::ptr_eq(&f.var(v).name, f.resources.name(r)), "{r}");
+        }
+    }
+
+    #[test]
     fn lost_copy_is_repaired() {
         // Forcing the φ web into one resource although x and x2 overlap
         // requires a repair copy (Fig. 5(b)'s "worst" solution).
@@ -785,7 +821,7 @@ exit:
         let orig = f.clone();
         let r = f.resources.new_virt("forced");
         for name in ["one", "x", "x2"] {
-            let v = f.vars().find(|&v| f.var(v).name == name).unwrap();
+            let v = f.vars().find(|&v| &*f.var(v).name == name).unwrap();
             f.var_mut(v).pin = Some(r);
         }
         let stats = out_of_pinned_ssa(&mut f);
@@ -1061,7 +1097,7 @@ m:
         );
         let r = f.resources.new_virt("bad");
         for name in ["x", "y"] {
-            let v = f.vars().find(|&v| f.var(v).name == name).unwrap();
+            let v = f.vars().find(|&v| &*f.var(v).name == name).unwrap();
             f.var_mut(v).pin = Some(r);
         }
         f

@@ -5,7 +5,7 @@
 //! array and one block array each, so a function's CFG is a handful of
 //! buffers rather than two `Vec`s per block.
 
-use crate::function::Function;
+use crate::function::{derived_name, Function};
 use crate::ids::Block;
 use crate::instr::InstData;
 use crate::opcode::Opcode;
@@ -159,7 +159,7 @@ pub fn split_critical_edges(f: &mut Function) -> usize {
                 continue;
             }
             // Critical edge b -> s: insert a middle block.
-            let mid = f.add_block(format!("split{split}"));
+            let mid = f.add_block(derived_name(format_args!("split{split}")));
             f.push_inst(mid, InstData::new(Opcode::Jump).with_targets(vec![s]));
             let term = f
                 .terminator(b)

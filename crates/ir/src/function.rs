@@ -1,7 +1,7 @@
 //! The function container: blocks, flat instruction arena, variables,
 //! resources.
 //!
-//! Instruction payloads are stored SoA-style: one dense [`InstSlot`] per
+//! Instruction payloads are stored SoA-style: one dense slot per
 //! instruction (opcode, immediate, interned callee, pool ranges) plus two
 //! shared pools — one of [`Operand`]s (defs then uses, contiguous per
 //! instruction) and one of [`Block`] references (branch targets, or φ
@@ -16,13 +16,16 @@ use crate::opcode::Opcode;
 use crate::resources::ResourceTable;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// Per-variable metadata.
 #[derive(Clone, Debug)]
 pub struct VarData {
     /// Display name (unique names are not required; the printer
-    /// disambiguates with the id).
-    pub name: String,
+    /// disambiguates with the id). Shared: an SSA version, the same
+    /// variable in a cloned function, and a resource named after the
+    /// variable all hold one allocation.
+    pub name: Arc<str>,
     /// *Variable pinning* (paper §2.1): the resource the variable's unique
     /// definition is pinned to, if any. Only meaningful while in SSA form.
     pub pin: Option<Resource>,
@@ -36,11 +39,42 @@ pub struct VarData {
     pub origin: Option<Var>,
 }
 
+/// Formats a derived display name (`x_c`, `pcopy3`, `v.r`) straight into
+/// its shared allocation: the text is written to a stack buffer and
+/// copied once into the `Arc`, so the name costs one allocation, not a
+/// `String` plus its copy. Call it as
+/// `derived_name(format_args!("{}_c", f.var(x).name))`.
+pub fn derived_name(args: fmt::Arguments<'_>) -> Arc<str> {
+    struct StackBuf {
+        bytes: [u8; 64],
+        len: usize,
+    }
+    impl fmt::Write for StackBuf {
+        fn write_str(&mut self, s: &str) -> fmt::Result {
+            let end = self.len + s.len();
+            let dst = self.bytes.get_mut(self.len..end).ok_or(fmt::Error)?;
+            dst.copy_from_slice(s.as_bytes());
+            self.len = end;
+            Ok(())
+        }
+    }
+    let mut buf = StackBuf {
+        bytes: [0; 64],
+        len: 0,
+    };
+    match fmt::write(&mut buf, args) {
+        // Whole `str`s were appended, so the prefix is valid UTF-8.
+        Ok(()) => Arc::from(std::str::from_utf8(&buf.bytes[..buf.len]).expect("UTF-8")),
+        // Longer than the buffer: a rare name pays for the detour.
+        Err(_) => Arc::from(fmt::format(args)),
+    }
+}
+
 /// Per-block metadata: a label and the ordered instruction list.
 #[derive(Clone, Debug)]
 pub struct BlockData {
     /// Display label.
-    pub name: String,
+    pub name: Arc<str>,
     /// Ordered instructions; φs first, terminator last.
     pub insts: Vec<Inst>,
 }
@@ -142,7 +176,7 @@ impl Function {
     pub fn new(name: impl Into<String>, machine: Machine) -> Function {
         let mut blocks = EntityVec::new();
         let entry = blocks.push(BlockData {
-            name: "entry".to_string(),
+            name: Arc::from("entry"),
             insts: Vec::new(),
         });
         Function {
@@ -200,7 +234,7 @@ impl Function {
     // ---- variables ------------------------------------------------------
 
     /// Creates a fresh variable with the given display name.
-    pub fn new_var(&mut self, name: impl Into<String>) -> Var {
+    pub fn new_var(&mut self, name: impl Into<Arc<str>>) -> Var {
         self.edited();
         self.vars.push(VarData {
             name: name.into(),
@@ -211,10 +245,10 @@ impl Function {
     }
 
     /// Creates a fresh variable that is an SSA version of `origin`
-    /// (inherits its display name).
+    /// (shares its display name).
     pub fn new_var_version(&mut self, origin: Var) -> Var {
         self.edited();
-        let name = self.vars[origin].name.clone();
+        let name = Arc::clone(&self.vars[origin].name);
         let root = self.vars[origin].origin.unwrap_or(origin);
         self.vars.push(VarData {
             name,
@@ -249,7 +283,7 @@ impl Function {
     // ---- blocks ---------------------------------------------------------
 
     /// Creates a new empty block.
-    pub fn add_block(&mut self, name: impl Into<String>) -> Block {
+    pub fn add_block(&mut self, name: impl Into<Arc<str>>) -> Block {
         self.edited();
         self.blocks.push(BlockData {
             name: name.into(),
@@ -728,8 +762,7 @@ impl Function {
 /// Convenience: pins the definition of `v` to the interned resource of a
 /// physical register.
 pub fn pin_var_to_reg(f: &mut Function, v: Var, reg: PhysReg) -> Resource {
-    let name = f.machine.reg_name(reg).to_string();
-    let r = f.resources.phys(reg, &name);
+    let r = f.resources.phys(reg, f.machine.reg_name(reg));
     f.set_pin(v, Some(r));
     r
 }
@@ -951,6 +984,37 @@ mod tests {
         assert_ne!(
             Function::new("t", Machine::dsp32()).edit_stamp().0,
             f.edit_stamp().0
+        );
+    }
+
+    #[test]
+    fn versions_and_clones_share_the_name_allocation() {
+        let mut f = tiny();
+        let a = Var::new(0);
+        let v1 = f.new_var_version(a);
+        let v2 = f.new_var_version(v1);
+        assert!(Arc::ptr_eq(&f.var(v1).name, &f.var(a).name));
+        assert!(Arc::ptr_eq(&f.var(v2).name, &f.var(a).name));
+        assert_eq!(f.var(v2).origin, Some(a));
+        let g = f.clone();
+        for v in f.vars() {
+            assert!(Arc::ptr_eq(&g.var(v).name, &f.var(v).name), "{v}");
+        }
+        for b in f.blocks() {
+            assert!(Arc::ptr_eq(&g.block(b).name, &f.block(b).name), "{b}");
+        }
+    }
+
+    #[test]
+    fn derived_names_format_like_format() {
+        let x: Arc<str> = "x".into();
+        assert_eq!(&*derived_name(format_args!("{x}_c")), "x_c");
+        assert_eq!(&*derived_name(format_args!("pcopy{}", 12)), "pcopy12");
+        // Past the stack buffer the name still comes out whole.
+        let long = "n".repeat(100);
+        assert_eq!(
+            &*derived_name(format_args!("{long}.r")),
+            format!("{long}.r")
         );
     }
 

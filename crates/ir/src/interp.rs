@@ -159,7 +159,7 @@ pub fn run(f: &Function, inputs: &[i64], fuel: u64) -> Result<ExecResult, Trap> 
         if env.defined[v.index()] {
             Ok(env.vals[v.index()])
         } else {
-            Err(Trap::UndefinedVar(v, f.var(v).name.clone()))
+            Err(Trap::UndefinedVar(v, f.var(v).name.to_string()))
         }
     };
 

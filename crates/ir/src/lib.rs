@@ -46,7 +46,7 @@ pub mod print;
 pub mod resources;
 pub mod rng;
 
-pub use function::Function;
+pub use function::{derived_name, Function};
 pub use ids::{Block, Inst, Resource, Var};
 pub use instr::{InstData, Operand};
 pub use machine::{Machine, PhysReg};

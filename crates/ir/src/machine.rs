@@ -51,69 +51,109 @@ pub enum RegClass {
 }
 
 /// Description of one physical register.
-#[derive(Clone, Debug)]
+#[derive(Clone, Copy, Debug)]
 pub struct RegInfo {
     /// Assembly name, e.g. `"R0"`.
-    pub name: String,
+    pub name: &'static str,
     /// Register class.
     pub class: RegClass,
 }
 
 /// ABI calling convention of the machine.
-#[derive(Clone, Debug)]
+#[derive(Clone, Copy, Debug)]
 pub struct Abi {
     /// Registers carrying scalar arguments, in order.
-    pub arg_regs: Vec<PhysReg>,
+    pub arg_regs: &'static [PhysReg],
     /// Registers carrying pointer arguments, in order.
-    pub ptr_arg_regs: Vec<PhysReg>,
+    pub ptr_arg_regs: &'static [PhysReg],
     /// Register carrying the (single) scalar return value.
     pub ret_reg: PhysReg,
     /// The dedicated stack pointer.
     pub sp: PhysReg,
 }
 
-/// A machine description: register file plus ABI.
-#[derive(Clone, Debug)]
+/// A machine description: a handle over static register and ABI tables,
+/// so copying one (a [`crate::Function`] clone, a parsed function)
+/// allocates nothing.
+#[derive(Clone, Copy, Debug)]
 pub struct Machine {
-    regs: Vec<RegInfo>,
+    regs: &'static [RegInfo],
     /// The machine's calling convention.
     pub abi: Abi,
+    /// The allocatable registers (every non-`Special` one), general
+    /// purpose first.
+    gpr_first: &'static [PhysReg],
+    /// The same registers, pointer registers first.
+    ptr_first: &'static [PhysReg],
 }
+
+const fn reg(name: &'static str, class: RegClass) -> RegInfo {
+    RegInfo { name, class }
+}
+
+const fn r(i: u8) -> PhysReg {
+    PhysReg(i)
+}
+
+static DSP32_REGS: [RegInfo; 22] = [
+    reg("R0", RegClass::Gpr),
+    reg("R1", RegClass::Gpr),
+    reg("R2", RegClass::Gpr),
+    reg("R3", RegClass::Gpr),
+    reg("R4", RegClass::Gpr),
+    reg("R5", RegClass::Gpr),
+    reg("R6", RegClass::Gpr),
+    reg("R7", RegClass::Gpr),
+    reg("R8", RegClass::Gpr),
+    reg("R9", RegClass::Gpr),
+    reg("R10", RegClass::Gpr),
+    reg("R11", RegClass::Gpr),
+    reg("R12", RegClass::Gpr),
+    reg("R13", RegClass::Gpr),
+    reg("R14", RegClass::Gpr),
+    reg("R15", RegClass::Gpr),
+    reg("P0", RegClass::Ptr),
+    reg("P1", RegClass::Ptr),
+    reg("P2", RegClass::Ptr),
+    reg("P3", RegClass::Ptr),
+    reg("SP", RegClass::Special),
+    reg("LR", RegClass::Special),
+];
+
+static DSP32_ARG_REGS: [PhysReg; 4] = [r(0), r(1), r(2), r(3)];
+static DSP32_PTR_ARG_REGS: [PhysReg; 2] = [r(16), r(17)];
+
+// The allocatable registers (every non-`Special` one) in the two
+// preference orders of `Machine::allocation_order`.
+#[rustfmt::skip]
+static DSP32_GPR_FIRST: [PhysReg; 20] = [
+    r(0), r(1), r(2), r(3), r(4), r(5), r(6), r(7),
+    r(8), r(9), r(10), r(11), r(12), r(13), r(14), r(15),
+    r(16), r(17), r(18), r(19),
+];
+#[rustfmt::skip]
+static DSP32_PTR_FIRST: [PhysReg; 20] = [
+    r(16), r(17), r(18), r(19),
+    r(0), r(1), r(2), r(3), r(4), r(5), r(6), r(7),
+    r(8), r(9), r(10), r(11), r(12), r(13), r(14), r(15),
+];
 
 impl Machine {
     /// The fictional `DSP32` machine used throughout this repository:
     /// sixteen GPRs `R0..R15`, four pointer registers `P0..P3`, and the
     /// dedicated registers `SP` and `LR`.
-    pub fn dsp32() -> Machine {
-        let mut regs = Vec::new();
-        for i in 0..16 {
-            regs.push(RegInfo {
-                name: format!("R{i}"),
-                class: RegClass::Gpr,
-            });
+    pub const fn dsp32() -> Machine {
+        Machine {
+            regs: &DSP32_REGS,
+            abi: Abi {
+                arg_regs: &DSP32_ARG_REGS,
+                ptr_arg_regs: &DSP32_PTR_ARG_REGS,
+                ret_reg: r(0),
+                sp: r(20),
+            },
+            gpr_first: &DSP32_GPR_FIRST,
+            ptr_first: &DSP32_PTR_FIRST,
         }
-        for i in 0..4 {
-            regs.push(RegInfo {
-                name: format!("P{i}"),
-                class: RegClass::Ptr,
-            });
-        }
-        regs.push(RegInfo {
-            name: "SP".to_string(),
-            class: RegClass::Special,
-        });
-        regs.push(RegInfo {
-            name: "LR".to_string(),
-            class: RegClass::Special,
-        });
-        let r = |i: u8| PhysReg(i);
-        let abi = Abi {
-            arg_regs: vec![r(0), r(1), r(2), r(3)],
-            ptr_arg_regs: vec![r(16), r(17)],
-            ret_reg: r(0),
-            sp: r(20),
-        };
-        Machine { regs, abi }
     }
 
     /// Number of physical registers.
@@ -125,8 +165,8 @@ impl Machine {
     ///
     /// # Panics
     /// Panics if `reg` is out of range for this machine.
-    pub fn reg_name(&self, reg: PhysReg) -> &str {
-        &self.regs[reg.index()].name
+    pub fn reg_name(&self, reg: PhysReg) -> &'static str {
+        self.regs[reg.index()].name
     }
 
     /// Register class of a register.
@@ -148,6 +188,18 @@ impl Machine {
     /// Iterates over all physical registers.
     pub fn regs(&self) -> impl Iterator<Item = PhysReg> + use<> {
         (0..self.regs.len()).map(|i| PhysReg(i as u8))
+    }
+
+    /// The registers an unpinned variable may be assigned to, in
+    /// preference order: general purpose first, or pointer registers
+    /// first when `ptr_first`. `Special`-class registers are reserved
+    /// for precoloring and never appear.
+    pub fn allocation_order(&self, ptr_first: bool) -> &'static [PhysReg] {
+        if ptr_first {
+            self.ptr_first
+        } else {
+            self.gpr_first
+        }
     }
 }
 
@@ -183,13 +235,25 @@ mod tests {
     #[test]
     fn abi_registers_are_distinct() {
         let m = Machine::dsp32();
-        let mut all = m.abi.arg_regs.clone();
-        all.extend(&m.abi.ptr_arg_regs);
+        let mut all = m.abi.arg_regs.to_vec();
+        all.extend(m.abi.ptr_arg_regs);
         all.push(m.abi.sp);
         let n = all.len();
         all.sort();
         all.dedup();
         assert_eq!(all.len(), n);
         assert!(m.abi.arg_regs.contains(&m.abi.ret_reg));
+    }
+
+    /// The two allocation orders are the non-`Special` registers in
+    /// index order, one class ahead of the other.
+    #[test]
+    fn allocation_orders_follow_the_register_classes() {
+        let m = Machine::dsp32();
+        let of = |class| m.regs().filter(move |&r| m.reg_class(r) == class);
+        let gpr_first: Vec<PhysReg> = of(RegClass::Gpr).chain(of(RegClass::Ptr)).collect();
+        let ptr_first: Vec<PhysReg> = of(RegClass::Ptr).chain(of(RegClass::Gpr)).collect();
+        assert_eq!(m.allocation_order(false), gpr_first.as_slice());
+        assert_eq!(m.allocation_order(true), ptr_first.as_slice());
     }
 }

@@ -124,8 +124,7 @@ impl<'a> Parser<'a> {
             self.virt_res.insert(virt.to_string(), r);
             Ok(r)
         } else if let Some(reg) = self.machine.reg_by_name(token) {
-            let name = self.machine.reg_name(reg).to_string();
-            Ok(self.func.resources.phys(reg, &name))
+            Ok(self.func.resources.phys(reg, self.machine.reg_name(reg)))
         } else {
             self.err_tok(token, format!("unknown resource `{token}`"))
         }
@@ -352,7 +351,7 @@ pub fn parse_function(text: &str, machine: &Machine) -> Result<Function, ParseEr
     let name = name.ok_or_else(|| ParseError::at(1, "missing `func @name {`"))?;
 
     let mut p = Parser {
-        func: Function::new(name, machine.clone()),
+        func: Function::new(name, *machine),
         vars: HashMap::new(),
         blocks: HashMap::new(),
         virt_res: HashMap::new(),
@@ -363,10 +362,10 @@ pub fn parse_function(text: &str, machine: &Machine) -> Result<Function, ParseEr
     // Map labels to blocks; first label is the entry.
     for (i, label) in labels.iter().enumerate() {
         let b = if i == 0 {
-            p.func.block_mut(p.func.entry).name = label.clone();
+            p.func.block_mut(p.func.entry).name = label.as_str().into();
             p.func.entry
         } else {
-            p.func.add_block(label.clone())
+            p.func.add_block(label.as_str())
         };
         if p.blocks.insert(label.clone(), b).is_some() {
             return Err(ParseError::at(1, format!("duplicate label `{label}`")));

@@ -146,7 +146,7 @@ impl fmt::Display for Function {
         for b in self.blocks() {
             let data = self.block(b);
             write!(f, "bb{}:", b.index())?;
-            if !data.name.is_empty() && data.name != format!("bb{}", b.index()) {
+            if !data.name.is_empty() && *data.name != format!("bb{}", b.index()) {
                 write!(f, "  ; {}", data.name)?;
             }
             writeln!(f)?;

@@ -7,7 +7,7 @@
 
 use crate::ids::Resource;
 use crate::machine::PhysReg;
-use std::collections::HashMap;
+use std::sync::Arc;
 
 /// The kind of a renaming resource.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -22,12 +22,14 @@ pub enum ResourceKind {
 ///
 /// Physical resources are interned (one [`Resource`] per [`PhysReg`]);
 /// virtual resources are freely created by coalescing and constraint
-/// collection.
+/// collection. Names are shared: a virtual resource named after a
+/// variable holds that variable's name allocation.
 #[derive(Clone, Debug, Default)]
 pub struct ResourceTable {
     kinds: Vec<ResourceKind>,
-    names: Vec<String>,
-    phys: HashMap<PhysReg, Resource>,
+    names: Vec<Arc<str>>,
+    /// The interned resource of each register, indexed by register id.
+    phys: Vec<Option<Resource>>,
 }
 
 impl ResourceTable {
@@ -39,18 +41,21 @@ impl ResourceTable {
     /// Returns the interned resource for a physical register, creating it
     /// on first use.
     pub fn phys(&mut self, reg: PhysReg, name: &str) -> Resource {
-        if let Some(&r) = self.phys.get(&reg) {
+        if let Some(&Some(r)) = self.phys.get(reg.index()) {
             return r;
         }
         let r = Resource::new(self.kinds.len());
         self.kinds.push(ResourceKind::Phys(reg));
-        self.names.push(name.to_string());
-        self.phys.insert(reg, r);
+        self.names.push(Arc::from(name));
+        if self.phys.len() <= reg.index() {
+            self.phys.resize(reg.index() + 1, None);
+        }
+        self.phys[reg.index()] = Some(r);
         r
     }
 
     /// Creates a fresh virtual resource with a display name.
-    pub fn new_virt(&mut self, name: impl Into<String>) -> Resource {
+    pub fn new_virt(&mut self, name: impl Into<Arc<str>>) -> Resource {
         let r = Resource::new(self.kinds.len());
         self.kinds.push(ResourceKind::Virt);
         self.names.push(name.into());
@@ -77,13 +82,16 @@ impl ResourceTable {
     ///
     /// # Panics
     /// Panics if `r` does not belong to this table.
-    pub fn name(&self, r: Resource) -> &str {
+    pub fn name(&self, r: Resource) -> &Arc<str> {
         &self.names[r.index()]
     }
 
     /// Looks a resource up by display name.
     pub fn by_name(&self, name: &str) -> Option<Resource> {
-        self.names.iter().position(|n| n == name).map(Resource::new)
+        self.names
+            .iter()
+            .position(|n| &**n == name)
+            .map(Resource::new)
     }
 
     /// Number of interned resources.
@@ -115,9 +123,9 @@ mod tests {
         assert_eq!(a, b);
         assert_ne!(a, c);
         assert_eq!(t.as_phys(a), Some(PhysReg(0)));
-        assert_eq!(t.name(c), "R1");
-        assert_eq!(t.phys.get(&PhysReg(1)), Some(&c));
-        assert_eq!(t.phys.get(&PhysReg(9)), None);
+        assert_eq!(&**t.name(c), "R1");
+        assert_eq!(t.phys[1], Some(c));
+        assert_eq!(t.phys.get(9).copied().flatten(), None);
     }
 
     #[test]

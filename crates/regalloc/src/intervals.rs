@@ -341,7 +341,7 @@ mod tests {
         let by_name = |n: &str| {
             ivs.items
                 .iter()
-                .find(|iv| f.var(iv.var).name == n)
+                .find(|iv| &*f.var(iv.var).name == n)
                 .copied()
                 .unwrap()
         };
@@ -349,7 +349,10 @@ mod tests {
         let b = by_name("b");
         // %a dies at the mov's use point; %b starts one past it.
         assert!(a.end < b.start, "a={a:?} b={b:?}");
-        assert_eq!(b.hint.map(|v| f.var(v).name.clone()), Some("a".to_string()));
+        assert_eq!(
+            b.hint.map(|v| f.var(v).name.to_string()),
+            Some("a".to_string())
+        );
     }
 
     #[test]
@@ -377,12 +380,12 @@ exit:
         let z = ivs
             .items
             .iter()
-            .find(|iv| f.var(iv.var).name == "z")
+            .find(|iv| &*f.var(iv.var).name == "z")
             .unwrap();
         let n = ivs
             .items
             .iter()
-            .find(|iv| f.var(iv.var).name == "n")
+            .find(|iv| &*f.var(iv.var).name == "n")
             .unwrap();
         assert!(z.overlaps(n), "loop-carried z must interfere with n");
         assert!(ivs.overlap(z, n), "per-range view must agree here");
@@ -407,7 +410,12 @@ entry:
         )
         .unwrap();
         let ivs = build(&f);
-        let by_name = |n: &str| ivs.items.iter().find(|iv| f.var(iv.var).name == n).unwrap();
+        let by_name = |n: &str| {
+            ivs.items
+                .iter()
+                .find(|iv| &*f.var(iv.var).name == n)
+                .unwrap()
+        };
         let a = by_name("a");
         let b = by_name("b");
         assert_eq!(
@@ -447,7 +455,7 @@ next:
         let a = ivs
             .items
             .iter()
-            .find(|iv| f.var(iv.var).name == "a")
+            .find(|iv| &*f.var(iv.var).name == "a")
             .unwrap();
         assert_eq!(
             ivs.ranges_of(a).len(),

@@ -45,7 +45,7 @@ pub mod verify;
 
 use std::fmt;
 use tossa_ir::ids::{Block, Var};
-use tossa_ir::machine::{PhysReg, RegClass};
+use tossa_ir::machine::PhysReg;
 use tossa_ir::Function;
 use tossa_trace::Counter;
 
@@ -360,16 +360,21 @@ pub fn prepare(f: &mut Function, _opts: &AllocOptions) -> Result<Prepared, Alloc
         stats.rounds += 1;
         let ivs = intervals::build_cached(f, &mut cache);
         // Round-scoped analyses, pulled from the cache *before* any
-        // rewrite mutates `f`.
+        // rewrite mutates `f`: the CFG and liveness here, the loop forest
+        // by scan at the round's first eviction (with the spill-cost
+        // table, which reads it).
         let cfg = cache.cfg(f);
         let live = cache.liveness(f);
-        let loops = cache.loops(f);
-        let costs = cost::SpillCosts::compute(f, &loops);
-        let (reqs, partial) = match scan::scan(f, &ivs, &temps, &costs) {
+        let (reqs, partial, victims) = match scan::scan(f, &ivs, &temps, &mut cache) {
             Ok(assignment) => return Ok(Prepared { assignment, stats }),
-            Err(scan::ScanFail::Spill { reqs, partial }) => (reqs, partial),
+            Err(scan::ScanFail::Spill {
+                reqs,
+                partial,
+                victims,
+            }) => (reqs, partial, victims),
             Err(scan::ScanFail::Hard(e)) => return Err(e),
         };
+        let costs = &victims.costs;
         // Second chance: scan batches a whole round's evictions, so by
         // the end of the round the pressure that evicted a web is often
         // over-relieved. A split sub-web back on the victim list would
@@ -387,7 +392,8 @@ pub fn prepare(f: &mut Function, _opts: &AllocOptions) -> Result<Prepared, Alloc
                     let Some(iv) = ivs.find(req.var) else {
                         continue;
                     };
-                    let free = pools(f, iv.ptr_pref).into_iter().find(|&r| {
+                    let order = f.machine.allocation_order(iv.ptr_pref);
+                    let free = order.iter().copied().find(|&r| {
                         !blocked.conflicts(&ivs, r, iv)
                             && !ivs.items.iter().any(|other| {
                                 other.var != iv.var
@@ -439,10 +445,10 @@ pub fn prepare(f: &mut Function, _opts: &AllocOptions) -> Result<Prepared, Alloc
                 v,
                 req.at,
                 &ivs,
-                &loops,
+                &victims.loops,
                 &live,
                 &cfg,
-                &costs,
+                costs,
                 next_slot,
                 &mut temps,
                 &mut split_webs,
@@ -532,8 +538,7 @@ pub fn finish(f: &mut Function, prep: Prepared) -> AllocStats {
         }
         stats.regs_used += 1;
         if canon[r.0 as usize].is_none() {
-            let name = f.machine.reg_name(r).to_string();
-            let v = f.new_var(name);
+            let v = f.new_var(f.machine.reg_name(r));
             f.var_mut(v).reg = Some(r);
             canon[r.0 as usize] = Some(v);
         }
@@ -557,27 +562,6 @@ pub fn allocate(f: &mut Function, opts: &AllocOptions) -> Result<AllocStats, All
         verify_allocation(f, &prep.assignment)?;
         Ok(finish(f, prep))
     })
-}
-
-/// Registers an unpinned variable may be assigned to, in preference
-/// order: `Special`-class registers are reserved for precoloring.
-pub(crate) fn pools(f: &Function, ptr_first: bool) -> Vec<PhysReg> {
-    let mut gpr = Vec::new();
-    let mut ptr = Vec::new();
-    for r in f.machine.regs() {
-        match f.machine.reg_class(r) {
-            RegClass::Gpr => gpr.push(r),
-            RegClass::Ptr => ptr.push(r),
-            RegClass::Special => {}
-        }
-    }
-    if ptr_first {
-        ptr.extend(gpr);
-        ptr
-    } else {
-        gpr.extend(ptr);
-        gpr
-    }
 }
 
 #[cfg(test)]

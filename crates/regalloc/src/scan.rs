@@ -15,12 +15,17 @@
 //! cost ([`crate::cost`]), normalized by the positions its ranges
 //! actually cover, ties broken toward the furthest end, so hot
 //! loop-carried webs stay in registers while cold webs take the slots.
+//! Only a victim choice reads those costs, so scan builds them
+//! ([`VictimAnalyses`]) at a round's first eviction: a round that fits
+//! in the register file never computes the loop forest or the table.
 //!
 //! A failed round returns the eviction set *and* the partial assignment
 //! of everything that did fit — the driver's second-chance pass re-tests
 //! split sub-webs against that assignment before falling back to
 //! spill-everywhere.
 
+use std::rc::Rc;
+use tossa_analysis::{AnalysisCache, LoopInfo};
 use tossa_ir::ids::Var;
 use tossa_ir::machine::{PhysReg, RegClass};
 use tossa_ir::print::var_str;
@@ -29,7 +34,7 @@ use tossa_trace::provenance;
 
 use crate::cost::SpillCosts;
 use crate::intervals::{Interval, Intervals};
-use crate::{pools, AllocError, Assignment, VarSet};
+use crate::{AllocError, Assignment, VarSet};
 
 /// One eviction decision: which web to spill and the linear position of
 /// the pressure point that forced it (the spill layer uses the position
@@ -41,6 +46,47 @@ pub struct SpillReq {
     pub var: Var,
     /// Linear position of the conflict that evicted it.
     pub at: u32,
+}
+
+/// The analyses only a victim choice reads, built once per round at its
+/// first eviction over the round's pre-rewrite body. A failed round
+/// hands them to the remat, split and spill-everywhere dispositions.
+#[derive(Clone, Debug)]
+pub struct VictimAnalyses {
+    /// Natural loops and nesting depths: block weights and split regions.
+    pub loops: Rc<LoopInfo>,
+    /// Loop-weighted spill costs and rematerialization candidates.
+    pub costs: SpillCosts,
+    /// Covered length per variable, at least 1. The victim rule compares
+    /// spill cost *per position of relief*, so a long cold web beats many
+    /// short cheap webs (which would each relieve only one pressure
+    /// point). Holes do not relieve anything, so they do not count.
+    len_of: Vec<u64>,
+}
+
+impl VictimAnalyses {
+    fn build(f: &Function, ivs: &Intervals, cache: &mut AnalysisCache) -> VictimAnalyses {
+        let loops = cache.loops(f);
+        let costs = SpillCosts::compute(f, &loops);
+        let mut len_of: Vec<u64> = vec![1; f.num_vars()];
+        for iv in &ivs.items {
+            len_of[iv.var.index()] = ivs.covered_len(iv).max(1);
+        }
+        VictimAnalyses {
+            loops,
+            costs,
+            len_of,
+        }
+    }
+
+    /// `v`'s spill weight and covered length: the ratio the victim rule
+    /// compares, as a pair to cross-multiply.
+    fn norm(&self, v: Var) -> (u128, u128) {
+        (
+            u128::from(self.costs.cost(v).weight),
+            u128::from(self.len_of[v.index()]),
+        )
+    }
 }
 
 /// Why a scan round did not produce an assignment.
@@ -56,6 +102,9 @@ pub enum ScanFail {
         /// pass probes this for registers left free across a victim's
         /// ranges.
         partial: Assignment,
+        /// The victim analyses the round's first eviction built (boxed:
+        /// they would make every scan result several times larger).
+        victims: Box<VictimAnalyses>,
     },
     /// Unrecoverable failure (pin conflict, out of registers).
     Hard(AllocError),
@@ -108,36 +157,25 @@ impl Blocked {
     }
 }
 
-/// One linear-scan round.
+/// One linear-scan round. The loop forest comes from `cache`, fetched
+/// only when the round evicts.
 ///
 /// # Errors
-/// [`ScanFail::Spill`] with the eviction set and partial assignment, or
-/// [`ScanFail::Hard`] on pin conflicts / unspillable pressure.
+/// [`ScanFail::Spill`] with the eviction set, partial assignment and
+/// victim analyses, or [`ScanFail::Hard`] on pin conflicts /
+/// unspillable pressure.
 pub fn scan(
     f: &Function,
     ivs: &Intervals,
     temps: &VarSet,
-    costs: &SpillCosts,
+    cache: &mut AnalysisCache,
 ) -> Result<Assignment, ScanFail> {
     let blocked = Blocked::collect(ivs).map_err(ScanFail::Hard)?;
-    // Covered lengths for weight normalization: the cost-driven victim
-    // rule compares spill cost *per position of relief*, so a long cold
-    // web beats many short cheap webs (which would each relieve only
-    // one pressure point). Holes do not relieve anything, so they do
-    // not count.
-    let mut len_of: Vec<u64> = vec![1; f.num_vars()];
-    for iv in &ivs.items {
-        len_of[iv.var.index()] = ivs.covered_len(iv).max(1);
-    }
-    let norm = |w: u64, v: Var| -> (u128, u128) { (u128::from(w), u128::from(len_of[v.index()])) };
+    let mut victims: Option<Box<VictimAnalyses>> = None;
     let mut asg = Assignment::new(f.num_vars());
     // (hull end, reg, item index, spillable)
     let mut active: Vec<(u32, PhysReg, usize, bool)> = Vec::new();
     let mut spills: Vec<SpillReq> = Vec::new();
-    // Candidate pools are interval-independent apart from the pointer
-    // preference; computed once per scan, not once per interval.
-    let pool_gpr_first = pools(f, false);
-    let pool_ptr_first = pools(f, true);
     // Per-register pressure against the current interval's ranges:
     // how many active holders overlap it, and (when exactly one does)
     // which active entry that is. Reset via `touched` between items.
@@ -157,11 +195,7 @@ pub fn scan(
             asg.get(h)
                 .filter(|&r| f.machine.reg_class(r) != RegClass::Special)
         });
-        let pool = if iv.ptr_pref {
-            &pool_ptr_first
-        } else {
-            &pool_gpr_first
-        };
+        let pool = f.machine.allocation_order(iv.ptr_pref);
         let usable = |r: PhysReg| !blocked.conflicts(ivs, r, iv);
         for &t in &touched {
             over_count[t as usize] = 0;
@@ -194,6 +228,7 @@ pub fn scan(
         // holders cannot be freed by one eviction.) The victim is the
         // cheapest holder by loop weight per covered position, ties
         // toward the furthest end.
+        let vic = victims.get_or_insert_with(|| Box::new(VictimAnalyses::build(f, ivs, cache)));
         let victim = active
             .iter()
             .enumerate()
@@ -202,8 +237,8 @@ pub fn scan(
             })
             .map(|(ai, &(end, r, aidx, _))| (ai, end, r, ivs.items[aidx].var))
             .min_by(|&(_, enda, _, va), &(_, endb, _, vb)| {
-                let (wa, la) = norm(costs.cost(va).weight, va);
-                let (wb, lb) = norm(costs.cost(vb).weight, vb);
+                let (wa, la) = vic.norm(va);
+                let (wb, lb) = vic.norm(vb);
                 // wa/la vs wb/lb, cross-multiplied; ties prefer the
                 // furthest end (most relief), then the lowest index.
                 (wa * lb)
@@ -216,8 +251,8 @@ pub fn scan(
         // further than we do (progress at the pressure point).
         let evict = |v: Var, end: u32| {
             !spillable || {
-                let (vw, vl) = norm(costs.cost(v).weight, v);
-                let (sw, sl) = norm(costs.cost(iv.var).weight, iv.var);
+                let (vw, vl) = vic.norm(v);
+                let (sw, sl) = vic.norm(iv.var);
                 vw * sl < sw * vl || (vw * sl == sw * vl && end > iv.end)
             }
         };
@@ -235,7 +270,7 @@ pub fn scan(
                         var: var_str(f, v),
                         start: vs,
                         end: ve,
-                        cause: costs.rationale(v),
+                        cause: vic.costs.rationale(v),
                     }
                 });
                 asg.set(iv.var, r);
@@ -250,7 +285,7 @@ pub fn scan(
                     var: var_str(f, iv.var),
                     start: iv.start,
                     end: iv.end,
-                    cause: costs.rationale(iv.var),
+                    cause: vic.costs.rationale(iv.var),
                 });
             }
             _ => return Err(ScanFail::Hard(AllocError::OutOfRegisters { var: iv.var })),
@@ -265,6 +300,7 @@ pub fn scan(
         Err(ScanFail::Spill {
             reqs: spills,
             partial: asg,
+            victims: victims.expect("an eviction built the victim analyses"),
         })
     }
 }
@@ -273,15 +309,13 @@ pub fn scan(
 pub(crate) mod tests {
     use super::*;
     use crate::intervals;
-    use tossa_analysis::AnalysisCache;
     use tossa_ir::machine::Machine;
     use tossa_ir::parse::parse_function;
 
-    /// One scan round over `f` with its own spill costs.
+    /// One scan round over `f` with its own analysis cache.
     pub(crate) fn scan_once(f: &Function) -> Result<Assignment, ScanFail> {
         let ivs = intervals::build(f);
-        let costs = SpillCosts::compute(f, &AnalysisCache::new().loops(f));
-        scan(f, &ivs, &VarSet::default(), &costs)
+        scan(f, &ivs, &VarSet::default(), &mut AnalysisCache::new())
     }
 
     #[test]
@@ -295,7 +329,7 @@ pub(crate) mod tests {
         let r5 = Machine::dsp32().reg_by_name("R5").unwrap();
         let (va, vb) = {
             let mut it = f.vars().filter(|&v| {
-                let n = &f.var(v).name;
+                let n = &*f.var(v).name;
                 n == "a" || n == "b"
             });
             (it.next().unwrap(), it.next().unwrap())
@@ -320,7 +354,7 @@ pub(crate) mod tests {
         let r5 = Machine::dsp32().reg_by_name("R5").unwrap();
         let vars: Vec<_> = f.vars().collect();
         for v in vars {
-            if f.var(v).name == "a" || f.var(v).name == "b" {
+            if &*f.var(v).name == "a" || &*f.var(v).name == "b" {
                 f.var_mut(v).reg = Some(r5);
             }
         }
@@ -350,12 +384,17 @@ entry:
         let r5 = Machine::dsp32().reg_by_name("R5").unwrap();
         let vars: Vec<_> = f.vars().collect();
         for v in vars {
-            if f.var(v).name == "a" || f.var(v).name == "b" {
+            if &*f.var(v).name == "a" || &*f.var(v).name == "b" {
                 f.var_mut(v).reg = Some(r5);
             }
         }
         let ivs = intervals::build(&f);
-        let by_name = |n: &str| ivs.items.iter().find(|iv| f.var(iv.var).name == n).unwrap();
+        let by_name = |n: &str| {
+            ivs.items
+                .iter()
+                .find(|iv| &*f.var(iv.var).name == n)
+                .unwrap()
+        };
         assert!(by_name("a").overlaps(by_name("b")), "the hulls overlap");
         assert!(
             Blocked::collect(&ivs).is_ok(),

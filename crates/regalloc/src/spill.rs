@@ -26,7 +26,7 @@
 
 use tossa_ir::ids::{Block, Var};
 use tossa_ir::instr::{InstData, Operand};
-use tossa_ir::{Function, Opcode};
+use tossa_ir::{derived_name, Function, Opcode};
 
 use crate::VarSet;
 
@@ -63,7 +63,7 @@ pub fn rewrite_spills_in(
                 if reload_tmp.iter().any(|&(u, _)| u == v) {
                     continue;
                 }
-                let tmp = f.new_var(format!("{}.r", f.var(v).name));
+                let tmp = f.new_var(derived_name(format_args!("{}.r", f.var(v).name)));
                 temps.insert(tmp);
                 let ld = InstData::new(Opcode::SpillLoad)
                     .with_defs(vec![Operand::new(tmp)])
@@ -78,7 +78,7 @@ pub fn rewrite_spills_in(
             for k in 0..f.defs(i).len() {
                 let v = f.defs(i)[k].var;
                 if let Some(slot) = slot_of(v) {
-                    let tmp = f.new_var(format!("{}.w", f.var(v).name));
+                    let tmp = f.new_var(derived_name(format_args!("{}.w", f.var(v).name)));
                     temps.insert(tmp);
                     store_after.push((v, slot, tmp));
                 }
@@ -141,7 +141,7 @@ pub fn rematerialize(
                 continue;
             }
             if inst_ref.uses.iter().any(|o| o.var == v) {
-                let tmp = f.new_var(format!("{}.m", f.var(v).name));
+                let tmp = f.new_var(derived_name(format_args!("{}.m", f.var(v).name)));
                 temps.insert(tmp);
                 let mk = InstData::new(Opcode::Make)
                     .with_defs(vec![Operand::new(tmp)])
@@ -187,7 +187,7 @@ exit:
 }";
         let mut f = parse_function(text, &Machine::dsp32()).unwrap();
         let before = interp::run(&f, &[6], 10_000).unwrap().outputs;
-        let z = f.vars().find(|&v| f.var(v).name == "z").unwrap();
+        let z = f.vars().find(|&v| &*f.var(v).name == "z").unwrap();
         let mut temps = VarSet::default();
         let blocks: Vec<Block> = f.blocks().collect();
         let (st, rl) = rewrite_spills_in(&mut f, &[(z, 0)], &blocks, &mut temps);
@@ -220,7 +220,7 @@ entry:
 }";
         let mut f = parse_function(text, &Machine::dsp32()).unwrap();
         let before = interp::run(&f, &[3], 100).unwrap().outputs;
-        let k = f.vars().find(|&v| f.var(v).name == "k").unwrap();
+        let k = f.vars().find(|&v| &*f.var(v).name == "k").unwrap();
         let mut temps = VarSet::default();
         let entry = f.entry;
         let n = rematerialize(&mut f, k, 9, &[entry], &mut temps);

@@ -35,7 +35,7 @@ use tossa_ir::cfg::Cfg;
 use tossa_ir::ids::{Block, Var};
 use tossa_ir::instr::{InstData, Operand};
 use tossa_ir::print::var_str;
-use tossa_ir::{Function, Opcode};
+use tossa_ir::{derived_name, Function, Opcode};
 use tossa_trace::provenance;
 
 use crate::cost::SpillCosts;
@@ -288,7 +288,7 @@ pub fn try_split(
     // Commit. Hot sub-web: register-resident inside the region; never
     // split again (a second split of the same loop cannot make
     // progress), but still spillable everywhere if pressure persists.
-    let hot = f.new_var(format!("{}.s", f.var(v).name));
+    let hot = f.new_var(derived_name(format_args!("{}.s", f.var(v).name)));
     no_split.insert(hot);
     for &b in &region.body {
         for k in 0..f.block(b).insts.len() {
@@ -392,12 +392,12 @@ exit:
     fn split_keeps_semantics_and_lands_on_boundaries() {
         let mut f = parse_function(HOT_THROUGH_LOOP, &Machine::dsp32()).unwrap();
         let before = interp::run(&f, &[5], 10_000).unwrap().outputs;
-        let k = f.vars().find(|&v| f.var(v).name == "k").unwrap();
+        let k = f.vars().find(|&v| &*f.var(v).name == "k").unwrap();
         let (cfg, loops, live) = analyses(&f);
         let ivs = intervals::build(&f);
         let costs = SpillCosts::compute(&f, &loops);
         // Conflict in `exit`, outside the loop.
-        let exit = f.blocks().find(|&b| f.block(b).name == "exit").unwrap();
+        let exit = f.blocks().find(|&b| &*f.block(b).name == "exit").unwrap();
         let conflict_at = ivs.block_span[exit.index()].0;
         let mut temps = VarSet::default();
         let mut no_split = VarSet::default();
@@ -419,7 +419,7 @@ exit:
         assert!(out.reloads >= 1, "{f}");
         assert!(!out.boundaries.is_empty());
         // Boundary blocks are entry preds of the header or exit blocks.
-        let header = f.blocks().find(|&b| f.block(b).name == "head").unwrap();
+        let header = f.blocks().find(|&b| &*f.block(b).name == "head").unwrap();
         let body = loops.body(header).unwrap();
         for &b in &out.boundaries {
             let is_entry = !body.contains(&b) && f.succs(b).contains(&header);
@@ -452,11 +452,11 @@ exit:
     fn conflict_inside_the_loop_falls_back_to_a_non_loop_region() {
         let mut f = parse_function(HOT_THROUGH_LOOP, &Machine::dsp32()).unwrap();
         let before = interp::run(&f, &[5], 10_000).unwrap().outputs;
-        let k = f.vars().find(|&v| f.var(v).name == "k").unwrap();
+        let k = f.vars().find(|&v| &*f.var(v).name == "k").unwrap();
         let (cfg, loops, live) = analyses(&f);
         let ivs = intervals::build(&f);
         let costs = SpillCosts::compute(&f, &loops);
-        let body_b = f.blocks().find(|&b| f.block(b).name == "body").unwrap();
+        let body_b = f.blocks().find(|&b| &*f.block(b).name == "body").unwrap();
         let conflict_at = ivs.block_span[body_b.index()].0;
         let mut temps = VarSet::default();
         let mut no_split = VarSet::default();
@@ -495,11 +495,11 @@ exit:
     #[test]
     fn single_block_web_has_no_region() {
         let mut f = parse_function(HOT_THROUGH_LOOP, &Machine::dsp32()).unwrap();
-        let r = f.vars().find(|&v| f.var(v).name == "r").unwrap();
+        let r = f.vars().find(|&v| &*f.var(v).name == "r").unwrap();
         let (cfg, loops, live) = analyses(&f);
         let ivs = intervals::build(&f);
         let costs = SpillCosts::compute(&f, &loops);
-        let entry = f.blocks().find(|&b| f.block(b).name == "entry").unwrap();
+        let entry = f.blocks().find(|&b| &*f.block(b).name == "entry").unwrap();
         let conflict_at = ivs.block_span[entry.index()].0;
         let mut temps = VarSet::default();
         let mut no_split = VarSet::default();
@@ -542,11 +542,11 @@ last:
         )
         .unwrap();
         let before = interp::run(&f, &[5], 10_000).unwrap().outputs;
-        let k = f.vars().find(|&v| f.var(v).name == "k").unwrap();
+        let k = f.vars().find(|&v| &*f.var(v).name == "k").unwrap();
         let (cfg, loops, live) = analyses(&f);
         let ivs = intervals::build(&f);
         let costs = SpillCosts::compute(&f, &loops);
-        let mid = f.blocks().find(|&b| f.block(b).name == "mid").unwrap();
+        let mid = f.blocks().find(|&b| &*f.block(b).name == "mid").unwrap();
         let conflict_at = ivs.block_span[mid.index()].0;
         let mut temps = VarSet::default();
         let mut no_split = VarSet::default();
@@ -569,7 +569,7 @@ last:
         // Boundary copies land outside the conflict-free region's
         // interior: every boundary block is a predecessor of the region
         // or an exit of it.
-        let last = f.blocks().find(|&b| f.block(b).name == "last").unwrap();
+        let last = f.blocks().find(|&b| &*f.block(b).name == "last").unwrap();
         for &b in &out.boundaries {
             assert!(
                 f.succs(b).contains(&last) || b == last,
@@ -589,11 +589,11 @@ last:
         // store it back at the exit boundary.
         let mut f = parse_function(HOT_THROUGH_LOOP, &Machine::dsp32()).unwrap();
         let before = interp::run(&f, &[5], 10_000).unwrap().outputs;
-        let z = f.vars().find(|&v| f.var(v).name == "z").unwrap();
+        let z = f.vars().find(|&v| &*f.var(v).name == "z").unwrap();
         let (cfg, loops, live) = analyses(&f);
         let ivs = intervals::build(&f);
         let costs = SpillCosts::compute(&f, &loops);
-        let exit = f.blocks().find(|&b| f.block(b).name == "exit").unwrap();
+        let exit = f.blocks().find(|&b| &*f.block(b).name == "exit").unwrap();
         let conflict_at = ivs.block_span[exit.index()].0;
         let mut temps = VarSet::default();
         let mut no_split = VarSet::default();

@@ -1,8 +1,7 @@
 //! Independent allocation verifier.
 //!
-//! Rechecks an [`Assignment`](crate::Assignment) against the function it
-//! was computed for, using nothing from the scan engine except the
-//! liveness analysis:
+//! Rechecks an [`Assignment`] against the function it was computed for,
+//! using nothing from the scan engine except the liveness analysis:
 //!
 //! - every operand variable has a register ([`AllocError::Unassigned`]);
 //! - precolored variables keep their register
@@ -252,8 +251,8 @@ mod tests {
         let (f, mut asg) =
             prepared("func @o {\nentry:\n  %a, %b = input\n  %c = add %a, %b\n  ret %c\n}");
         // Force %a and %b onto one register: both live at the add.
-        let a = f.vars().find(|&v| f.var(v).name == "a").unwrap();
-        let b = f.vars().find(|&v| f.var(v).name == "b").unwrap();
+        let a = f.vars().find(|&v| &*f.var(v).name == "a").unwrap();
+        let b = f.vars().find(|&v| &*f.var(v).name == "b").unwrap();
         asg.set(a, asg.get(b).unwrap());
         let e = verify_allocation(&f, &asg).unwrap_err();
         assert!(matches!(e, AllocError::RegisterOverlap { .. }), "{e}");
@@ -265,8 +264,8 @@ mod tests {
             "func @d {\nentry:\n  %a = input\n  %dead = make 7\n  %s = addi %a, 1\n  ret %s\n}",
         );
         // %dead's def clobbers %a, which is live across it.
-        let a = f.vars().find(|&v| f.var(v).name == "a").unwrap();
-        let dead = f.vars().find(|&v| f.var(v).name == "dead").unwrap();
+        let a = f.vars().find(|&v| &*f.var(v).name == "a").unwrap();
+        let dead = f.vars().find(|&v| &*f.var(v).name == "dead").unwrap();
         asg.set(dead, asg.get(a).unwrap());
         let e = verify_allocation(&f, &asg).unwrap_err();
         assert!(matches!(e, AllocError::RegisterOverlap { .. }), "{e}");
@@ -289,15 +288,15 @@ entry:
   ret %r
 }",
         );
-        let a = f.vars().find(|&v| f.var(v).name == "a").unwrap();
-        let b = f.vars().find(|&v| f.var(v).name == "b").unwrap();
+        let a = f.vars().find(|&v| &*f.var(v).name == "a").unwrap();
+        let b = f.vars().find(|&v| &*f.var(v).name == "b").unwrap();
         // %b lives in %a's hole (between %a's last use and its
         // redefinition): sharing %a's register is legal.
         asg.set(b, asg.get(a).unwrap());
         verify_allocation(&f, &asg).unwrap();
         // But %c overlaps %a's second life at the final add: sharing
         // with it must still be rejected.
-        let c = f.vars().find(|&v| f.var(v).name == "c").unwrap();
+        let c = f.vars().find(|&v| &*f.var(v).name == "c").unwrap();
         asg.set(c, asg.get(a).unwrap());
         let e = verify_allocation(&f, &asg).unwrap_err();
         assert!(matches!(e, AllocError::RegisterOverlap { .. }), "{e}");

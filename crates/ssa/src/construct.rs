@@ -330,7 +330,7 @@ entry:
             .collect();
         assert_eq!(versions.len(), 2);
         for v in versions {
-            assert_eq!(f.var(v).name, "x");
+            assert_eq!(&*f.var(v).name, "x");
         }
     }
 

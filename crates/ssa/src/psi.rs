@@ -19,7 +19,7 @@
 
 use tossa_ir::ids::{Block, Inst};
 use tossa_ir::instr::{InstData, Operand};
-use tossa_ir::{Function, Opcode};
+use tossa_ir::{derived_name, Function, Opcode};
 
 /// Lowers every ψ instruction in place. Returns the number of ψs lowered.
 pub fn lower_psis(f: &mut Function) -> usize {
@@ -59,7 +59,7 @@ fn lower_one(f: &mut Function, b: Block, pos: usize, psi: Inst) {
         let dst = if k + 1 == pairs.len() {
             def
         } else {
-            f.new_var(format!("psi{}", k + 1))
+            f.new_var(derived_name(format_args!("psi{}", k + 1)))
         };
         f.insert_inst(
             b,

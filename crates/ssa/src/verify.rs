@@ -387,7 +387,7 @@ exit:
   ret %s, %n
 }",
         );
-        let var = |name: &str| f.vars().find(|&v| f.var(v).name == name).unwrap();
+        let var = |name: &str| f.vars().find(|&v| &*f.var(v).name == name).unwrap();
         let first = verify_cssa(&f).unwrap_err();
         assert_eq!(
             first.message,

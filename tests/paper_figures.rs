@@ -21,7 +21,7 @@ fn parse(text: &str) -> Function {
 
 fn var(f: &Function, name: &str) -> Var {
     f.vars()
-        .find(|&v| f.var(v).name == name)
+        .find(|&v| &*f.var(v).name == name)
         .unwrap_or_else(|| panic!("no var {name}"))
 }
 
@@ -373,7 +373,7 @@ fn fig8_partial_coalescing_into_r0() {
     // variable is coalesced with the register.
     let z = f
         .vars()
-        .filter(|&v| f.var(v).name == "z")
+        .filter(|&v| &*f.var(v).name == "z")
         .last()
         .expect("a z version");
     let r0 = f.resources.by_name("R0").unwrap();

@@ -10,7 +10,7 @@
 //! boundary check recomputes loops from scratch on the final function.
 
 use std::collections::{HashMap, HashSet};
-use tossa::analysis::{DomTree, LoopInfo};
+use tossa::analysis::{AnalysisCache, DomTree, LoopInfo};
 use tossa::bench::runner::run_experiment;
 use tossa::bench::suites::synth::{generate_function, SynthConfig};
 use tossa::core::coalesce::CoalesceOptions;
@@ -248,7 +248,7 @@ fn spill_requests_respect_the_cost_order() {
         let loops = LoopInfo::compute(&f, &cfg, &dt);
         let costs = SpillCosts::compute(&f, &loops);
         let ivs = intervals::build(&f);
-        let reqs = match scan(&f, &ivs, &VarSet::default(), &costs) {
+        let reqs = match scan(&f, &ivs, &VarSet::default(), &mut AnalysisCache::new()) {
             Ok(_) => continue,
             Err(ScanFail::Spill { reqs, .. }) => reqs,
             Err(ScanFail::Hard(e)) => panic!("seed {seed}: {e}"),
